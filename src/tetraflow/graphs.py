@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 
 class GraphError(ValueError):
@@ -71,15 +70,6 @@ class NormalForm:
     sign: int  # +1, -1, or 0 for self-antisymmetric graphs
 
 
-_PERMS: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _perms(n: int) -> list[tuple[int, ...]]:
-    if n not in _PERMS:
-        _PERMS[n] = list(permutations(range(n)))
-    return _PERMS[n]
-
-
 _NF_CACHE: dict[tuple[int, int, tuple[int, ...]], NormalForm] = {}
 
 
@@ -91,44 +81,98 @@ def normal_form(g: KontsevichGraph) -> NormalForm:
     -1 to the sign and relabellings contribute nothing.  The sign is 0 when
     the minimum is reached with both parities, i.e. the graph equals minus
     itself (double edges, the wedge standing on two equal wedges, ...).
+
+    The minimum is found by an exact branch-and-bound search rather than by
+    walking the group.  The new labels m, m+1, ... are given out one at a
+    time, the vertex labelled m+d supplying the d-th pair, so each partial
+    labelling fixes a prefix of the sequence up to its unlabelled targets.
+    Bounding every unlabelled vertex by the next free label (sinks and
+    labelled vertices keep their labels, each pair sorted) gives a
+    componentwise lower bound of that prefix; a branch is cut only when the
+    bound is strictly greater than the best sequence's prefix.  Branches
+    that tie still reach their leaves, so every labelling attaining the
+    minimum is seen and the sign-0 rule is exact.  Candidates for the next
+    label are tried in the order of their own bounded pair, which finds a
+    near-minimal leaf first; swap parities are counted at leaves only.
     """
     key = g.key
     cached = _NF_CACHE.get(key)
     if cached is not None:
         return cached
     m, n, _ = key
-    for a, b in g.targets:
+    targets = g.targets
+    for a, b in targets:
         if a == b:
             nf = NormalForm(m, n, (), 0)
             _NF_CACHE[key] = nf
             return nf
-    targets = g.targets
-    best: tuple[int, ...] | None = None
+    # lab[v]: the new label of vertex v, or for an unlabelled internal vertex
+    # the smallest label it can still receive
+    lab = list(range(m)) + [m] * n
+    order: list[int] = []  # order[d] = internal index of the vertex labelled m+d
+    best: list[int] | None = None
     best_parity = 0
     zero = False
-    for pi in _perms(n):
-        new_pairs: list[tuple[int, int]] = [(0, 0)] * n
-        parity = 0
-        for k in range(n):
+
+    def descend(todo: list[int]) -> None:
+        nonlocal best, best_parity, zero
+        d = len(order)
+        if not todo:
+            seq: list[int] = []
+            parity = 0
+            for k in order:
+                a, b = targets[k]
+                a, b = lab[a], lab[b]
+                if a > b:
+                    a, b = b, a
+                    parity ^= 1
+                seq += (a, b)
+            if best is None or seq < best:
+                best, best_parity, zero = seq, parity, False
+            elif seq == best and parity != best_parity:
+                zero = True
+            return
+        label, later = m + d, m + d + 1
+        for k in todo:
+            lab[m + k] = later
+        candidates = []
+        for k in todo:
+            lab[m + k] = label
             a, b = targets[k]
-            if a >= m:
-                a = m + pi[a - m]
-            if b >= m:
-                b = m + pi[b - m]
-            if a > b:
-                a, b = b, a
-                parity ^= 1
-            new_pairs[pi[k]] = (a, b)
-        seq = tuple(t for pair in new_pairs for t in pair)
-        if best is None or seq < best:
-            best, best_parity, zero = seq, parity, False
-        elif seq == best and parity != best_parity:
-            zero = True
+            a, b = lab[a], lab[b]
+            candidates.append(((a, b) if a < b else (b, a), k))
+            lab[m + k] = later
+        candidates.sort()
+        for _, k in candidates:
+            lab[m + k] = label
+            order.append(k)
+            if best is None or not _prefix_exceeds(order, targets, lab, best):
+                descend([j for j in todo if j != k])
+            order.pop()
+            for j in todo:
+                lab[m + j] = later
+
+    descend(list(range(n)))
     assert best is not None
-    sign = 0 if zero else (1 if best_parity == 0 else -1)
-    nf = NormalForm(m, n, best, 0 if zero else sign)
+    nf = NormalForm(m, n, tuple(best), 0 if zero else (1 if best_parity == 0 else -1))
     _NF_CACHE[key] = nf
     return nf
+
+
+def _prefix_exceeds(order, targets, lab, best) -> bool:
+    """Whether the bounded prefix of ``order`` is lexicographically above ``best``."""
+    pos = 0
+    for k in order:
+        a, b = targets[k]
+        a, b = lab[a], lab[b]
+        if a > b:
+            a, b = b, a
+        if a != best[pos]:
+            return a > best[pos]
+        if b != best[pos + 1]:
+            return b > best[pos + 1]
+        pos += 2
+    return False
 
 
 def graph_from_encoding(m: int, n: int, encoding: tuple[int, ...]) -> KontsevichGraph:

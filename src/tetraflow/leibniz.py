@@ -18,6 +18,7 @@ from itertools import combinations, permutations, product
 
 from .graphs import (GraphError, GraphSum, KontsevichGraph, format_coeff,
                      parse_coeff)
+from .ops import perm_sign
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def leibniz_normal_form(L: LeibnizGraph) -> tuple[tuple, int]:
             for i in range(j):
                 trip = sorted(relabel(t) for t in L.jac_targets[i])
                 orig = [relabel(t) for t in L.jac_targets[i]]
-                parity ^= _perm_parity(orig)
+                parity ^= perm_sign(orig) < 0
                 new_jacs[rho[i]] = tuple(trip)
             enc = (tuple(new_wedges), tuple(new_jacs))
             if best is None or enc < best:
@@ -163,18 +164,6 @@ def leibniz_normal_form(L: LeibnizGraph) -> tuple[tuple, int]:
     result = ((m,) + best, sign)
     _LNF_CACHE[key] = result
     return result
-
-
-def _perm_parity(seq) -> int:
-    """Parity (0/1) of the permutation sorting ``seq`` ascending."""
-    seq = list(seq)
-    parity = 0
-    for a in range(len(seq)):
-        for b in range(len(seq) - 1 - a):
-            if seq[b] > seq[b + 1]:
-                seq[b], seq[b + 1] = seq[b + 1], seq[b]
-                parity ^= 1
-    return parity
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +180,13 @@ def serialize_leibniz(L: LeibnizGraph, c: Fraction | int) -> str:
     return " ".join(parts)
 
 
+def _parse_targets(toks: list[str], line: str) -> list[int]:
+    try:
+        return [int(t) for t in toks]
+    except ValueError as exc:
+        raise GraphError(f"bad target in {line!r}") from exc
+
+
 def parse_leibniz_line(line: str) -> tuple[LeibnizGraph, Fraction]:
     toks = line.split()
     if len(toks) < 4 or "|" not in toks:
@@ -203,7 +199,7 @@ def parse_leibniz_line(line: str) -> tuple[LeibnizGraph, Fraction]:
     bar = rest.index("|")
     if bar != 2 * w:
         raise GraphError(f"expected {2*w} wedge targets in {line!r}")
-    wedge_flat = [int(t) for t in rest[:bar]]
+    wedge_flat = _parse_targets(rest[:bar], line)
     wedges = tuple((wedge_flat[2 * k], wedge_flat[2 * k + 1]) for k in range(w))
     groups: list[list[str]] = []
     for tok in rest[bar:]:
@@ -217,7 +213,7 @@ def parse_leibniz_line(line: str) -> tuple[LeibnizGraph, Fraction]:
     for grp in groups:
         if len(grp) != 3:
             raise GraphError(f"expected 3 Jacobiator targets in {line!r}")
-        jacs.append(tuple(int(t) for t in grp))
+        jacs.append(tuple(_parse_targets(grp, line)))
     return LeibnizGraph(m, wedges, tuple(jacs)), coeff
 
 
@@ -241,7 +237,7 @@ def parse_leibniz_placeholder_line(line: str) -> tuple[LeibnizGraph, Fraction]:
     w = n - 2
     if w < 0 or len(toks) != 2 + 2 * n + 1:
         raise GraphError(f"wrong token count in {line!r}")
-    flat = [int(t) for t in toks[2:2 + 2 * n]]
+    flat = _parse_targets(toks[2:2 + 2 * n], line)
     coeff = parse_coeff(toks[-1])
     wedges = tuple((flat[2 * k], flat[2 * k + 1]) for k in range(w))
     for pair in wedges:

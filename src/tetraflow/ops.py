@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
-from .graphs import GraphError, GraphSum, KontsevichGraph, normal_form
+from .graphs import (GraphError, GraphSum, KontsevichGraph, graph_from_encoding,
+                     normal_form)
 
 # Oriented tetrahedra on four internal vertices (two sinks, labels 2..5).
 # GAMMA1 is skew in its sinks; GAMMA2_PRIME is not and enters the flow
@@ -80,7 +82,8 @@ def insert(a: KontsevichGraph, i: int, b: KontsevichGraph) -> GraphSum:
     return out
 
 
-def perm_sign(sigma: tuple[int, ...]) -> int:
+def perm_sign(sigma) -> int:
+    """Sign of the permutation that sorts ``sigma``, a sequence of distinct values."""
     sign = 1
     for x in range(len(sigma)):
         for y in range(x + 1, len(sigma)):
@@ -89,31 +92,28 @@ def perm_sign(sigma: tuple[int, ...]) -> int:
     return sign
 
 
-def skew_symmetrize(s: GraphSum, m: int) -> GraphSum:
-    """(1/m!) sum over signed sink permutations; idempotent on skew sums."""
+def _signed_sink_sum(s: GraphSum, m: int, scale: Fraction) -> GraphSum:
+    """``scale`` times the sum of ``s`` over signed permutations of its m sinks."""
     sigs = s.signatures()
     if any(sig[0] != m for sig in sigs):
         raise GraphError(f"mixed sink counts {sigs}, expected {m}")
     out = GraphSum()
     perms = list(permutations(range(m)))
-    norm = Fraction(1, len(perms)) if perms else Fraction(1)
     for (mm, nn, enc), c in s.terms.items():
-        g = KontsevichGraph(mm, nn, tuple((enc[2 * k], enc[2 * k + 1]) for k in range(nn)))
+        g = graph_from_encoding(mm, nn, enc)
         for sigma in perms:
-            out.add_graph(g.permute_sinks(sigma), c * perm_sign(sigma) * norm)
+            out.add_graph(g.permute_sinks(sigma), c * perm_sign(sigma) * scale)
     return out
+
+
+def skew_symmetrize(s: GraphSum, m: int) -> GraphSum:
+    """(1/m!) sum over signed sink permutations; idempotent on skew sums."""
+    return _signed_sink_sum(s, m, Fraction(1, factorial(m)))
 
 
 def alternation(s: GraphSum, m: int) -> GraphSum:
     """Plain signed sum over sink permutations (no 1/m!)."""
-    return skew_symmetrize(s, m).scaled(_factorial(m))
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for k in range(2, m + 1):
-        out *= k
-    return out
+    return _signed_sink_sum(s, m, Fraction(1))
 
 
 def validate_multivector(s: GraphSum, arity: int | None = None) -> int:
@@ -158,9 +158,7 @@ def schouten_bracket(a: GraphSum, b: GraphSum, arity_a: int | None = None,
                 sign = 1 if ((k - 1 - i) * (ell + 1)) % 2 else -1
                 for term in insert_terms(ga, i, gb):
                     raw.add_graph(term, c * sign)
-    m = k + ell - 1
-    norm = Fraction(_factorial(m), _factorial(k) * _factorial(ell))
-    return skew_symmetrize(raw, m).scaled(norm)
+    return _signed_sink_sum(raw, k + ell - 1, Fraction(1, factorial(k) * factorial(ell)))
 
 
 def tetra_flow(a: Fraction | int, b: Fraction | int) -> GraphSum:
@@ -202,9 +200,7 @@ def one_vector_graphs(internal: int = 3, tadpoles: bool = True) -> list[Kontsevi
         g = KontsevichGraph(m, internal, tuple(pairs))
         nf = normal_form(g)
         if nf.sign != 0 and nf.encoding not in seen:
-            seen[nf.encoding] = KontsevichGraph(
-                m, internal,
-                tuple((nf.encoding[2 * k], nf.encoding[2 * k + 1]) for k in range(internal)))
+            seen[nf.encoding] = graph_from_encoding(m, internal, nf.encoding)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -231,16 +227,15 @@ def collect_skew_orbits(s: GraphSum, m: int) -> list[tuple[tuple[int, int, tuple
     for key in sorted(remaining):
         if key not in remaining:
             continue
-        mm, nn, enc = key
-        g = KontsevichGraph(mm, nn, tuple((enc[2 * i], enc[2 * i + 1]) for i in range(nn)))
+        mm, nn, _ = key
+        g = graph_from_encoding(*key)
         orbit_keys = set()
         for sigma in permutations(range(m)):
             nf = normal_form(g.permute_sinks(sigma))
             if nf.sign != 0:
                 orbit_keys.add((mm, nn, nf.encoding))
         rep_key = min(orbit_keys)
-        rep = KontsevichGraph(mm, nn, tuple((rep_key[2][2 * i], rep_key[2][2 * i + 1])
-                                            for i in range(nn)))
+        rep = graph_from_encoding(*rep_key)
         alt = alternation(GraphSum.single(rep, 1), m)
         anchor = next((k for k in sorted(alt.terms) if k in remaining), None)
         if anchor is None:

@@ -185,6 +185,7 @@ class PolyMultivector:
         order, sign = _sort_sign(idx)
         if sign == 0:
             raise GraphError("repeated index in multivector component")
+        self._dcache = None  # derivatives of the old components are stale
         if p.is_zero():
             self.comps.pop(order, None)
         else:

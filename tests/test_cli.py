@@ -154,3 +154,15 @@ def test_solve_unbalanced_ratio_infeasible(tmp_path):
 
 def test_missing_file_is_usage_error(tmp_path):
     assert run(["reduce", str(tmp_path / "absent.txt"), str(tmp_path / "o.txt")]) == 2
+
+
+@pytest.mark.parametrize("line, flags", [
+    ("3 3 0 x 1 4 2 5 | 3 4 5 1", []),
+    ("3 3 0 3 1 4 2 5 | 3 z 5 1", []),
+    ("3 5 0 x 1 4 2 5 0 1 6 2 1", ["--placeholder-encoding"]),
+])
+def test_verify_non_integer_target_is_usage_error(tmp_path, capsys, line, flags):
+    sol = tmp_path / "sol.txt"
+    sol.write_text(line + "\n")
+    assert run(["verify", "--solution", str(sol)] + flags) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: ")

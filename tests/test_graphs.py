@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetraflow import reference
-from tetraflow.graphs import (GraphError, GraphSum, KontsevichGraph,
-                              normal_form, parse_graph_line, read_graph_lines,
+from tetraflow.graphs import (_NF_CACHE, GraphError, GraphSum, KontsevichGraph,
+                              graph_from_encoding, normal_form,
+                              parse_graph_line, read_graph_lines,
                               read_graph_sum, serialize_graph)
+
+from nf_reference import brute_normal_form
 
 WEDGE = KontsevichGraph(2, 1, ((0, 1),))
 
@@ -61,6 +65,32 @@ def test_normal_form_idempotent_on_reference_rows():
                   for k in range(nf.internal_count)))
         nf2 = normal_form(canon)
         assert nf2.encoding == nf.encoding and nf2.sign == 1
+
+
+def test_normal_form_matches_brute_force_on_ansatz_graphs():
+    from tetraflow.leibniz import generate_ansatz_linear
+    from tetraflow.linsys import build_columns
+    _NF_CACHE.clear()
+    build_columns(generate_ansatz_linear())
+    computed = dict(_NF_CACHE)
+    assert len(computed) > 28000
+    for key, nf in computed.items():
+        assert nf == brute_normal_form(graph_from_encoding(*key)), key
+    assert any(nf.sign == 0 and nf.encoding for nf in computed.values())
+
+
+def test_normal_form_matches_brute_force_on_random_graphs():
+    rng = random.Random(1608)
+    self_antisymmetric = 0
+    for _ in range(10_000):
+        m, n = rng.randint(0, 3), rng.randint(0, 5)
+        g = KontsevichGraph(m, n, tuple((rng.randrange(m + n), rng.randrange(m + n))
+                                        for _ in range(n)))
+        _NF_CACHE.clear()
+        nf = normal_form(g)
+        assert nf == brute_normal_form(g), g
+        self_antisymmetric += nf.sign == 0 and nf.encoding != ()
+    assert self_antisymmetric > 0
 
 
 @st.composite

@@ -73,11 +73,14 @@ def test_one_jacobiator_term_vanishes_in_cycle_entries():
 
 
 def test_leibniz_normal_form_jac_swap_sign():
-    L1 = LeibnizGraph(3, ((0, 4), (1, 5), (2, 3)), ((3, 4, 5),))
-    L2 = LeibnizGraph(3, ((0, 4), (1, 5), (2, 3)), ((4, 3, 5),))
-    e1, s1 = leibniz_normal_form(L1)
-    e2, s2 = leibniz_normal_form(L2)
-    assert e1 == e2 and s1 == -s2
+    wedges = ((0, 4), (1, 5), (2, 3))
+    e1, s1 = leibniz_normal_form(LeibnizGraph(3, wedges, ((3, 4, 5),)))
+    assert s1 != 0
+    # rotations of the Jacobiator's targets keep the sign, transpositions flip it
+    for triple, parity in (((4, 5, 3), 1), ((5, 3, 4), 1), ((4, 3, 5), -1),
+                           ((3, 5, 4), -1), ((5, 4, 3), -1)):
+        e2, s2 = leibniz_normal_form(LeibnizGraph(3, wedges, (triple,)))
+        assert e1 == e2 and s2 == parity * s1
 
 
 def test_leibniz_normal_form_wedge_relabel_invariance():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph
-from tetraflow.ops import GAMMA1, tetra_flow, wedge_sum
+from tetraflow.ops import GAMMA1, WEDGE, tetra_flow, wedge_sum
 from tetraflow.poisson import (Polynomial, PolyMultivector, eval_graph,
                                eval_graph_sum, flow, gamma1, gamma2,
                                jacobi_check, jacobian_bracket,
@@ -124,6 +124,21 @@ def test_eval_wedge_gives_bracket_operator(reference_P):
 
 def test_eval_double_edge_zero(reference_P):
     assert eval_graph(KontsevichGraph(2, 1, ((0, 0),)), reference_P).is_zero()
+
+
+def test_eval_after_set_component_sees_new_component():
+    P = PolyMultivector(3, 2)
+    P.set_component((0, 1), P3("x1*x2"))
+    first = eval_graph(WEDGE, P)
+    P.set_component((0, 1), P3("x3^2"))
+    fresh = PolyMultivector(3, 2)
+    fresh.set_component((0, 1), P3("x3^2"))
+    again = eval_graph(WEDGE, P)
+    assert again == eval_graph(WEDGE, fresh)
+    assert again != first
+    P.add_component((0, 1), P3("x1"))
+    fresh.add_component((0, 1), P3("x1"))
+    assert eval_graph(WEDGE, P) == eval_graph(WEDGE, fresh)
 
 
 def test_eval_gamma_encodings_match_formulas(reference_P):
