@@ -10,14 +10,17 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .graphs import (GraphError, GraphSum, format_coeff, normal_form,
-                     read_graph_lines, read_graph_sum, serialize_graph)
+from .graphs import (GraphError, format_graph_line, normal_form,
+                     read_graph_lines, read_graph_sum)
 from . import reference
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: non-ASCII byte at offset {exc.start}") from exc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -43,10 +46,9 @@ def cmd_normalize(args) -> int:
     lines = []
     for g, c in rows:
         nf = normal_form(g)
-        if nf.sign == 0:
-            continue
-        enc = " ".join(str(t) for t in nf.encoding)
-        lines.append(f"{nf.sink_count} {nf.internal_count} {enc} {format_coeff(c * nf.sign)}")
+        if nf.sign:
+            lines.append(format_graph_line(nf.sink_count, nf.internal_count,
+                                           nf.encoding, c * nf.sign))
     _write_text(args.outfile, "\n".join(lines) + ("\n" if lines else ""))
     return 0
 
@@ -74,9 +76,8 @@ def cmd_lhs(args) -> int:
             return 0
         lines = ["# skew orbit representatives; the sum equals"
                  " sum of (c/4) * alternation(representative)"]
-        for (m, n, enc), c in collect_skew_orbits(s, 3):
-            body = " ".join(str(t) for t in enc)
-            lines.append(f"{m} {n} {body} {format_coeff(c)}")
+        for key, c in collect_skew_orbits(s, 3):
+            lines.append(format_graph_line(*key, c))
         _write_text(args.outfile, "\n".join(lines) + "\n")
     else:
         _write_text(args.outfile, s.serialize())
@@ -94,9 +95,9 @@ def cmd_gen_ansatz(args) -> int:
 
 
 def cmd_count(args) -> int:
-    from itertools import permutations
-    from .leibniz import (LINEAR_CLASS_ORDER, LeibnizGraph,
-                          generate_ansatz_quadratic, generate_linear_classes)
+    from .leibniz import (LINEAR_CLASS_ORDER, generate_ansatz_linear,
+                          generate_ansatz_quadratic, generate_linear_classes,
+                          sink_labelled_patterns)
     tad = not args.no_tadpoles
     classes = generate_linear_classes(tadpoles=tad)
     total = 0
@@ -105,21 +106,13 @@ def cmd_count(args) -> int:
         total += len(classes[name])
     print(f"{'total':12s} {total}")
     print(f"{'quadratic':12s} {len(generate_ansatz_quadratic(tadpoles=tad))}")
-    labelled = set()
-    for name in LINEAR_CLASS_ORDER:
-        for L in classes[name]:
-            m = L.sink_count
-            for sigma in permutations(range(m)):
-                relabel = lambda v: sigma[v] if v < m else v
-                labelled.add((
-                    tuple(tuple(sorted((relabel(a), relabel(b)))) for a, b in L.wedge_targets),
-                    tuple(tuple(sorted(relabel(t) for t in trip)) for trip in L.jac_targets)))
+    patterns = generate_ansatz_linear(tadpoles=tad)
+    labelled = sink_labelled_patterns(patterns)
     print(f"sink-labelled patterns across all assignments: {len(labelled)}"
           " (reference run-through counted 28,202 unknown slots with repetitions)")
     if args.rows:
         from .linsys import assemble, build_columns
-        from .leibniz import generate_ansatz_linear
-        cols = build_columns(generate_ansatz_linear(tadpoles=tad))
+        cols = build_columns(patterns)
         system = assemble(reference.lhs_table(), [(cid, col) for cid, col, _ in cols])
         print(f"assembled rows (admissible graph universe): {system.shape[0]}"
               " (reference run-through: 7,025)")
@@ -225,15 +218,7 @@ def cmd_jacobi(args) -> int:
 
 
 def cmd_reference(args) -> int:
-    names = {
-        "lhs39": "trivector_lhs_39.txt",
-        "skew9": "skew_orbits_9.txt",
-        "solution27": "leibniz_solution_27.txt",
-        "expansion201": "expansion_201.txt",
-    }
-    from importlib import resources
-    text = resources.files("tetraflow").joinpath("data", names[args.table]).read_text()
-    _write_text(args.outfile, text)
+    _write_text(args.outfile, reference.table_text(args.table))
     return 0
 
 
@@ -318,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("reference", help="emit a checked-in reference table")
     q.add_argument("--table", required=True,
-                   choices=["lhs39", "skew9", "solution27", "expansion201"])
+                   choices=list(reference.TABLES))
     q.add_argument("outfile")
     q.set_defaults(func=cmd_reference)
 

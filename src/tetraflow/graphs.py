@@ -255,11 +255,8 @@ class GraphSum:
         return {(m, n) for (m, n, _) in self.terms}
 
     def serialize(self) -> str:
-        lines = []
-        for (m, n, enc), c in self.items():
-            body = " ".join(str(t) for t in enc)
-            lines.append(f"{m} {n} {body} {format_coeff(c)}" if n else f"{m} {n} {format_coeff(c)}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(format_graph_line(m, n, enc, c) + "\n"
+                       for (m, n, enc), c in self.items())
 
     @staticmethod
     def single(g: KontsevichGraph, c: Fraction | int = 1) -> "GraphSum":
@@ -299,37 +296,38 @@ def parse_graph_line(line: str) -> tuple[KontsevichGraph, Fraction]:
     return KontsevichGraph(m, n, pairs), coeff
 
 
+def format_graph_line(m: int, n: int, encoding, c: Fraction) -> str:
+    """The ``m n t1 ... t_{2n} coeff`` line of one graph term."""
+    return " ".join([str(m), str(n), *map(str, encoding), format_coeff(c)])
+
+
 def serialize_graph(g: KontsevichGraph, c: Fraction) -> str:
-    flat = " ".join(str(t) for pair in g.targets for t in pair)
-    if flat:
-        return f"{g.sink_count} {g.internal_count} {flat} {format_coeff(c)}"
-    return f"{g.sink_count} {g.internal_count} {format_coeff(c)}"
+    return format_graph_line(*g.key, c)
 
 
-def read_graph_sum(text: str) -> GraphSum:
-    """Reduce a graph-sum file ('#' comments and blank lines skipped)."""
-    out = GraphSum()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            g, c = parse_graph_line(line)
-        except GraphError as exc:
-            raise GraphError(f"line {lineno}: {exc}") from exc
-        out.add_graph(g, c)
-    return out
-
-
-def read_graph_lines(text: str) -> list[tuple[KontsevichGraph, Fraction]]:
-    """Parse a graph-sum file keeping labelled terms and order, no reduction."""
+def parse_lines(text: str, parse) -> list:
+    """``parse`` applied to every stripped line that is neither blank nor a
+    ``#`` comment; a GraphError is re-raised with its 1-based line number."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            out.append(parse_graph_line(line))
+            out.append(parse(line))
         except GraphError as exc:
             raise GraphError(f"line {lineno}: {exc}") from exc
     return out
+
+
+def read_graph_sum(text: str) -> GraphSum:
+    """Reduce a graph-sum file ('#' comments and blank lines skipped)."""
+    out = GraphSum()
+    for g, c in read_graph_lines(text):
+        out.add_graph(g, c)
+    return out
+
+
+def read_graph_lines(text: str) -> list[tuple[KontsevichGraph, Fraction]]:
+    """Parse a graph-sum file keeping labelled terms and order, no reduction."""
+    return parse_lines(text, parse_graph_line)

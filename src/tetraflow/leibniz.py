@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from .graphs import (GraphError, GraphSum, KontsevichGraph, format_coeff,
-                     parse_coeff)
+                     format_graph_line, parse_coeff, parse_lines)
 from .ops import perm_sign
 
 
@@ -56,6 +56,14 @@ class LeibnizGraph:
     @property
     def key(self):
         return (self.sink_count, self.wedge_targets, self.jac_targets)
+
+    def permute_sinks(self, sigma: tuple[int, ...]) -> "LeibnizGraph":
+        """Relabel sink s as sigma[s]; wedge and Jacobiator labels are untouched."""
+        m = self.sink_count
+        relabel = lambda v: sigma[v] if v < m else v
+        return LeibnizGraph(
+            m, tuple((relabel(a), relabel(b)) for a, b in self.wedge_targets),
+            tuple(tuple(relabel(t) for t in trip) for trip in self.jac_targets))
 
 
 def expand_terms(L: LeibnizGraph) -> list[KontsevichGraph]:
@@ -201,6 +209,8 @@ def parse_leibniz_line(line: str) -> tuple[LeibnizGraph, Fraction]:
         raise GraphError(f"expected {2*w} wedge targets in {line!r}")
     wedge_flat = _parse_targets(rest[:bar], line)
     wedges = tuple((wedge_flat[2 * k], wedge_flat[2 * k + 1]) for k in range(w))
+    if rest[-1] == "|":
+        raise GraphError(f"missing coefficient in {line!r}")
     groups: list[list[str]] = []
     for tok in rest[bar:]:
         if tok == "|":
@@ -225,7 +235,7 @@ def serialize_leibniz_placeholder(L: LeibnizGraph, c: Fraction | int) -> str:
     m, w = L.sink_count, L.wedge_count
     t1, t2, t3 = L.jac_targets[0]
     flat = [t for pair in L.wedge_targets for t in pair] + [t1, t2, m + w, t3]
-    return f"{m} {w + 2} " + " ".join(str(t) for t in flat) + f" {format_coeff(Fraction(c))}"
+    return format_graph_line(m, w + 2, flat, Fraction(c))
 
 
 def parse_leibniz_placeholder_line(line: str) -> tuple[LeibnizGraph, Fraction]:
@@ -256,11 +266,6 @@ def parse_leibniz_placeholder_line(line: str) -> tuple[LeibnizGraph, Fraction]:
 LINEAR_CLASS_ORDER = ("jac3", "jac2", "jac1-pair", "jac1-split", "jac0-pair", "jac0-split")
 
 
-def _pair_options(v: int, others: list[int], jac: int, tadpoles: bool) -> list[tuple[int, int]]:
-    cand = ([v] if tadpoles else []) + others + [jac]
-    return [tuple(sorted(p)) for p in combinations(sorted(cand), 2)]
-
-
 def _free_options(v: int, others: list[int], jac: int, tadpoles: bool) -> list[int]:
     return sorted(([v] if tadpoles else []) + others + [jac])
 
@@ -273,8 +278,8 @@ def generate_linear_classes(tadpoles: bool = True) -> dict[str, list[LeibnizGrap
     permutations are restored downstream by skew-symmetrization.
     """
     w1, w2, w3, jac = 3, 4, 5, 6
-    po = lambda v, others: _pair_options(v, others, jac, tadpoles)
     fo = lambda v, others: _free_options(v, others, jac, tadpoles)
+    po = lambda v, others: list(combinations(fo(v, others), 2))
     classes: dict[str, list[LeibnizGraph]] = {name: [] for name in LINEAR_CLASS_ORDER}
 
     def mk(wedges, jt):
@@ -362,8 +367,10 @@ def generate_bivector_leibniz(tadpoles: bool = True) -> list[LeibnizGraph]:
                 continue
             jac_free = [list(c) for c in combinations(
                 [v for v in (w1, w2)], 3 - len(ground[jac]))]
-            w1_free = _slot_options(w1, [w2], jac, 2 - len(ground[w1]), tadpoles)
-            w2_free = _slot_options(w2, [w1], jac, 2 - len(ground[w2]), tadpoles)
+            w1_free = list(combinations(_free_options(w1, [w2], jac, tadpoles),
+                                        2 - len(ground[w1])))
+            w2_free = list(combinations(_free_options(w2, [w1], jac, tadpoles),
+                                        2 - len(ground[w2])))
             for jf in jac_free:
                 jt = tuple(ground[jac] + jf)
                 if len(set(jt)) != 3:
@@ -381,24 +388,18 @@ def generate_bivector_leibniz(tadpoles: bool = True) -> list[LeibnizGraph]:
     return [seen[k] for k in sorted(seen)]
 
 
-def _slot_options(v, others, jac, free, tadpoles):
-    cand = ([v] if tadpoles else []) + others + [jac]
-    if free == 0:
-        return [()]
-    if free == 1:
-        return [(x,) for x in sorted(cand)]
-    return [p for p in combinations(sorted(cand), 2)]
+def sink_labelled_patterns(patterns: list[LeibnizGraph]) -> set:
+    """Distinct patterns over every sink permutation of each of ``patterns``,
+    each wedge pair and Jacobiator triple taken as an unordered set."""
+    out = set()
+    for L in patterns:
+        for sigma in permutations(range(L.sink_count)):
+            Ls = L.permute_sinks(sigma)
+            out.add((tuple(tuple(sorted(p)) for p in Ls.wedge_targets),
+                     tuple(tuple(sorted(t)) for t in Ls.jac_targets)))
+    return out
 
 
 def read_leibniz_file(text: str, placeholder: bool = False) -> list[tuple[LeibnizGraph, Fraction]]:
-    out = []
-    parse = parse_leibniz_placeholder_line if placeholder else parse_leibniz_line
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            out.append(parse(line))
-        except GraphError as exc:
-            raise GraphError(f"line {lineno}: {exc}") from exc
-    return out
+    return parse_lines(text, parse_leibniz_placeholder_line if placeholder
+                       else parse_leibniz_line)

@@ -235,14 +235,13 @@ def pattern_id(L: LeibnizGraph) -> str:
     return line.rsplit(" ", 1)[0]
 
 
-def build_columns(patterns: list[LeibnizGraph], drop_zero: bool = True
-                  ) -> list[tuple[str, GraphSum, LeibnizGraph]]:
+def build_columns(patterns: list[LeibnizGraph]) -> list[tuple[str, GraphSum, LeibnizGraph]]:
+    """(id, alternated column, pattern) for every pattern whose column is nonzero."""
     out = []
     for L in patterns:
         col = alternated_column(L)
-        if drop_zero and not col:
-            continue
-        out.append((pattern_id(L), col, L))
+        if col:
+            out.append((pattern_id(L), col, L))
     return out
 
 
@@ -283,14 +282,8 @@ def flatten_alternated(chosen: list[tuple[LeibnizGraph, Fraction]]
     from .ops import perm_sign
     acc: dict[tuple, Fraction] = {}
     for L, c in chosen:
-        m = L.sink_count
-        for sigma in permutations(range(m)):
-            relabel = lambda v: sigma[v] if v < m else v
-            Ls = LeibnizGraph(
-                m,
-                tuple((relabel(a), relabel(b)) for a, b in L.wedge_targets),
-                tuple(tuple(relabel(t) for t in trip) for trip in L.jac_targets))
-            enc, sign = leibniz_normal_form(Ls)
+        for sigma in permutations(range(L.sink_count)):
+            enc, sign = leibniz_normal_form(L.permute_sinks(sigma))
             if sign == 0:
                 continue
             new = acc.get(enc, Fraction(0)) + c * perm_sign(sigma) * sign
@@ -325,12 +318,8 @@ def nontriviality_check(tadpoles: bool = True) -> NontrivialityReport:
         col = schouten_bracket(wedge, GraphSum.single(g, 1), 2, 1)
         if col:
             x_cols.append(("X " + " ".join(str(t) for p in g.targets for t in p), col))
-    nabla = generate_bivector_leibniz(tadpoles=tadpoles)
-    n_cols = []
-    for L in nabla:
-        col = alternation(expand(L), 2)
-        if col:
-            n_cols.append((pattern_id(L), col))
+    n_cols = [(cid, col) for cid, col, _ in
+              build_columns(generate_bivector_leibniz(tadpoles=tadpoles))]
     combined = solve(assemble(target, x_cols + n_cols))
     xonly = solve(assemble(target, x_cols))
     return NontrivialityReport(len(x_cols), len(n_cols),
@@ -366,6 +355,9 @@ def quadratic_part_check(target: GraphSum | None = None,
     add nothing (each is linearly realizable), the target admits no purely
     quadratic realization, and support minimization of the combined system,
     offered the quadratic coordinates first, still eliminates all of them.
+    The quadratic columns all lie in the linear span iff the target is
+    reached by the linear columns alone with as many pivots as the combined
+    system has, which takes one elimination instead of one per column.
     """
     from .leibniz import generate_ansatz_linear, generate_ansatz_quadratic
     from .reference import lhs_table
@@ -383,6 +375,7 @@ def quadratic_part_check(target: GraphSum | None = None,
     x = minimize_support(space, order=order)
     min_quad_zero = all(j < nlin for j in x)
     quad_only = solve(assemble(target, [(cid, col) for cid, col, _ in quad]))
-    realizable = all(solve(assemble(col, lin_cols)).feasible for _, col, _ in quad)
+    lin_only = solve(assemble(target, lin_cols))
+    realizable = lin_only.feasible and len(lin_only.pivot_cols) == len(space.pivot_cols)
     return QuadraticReport(nlin, len(quad), True, min_quad_zero,
                            quad_only.feasible, realizable)

@@ -10,10 +10,10 @@ independent computations.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 import random
 
-from .graphs import GraphError, GraphSum, KontsevichGraph
+from .graphs import GraphError, GraphSum, KontsevichGraph, parse_lines
 
 
 class Polynomial:
@@ -292,7 +292,7 @@ class PolyOperator:
                 continue
             seen.add(order)
             ref = p if sign == 1 else -p
-            for perm_idx in _index_permutations(order):
+            for perm_idx in permutations(order):
                 _, s2 = _sort_sign(perm_idx)
                 got = raw.get(perm_idx, Polynomial.zero(self.dim))
                 if got != (ref if s2 == 1 else -ref):
@@ -300,11 +300,6 @@ class PolyOperator:
             if not ref.is_zero():
                 out.comps[order] = ref
         return out
-
-
-def _index_permutations(order: tuple[int, ...]):
-    from itertools import permutations as _perms
-    return _perms(order)
 
 
 # ---------------------------------------------------------------------------
@@ -680,13 +675,18 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
         except (ValueError, ZeroDivisionError) as exc:
             raise GraphError(f"bad token {t!r} in polynomial {text!r}") from exc
 
-    p = parse_expr()
+    try:
+        p = parse_expr()
+    except RecursionError as exc:
+        raise GraphError(f"polynomial nested too deeply: {text[:40]!r}...") from exc
     if peek() is not None:
         raise GraphError(f"trailing tokens in polynomial {text!r}")
     return p
 
 
 def _tokenize(text: str) -> list[str]:
+    if not text.isascii():  # str.isdigit would accept digits like '²'
+        raise GraphError(f"non-ASCII character in polynomial {text!r}")
     toks = []
     i = 0
     while i < len(text):
@@ -722,23 +722,33 @@ def _tokenize(text: str) -> list[str]:
 
 def parse_poisson_file(text: str) -> PolyMultivector:
     """First line is the dimension, then ``i j <polynomial>`` lines with i < j."""
-    lines = [l.strip() for l in text.splitlines()]
-    lines = [l for l in lines if l and not l.startswith("#")]
-    if not lines:
-        raise GraphError("empty structure file")
-    try:
-        d = int(lines[0])
-    except ValueError as exc:
-        raise GraphError(f"bad dimension line {lines[0]!r}") from exc
-    P = PolyMultivector(d, 2)
-    for line in lines[1:]:
+    P = None
+
+    def parse(line: str) -> None:
+        nonlocal P
+        if P is None:
+            try:
+                d = int(line)
+            except ValueError as exc:
+                raise GraphError(f"bad dimension line {line!r}") from exc
+            if d < 1:
+                raise GraphError(f"dimension {d} is not positive")
+            P = PolyMultivector(d, 2)
+            return
         parts = line.split(None, 2)
         if len(parts) != 3:
             raise GraphError(f"bad component line {line!r}")
-        i, j = int(parts[0]), int(parts[1])
-        if not 1 <= i < j <= d:
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise GraphError(f"bad component indices in {line!r}") from exc
+        if not 1 <= i < j <= P.dim:
             raise GraphError(f"component indices {i} {j} out of range")
-        P.add_component((i - 1, j - 1), parse_polynomial(parts[2], d))
+        P.add_component((i - 1, j - 1), parse_polynomial(parts[2], P.dim))
+
+    parse_lines(text, parse)
+    if P is None:
+        raise GraphError("empty structure file")
     return P
 
 

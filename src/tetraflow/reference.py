@@ -27,30 +27,34 @@ from .leibniz import LeibnizGraph, read_leibniz_file
 
 PRESENTATION_SCALE = 4
 
+TABLES = {
+    "lhs39": "trivector_lhs_39.txt",
+    "skew9": "skew_orbits_9.txt",
+    "solution27": "leibniz_solution_27.txt",
+    "expansion201": "expansion_201.txt",
+}
 
-def _read(name: str) -> str:
-    return resources.files("tetraflow").joinpath("data", name).read_text()
 
-
-def lhs_table_text() -> str:
-    return _read("trivector_lhs_39.txt")
+def table_text(name: str) -> str:
+    """The checked-in text of the table ``name``, a key of TABLES."""
+    return resources.files("tetraflow").joinpath("data", TABLES[name]).read_text()
 
 
 def lhs_table() -> GraphSum:
-    return read_graph_sum(_read("trivector_lhs_39.txt"))
+    return read_graph_sum(table_text("lhs39"))
 
 
 def lhs_table_rows():
-    return read_graph_lines(_read("trivector_lhs_39.txt"))
+    return read_graph_lines(table_text("lhs39"))
 
 
 def skew_orbit_rows():
-    return read_graph_lines(_read("skew_orbits_9.txt"))
+    return read_graph_lines(table_text("skew9"))
 
 
 def solution_rows_printed() -> list[tuple[LeibnizGraph, Fraction]]:
     """The 27 Leibniz graphs with the coefficients of the reference table."""
-    return read_leibniz_file(_read("leibniz_solution_27.txt"), placeholder=True)
+    return read_leibniz_file(table_text("solution27"), placeholder=True)
 
 
 def solution_rows() -> list[tuple[LeibnizGraph, Fraction]]:
@@ -60,4 +64,4 @@ def solution_rows() -> list[tuple[LeibnizGraph, Fraction]]:
 
 
 def expansion_rows():
-    return read_graph_lines(_read("expansion_201.txt"))
+    return read_graph_lines(table_text("expansion201"))

@@ -14,7 +14,7 @@ from tetraflow import reference
 from tetraflow.cli import main as cli_main
 from tetraflow.graphs import GraphSum, KontsevichGraph, normal_form
 from tetraflow.leibniz import (LINEAR_CLASS_ORDER, expand, expand_terms,
-                               generate_linear_classes)
+                               generate_linear_classes, sink_labelled_patterns)
 from tetraflow.linsys import (nontriviality_check, quadratic_part_check,
                               solve_factorization, verify_factorization)
 from tetraflow.ops import (GAMMA1, alternation, collect_skew_orbits,
@@ -123,14 +123,7 @@ def test_criterion_4_ansatz_counting(columns, lhs39):
     ok = ok and len({L.key for name in LINEAR_CLASS_ORDER for L in classes[name]}) == 1132
 
     # soft counts, reported against the run-through's 28,202 and 7,025
-    labelled = set()
-    for name in LINEAR_CLASS_ORDER:
-        for L in classes[name]:
-            for sigma in permutations(range(3)):
-                relabel = lambda v: sigma[v] if v < 3 else v
-                labelled.add((
-                    tuple(tuple(sorted((relabel(a), relabel(b)))) for a, b in L.wedge_targets),
-                    tuple(tuple(sorted(relabel(t) for t in trip)) for trip in L.jac_targets)))
+    labelled = sink_labelled_patterns([L for name in LINEAR_CLASS_ORDER for L in classes[name]])
     from tetraflow.linsys import assemble
     system = assemble(lhs39, [(cid, col) for cid, col, _ in columns])
     rows = system.shape[0]

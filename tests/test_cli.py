@@ -4,7 +4,7 @@ import pytest
 
 from tetraflow import reference
 from tetraflow.cli import main
-from tetraflow.graphs import read_graph_sum
+from tetraflow.graphs import parse_lines, read_graph_sum
 
 
 def run(args):
@@ -35,8 +35,7 @@ def test_bad_ratio(tmp_path):
 
 
 def test_reduce_deterministic_on_shuffle(tmp_path):
-    lines = [l for l in reference.lhs_table_text().splitlines()
-             if l and not l.startswith("#")]
+    lines = parse_lines(reference.table_text("lhs39"), str)
     random.Random(3).shuffle(lines)
     src = tmp_path / "in.txt"
     src.write_text("\n".join(lines) + "\n")
@@ -63,10 +62,18 @@ def test_reduce_parse_error(tmp_path):
 
 def test_normalize_expansion_table(tmp_path, lhs39):
     src = tmp_path / "t4.txt"
-    src.write_text(reference._read("expansion_201.txt"))
+    src.write_text(reference.table_text("expansion201"))
     out = tmp_path / "nf.txt"
     assert run(["normalize", str(src), str(out)]) == 0
     assert read_graph_sum(out.read_text()) == lhs39.scaled(reference.PRESENTATION_SCALE)
+
+
+def test_normalize_sinks_only_line(tmp_path):
+    src = tmp_path / "in.txt"
+    src.write_text("2 0 3\n")
+    out = tmp_path / "nf.txt"
+    assert run(["normalize", str(src), str(out)]) == 0
+    assert out.read_text() == "2 0 3\n"
 
 
 def test_flow_command(tmp_path):
@@ -85,15 +92,10 @@ def test_verify_reference_solution(tmp_path):
 def test_verify_perturbed_solution(tmp_path):
     sol = tmp_path / "sol.txt"
     run(["reference", "--table", "solution27", str(sol)])
-    lines = sol.read_text().splitlines()
-    for i, line in enumerate(lines):
-        if line and not line.startswith("#"):
-            toks = line.split()
-            toks[-1] = "7/2"
-            lines[i] = " ".join(toks)
-            break
+    rows = parse_lines(sol.read_text(), str.split)
+    rows[0][-1] = "7/2"
     bad = tmp_path / "bad.txt"
-    bad.write_text("\n".join(lines) + "\n")
+    bad.write_text("".join(" ".join(toks) + "\n" for toks in rows))
     assert run(["verify", "--solution", str(bad), "--placeholder-encoding",
                 "--scale", "1/4"]) == 1
 
@@ -160,9 +162,39 @@ def test_missing_file_is_usage_error(tmp_path):
     ("3 3 0 x 1 4 2 5 | 3 4 5 1", []),
     ("3 3 0 3 1 4 2 5 | 3 z 5 1", []),
     ("3 5 0 x 1 4 2 5 0 1 6 2 1", ["--placeholder-encoding"]),
+    ("3 0 | |", []),
+    ("3 0 | 0 1 2 |", []),
 ])
 def test_verify_non_integer_target_is_usage_error(tmp_path, capsys, line, flags):
     sol = tmp_path / "sol.txt"
     sol.write_text(line + "\n")
     assert run(["verify", "--solution", str(sol)] + flags) == 2
     assert capsys.readouterr().err.startswith("error: line 1: ")
+
+
+@pytest.mark.parametrize("content, lineno", [
+    ("3\n1 a x1\n", 2),
+    ("# comment\n-2\n", 2),
+    ("0\n", 1),
+    ("3\n\n1 2 " + "(" * 300 + "x1" + ")" * 300 + "\n", 3),
+], ids=["non-integer index", "negative dimension", "zero dimension", "deep nesting"])
+def test_malformed_poisson_file_is_usage_error(tmp_path, capsys, content, lineno):
+    src = tmp_path / "p.txt"
+    src.write_text(content)
+    assert run(["jacobi", "--poisson", str(src)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {lineno}: ")
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["jacobi", "--poisson", "IN"], "3\n1 2 x1^\u00b2\n"),
+    (["reduce", "IN", "OUT"], "2 1 0 1 1 # caf\u00e9\n"),
+    (["verify", "--solution", "IN"], "\u00a03 3 0 3 1 4 2 5 | 3 4 5 1\n"),
+])
+def test_non_ascii_file_is_usage_error(tmp_path, capsys, argv, content):
+    src = tmp_path / "in.txt"
+    src.write_text(content, encoding="utf-8")
+    out = tmp_path / "out.txt"
+    argv = [{"IN": str(src), "OUT": str(out)}.get(a, a) for a in argv]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {src}: non-ASCII byte at offset ")
+    assert not out.exists()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tetraflow import reference
 from tetraflow.graphs import (_NF_CACHE, GraphError, GraphSum, KontsevichGraph,
                               graph_from_encoding, normal_form,
-                              parse_graph_line, read_graph_lines,
+                              parse_graph_line, parse_lines, read_graph_lines,
                               read_graph_sum, serialize_graph)
 
 from nf_reference import brute_normal_form
@@ -143,29 +143,36 @@ def test_add_cancels_swapped_pair():
 
 
 def test_reduction_of_expansion_table(lhs39):
-    t4 = read_graph_sum(reference._read("expansion_201.txt"))
+    t4 = read_graph_sum(reference.table_text("expansion201"))
     assert t4 == lhs39.scaled(reference.PRESENTATION_SCALE)
 
 
 def test_serialization_deterministic(lhs39):
     text = lhs39.serialize()
-    lines = [l for l in reference.lhs_table_text().splitlines()
-             if l and not l.startswith("#")]
-    import random
+    lines = parse_lines(reference.table_text("lhs39"), str)
     random.Random(7).shuffle(lines)
     again = read_graph_sum("\n".join(lines)).serialize()
     assert again == text
 
 
 def test_round_trip_reference_tables():
-    for name in ("trivector_lhs_39.txt", "skew_orbits_9.txt", "expansion_201.txt"):
-        text = reference._read(name)
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+    for name in ("lhs39", "skew9", "expansion201"):
+        for line in parse_lines(reference.table_text(name), str):
             g, c = parse_graph_line(line)
             assert serialize_graph(g, c) == line
+
+
+def test_parse_lines_skips_comments_and_numbers_lines():
+    text = "# head\n\n  2 1 0 1 1  \n#2 1 0 1\n2 1 0 1 -1\n"
+    assert parse_lines(text, str) == ["2 1 0 1 1", "2 1 0 1 -1"]
+    with pytest.raises(GraphError, match=r"^line 4: "):
+        parse_lines("2 1 0 1 1\n\n# c\n2 1 0 1\n", parse_graph_line)
+
+
+def test_table_text_covers_every_table():
+    assert set(reference.TABLES) == {"lhs39", "skew9", "solution27", "expansion201"}
+    for name in reference.TABLES:
+        assert parse_lines(reference.table_text(name), str)
 
 
 def test_mixed_signature_sum_allowed():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tetraflow import reference
-from tetraflow.graphs import GraphError, normal_form, read_graph_lines
+from tetraflow.graphs import GraphError, normal_form, parse_lines, read_graph_lines
 from tetraflow.leibniz import (LINEAR_CLASS_ORDER, LeibnizGraph, expand,
                                expand_combination, expand_terms,
                                generate_ansatz_linear,
@@ -14,7 +14,8 @@ from tetraflow.leibniz import (LINEAR_CLASS_ORDER, LeibnizGraph, expand,
                                generate_linear_classes, leibniz_normal_form,
                                parse_leibniz_line, parse_leibniz_placeholder_line,
                                read_leibniz_file, serialize_leibniz,
-                               serialize_leibniz_placeholder)
+                               serialize_leibniz_placeholder,
+                               sink_labelled_patterns)
 
 
 def tripod():
@@ -127,6 +128,23 @@ def test_linear_class_sizes():
         assert deg == [1, 1, 1]
 
 
+def test_permute_sinks_moves_sink_targets_only():
+    L = tripod()
+    assert L.permute_sinks((0, 1, 2)) == L
+    assert L.permute_sinks((1, 2, 0)).jac_targets == ((1, 2, 0),)
+    assert L.permute_sinks((1, 2, 0)).wedge_targets == L.wedge_targets
+    L = LeibnizGraph(3, ((0, 4), (1, 5), (2, 3)), ((3, 4, 5),))
+    assert L.permute_sinks((2, 0, 1)) == LeibnizGraph(3, ((2, 4), (0, 5), (1, 3)), ((3, 4, 5),))
+
+
+def test_sink_labelled_pattern_counts():
+    assert len(sink_labelled_patterns([tripod()])) == 1  # Jacobiator on all sinks
+    L = LeibnizGraph(3, ((0, 4), (1, 5), (2, 3)), ((3, 4, 5),))
+    assert len(sink_labelled_patterns([L])) == 6
+    assert len(sink_labelled_patterns(generate_ansatz_linear())) == 4020
+    assert len(sink_labelled_patterns(generate_ansatz_linear(tadpoles=False))) == 1026
+
+
 def test_quadratic_family():
     quads = generate_ansatz_quadratic()
     assert len(quads) == 8
@@ -148,10 +166,10 @@ def test_bivector_leibniz_family():
 
 
 def test_placeholder_encoding_round_trip():
-    text = reference._read("leibniz_solution_27.txt")
+    text = reference.table_text("solution27")
     rows = read_leibniz_file(text, placeholder=True)
     assert len(rows) == 27
-    body = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
+    body = parse_lines(text, str)
     for (L, c), line in zip(rows, body):
         assert serialize_leibniz_placeholder(L, c) == " ".join(line.split())
 

@@ -1,0 +1,115 @@
+"""Every text parser returns a result or raises GraphError on arbitrary text.
+
+Each parser gets short free text and short text built from its own format's
+tokens, so that draws also get past the first checks.  The strategies are
+bounded so that no draw asks for a huge allocation or power: free text fed
+to the polynomial parsers has no '^', token-built exponents are at most 3
+with at most two of them per polynomial, and a Poisson file's dimension line
+is drawn from a short list (a large dimension allocates an exponent tuple of
+that length per variable).
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from tetraflow.graphs import GraphError, parse_graph_line
+from tetraflow.leibniz import parse_leibniz_line, parse_leibniz_placeholder_line
+from tetraflow.poisson import parse_poisson_file, parse_polynomial
+
+FUZZ = settings(max_examples=300, deadline=None)
+
+FREE = st.text(max_size=40)
+FREE_NO_CARET = st.text(st.characters(blacklist_characters="^"), max_size=40)
+
+
+def insert_junk(draw, toks, junk):
+    for _ in range(draw(st.integers(0, 2))):
+        toks.insert(draw(st.integers(0, len(toks))), draw(st.sampled_from(junk)))
+    return " ".join(toks)
+
+
+# graph, Leibniz and placeholder lines: an "m n" prefix, 2n targets, up to
+# three "|" groups of up to four targets, an optional coefficient, then up to
+# two junk tokens anywhere
+TARGET = st.integers(-1, 9).map(str)
+LINE_JUNK = ["x", "|", "#", "0", "7", "1/0", "-", "\u00b2", "\u0663", "1.5", ""]
+
+
+@st.composite
+def line_text(draw):
+    m, n = draw(st.integers(-1, 4)), draw(st.integers(-1, 4))
+    toks = [str(m), str(n)] + draw(st.lists(TARGET, min_size=2 * max(n, 0),
+                                            max_size=2 * max(n, 0)))
+    for _ in range(draw(st.integers(0, 3))):
+        toks += ["|"] + draw(st.lists(TARGET, max_size=4))
+    toks += draw(st.lists(st.sampled_from(["1", "-1/2", "x", "1/0"]), max_size=1))
+    return insert_junk(draw, toks, LINE_JUNK)
+
+
+LINE_TEXT = st.one_of(FREE, line_text())
+
+# polynomials: operands joined by operators, at most two exponents of at
+# most 3, then up to two junk tokens (none of which adds an exponent)
+OPERANDS = ["x1", "x2", "x3", "x4", "1", "2", "1/2", "( x1 + 2 )"]
+EXPONENTS = ["^ 1", "^ 2", "^3"]
+POLY_JUNK = ["x0", "x", "\u00b2", "\u0663", "1/0", "3/", "&", "(", ")", "^ \u00b2",
+             "^ x1", "^ -1", "^", "-", "+", "*"]
+
+
+@st.composite
+def polynomial_text(draw):
+    toks = [draw(st.sampled_from(OPERANDS))]
+    for _ in range(draw(st.integers(0, 4))):
+        toks += [draw(st.sampled_from(["+", "-", "*"])), draw(st.sampled_from(OPERANDS))]
+    for _ in range(draw(st.integers(0, 2))):
+        toks.insert(draw(st.integers(0, len(toks))), draw(st.sampled_from(EXPONENTS)))
+    return insert_junk(draw, toks, POLY_JUNK)
+
+
+POLY_TEXT = st.one_of(FREE_NO_CARET, polynomial_text())
+
+DIMENSION_LINES = ["1", "2", "3", "4", "0", "-1", "three", "3.5", "1 2 x1"]
+INDICES = ["1", "2", "3", "4", "5", "0", "-1", "a", "\u0662"]
+COMPONENT_LINE = st.builds(lambda i, j, p: f"{i} {j} {p}", st.sampled_from(INDICES),
+                           st.sampled_from(INDICES), polynomial_text())
+POISSON_TEXT = st.builds(
+    lambda head, body: "\n".join([head] + body),
+    st.sampled_from(DIMENSION_LINES),
+    st.lists(st.one_of(COMPONENT_LINE, FREE_NO_CARET, st.just("# c"), st.just("")),
+             max_size=4))
+
+
+def returns_or_raises_graph_error(parse, text):
+    try:
+        parse(text)
+    except GraphError:
+        pass
+
+
+@FUZZ
+@given(LINE_TEXT)
+def test_fuzz_parse_graph_line(text):
+    returns_or_raises_graph_error(parse_graph_line, text)
+
+
+@FUZZ
+@given(LINE_TEXT)
+def test_fuzz_parse_leibniz_line(text):
+    returns_or_raises_graph_error(parse_leibniz_line, text)
+
+
+@FUZZ
+@given(LINE_TEXT)
+def test_fuzz_parse_leibniz_placeholder_line(text):
+    returns_or_raises_graph_error(parse_leibniz_placeholder_line, text)
+
+
+@FUZZ
+@given(POLY_TEXT, st.integers(1, 4))
+def test_fuzz_parse_polynomial(text, dim):
+    returns_or_raises_graph_error(lambda t: parse_polynomial(t, dim), text)
+
+
+@FUZZ
+@given(POISSON_TEXT)
+def test_fuzz_parse_poisson_file(text):
+    returns_or_raises_graph_error(parse_poisson_file, text)

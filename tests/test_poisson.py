@@ -31,7 +31,9 @@ def test_polynomial_arithmetic():
 
 
 def test_polynomial_parse_errors():
-    for bad in ("x0", "x4", "x1 +", "1/0", "x1 & x2", "((x1)"):
+    for bad in ("x0", "x4", "x1 +", "1/0", "x1 & x2", "((x1)",
+                "x1^\u00b2", "x\u00b2", "\u00b2", "x1^\u0663",
+                "(" * 300 + "x1" + ")" * 300, "-" * 2000 + "x1"):
         with pytest.raises(GraphError):
             parse_polynomial(bad, 3)
 
@@ -159,6 +161,22 @@ def test_poisson_file_parsing():
     P = parse_poisson_file(text)
     assert P.component((0, 1)) == P3("x1^2*x2")
     assert P.component((0, 2)) == P3("-x1^2*x3 - x1")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty structure file"),
+    ("# only\n\n", "empty structure file"),
+    ("three\n", "line 1: bad dimension"),
+    ("0\n", "line 1: dimension 0"),
+    ("-2\n", "line 1: dimension -2"),
+    ("3\n1 a x1\n", "line 2: bad component indices"),
+    ("3\n# c\n1 2\n", "line 3: bad component line"),
+    ("3\n2 1 x1\n", "line 2: component indices 2 1"),
+    ("2\n1 2 x3\n", "line 2: variable x3"),
+])
+def test_poisson_file_errors_name_the_line(text, message):
+    with pytest.raises(GraphError, match="^" + message):
+        parse_poisson_file(text)
 
 
 def test_vector_oracles_consistent():
