@@ -10,7 +10,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .graphs import (GraphError, format_graph_line, normal_form,
+from .graphs import (GraphError, format_graph_line, normal_form, parse_coeff,
                      read_graph_lines, read_graph_sum)
 from . import reference
 
@@ -35,10 +35,7 @@ def parse_ratio(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 2:
         raise GraphError(f"malformed ratio {text!r}, expected a:b")
-    try:
-        return Fraction(parts[0]), Fraction(parts[1])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise GraphError(f"malformed ratio {text!r}") from exc
+    return parse_coeff(parts[0]), parse_coeff(parts[1])
 
 
 def cmd_normalize(args) -> int:
@@ -113,7 +110,7 @@ def cmd_count(args) -> int:
     if args.rows:
         from .linsys import assemble, build_columns
         cols = build_columns(patterns)
-        system = assemble(reference.lhs_table(), [(cid, col) for cid, col, _ in cols])
+        system = assemble(reference.lhs_table(), [col for col, _ in cols])
         print(f"assembled rows (admissible graph universe): {system.shape[0]}"
               " (reference run-through: 7,025)")
     return 0
@@ -143,8 +140,9 @@ def cmd_verify(args) -> int:
     from .linsys import verify_factorization
     solution = read_leibniz_file(_read_text(args.solution), placeholder=args.placeholder_encoding)
     target = read_graph_sum(_read_text(args.lhs)) if args.lhs else reference.lhs_table()
-    if args.scale != 1:
-        solution = [(L, c * Fraction(args.scale)) for L, c in solution]
+    scale = parse_coeff(args.scale)
+    if scale != 1:
+        solution = [(L, c * scale) for L, c in solution]
     ok = verify_factorization(solution, target)
     print("verified" if ok else "mismatch")
     return 0 if ok else 1
@@ -275,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--lhs", help="target graph-sum file (default: reference table)")
     q.add_argument("--placeholder-encoding", action="store_true",
                    help="solution rows use the placeholder Kontsevich encoding")
-    q.add_argument("--scale", type=Fraction, default=Fraction(1),
+    q.add_argument("--scale", default="1",
                    help="multiply solution coefficients before verifying")
     q.set_defaults(func=cmd_verify)
 

@@ -10,6 +10,7 @@ holds the two targets of vertex ``m+k``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -269,10 +270,20 @@ def format_coeff(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+_COEFF = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_coeff(tok: str) -> Fraction:
+    """A rational written ``p`` or ``p/q``, the forms ``format_coeff`` writes.
+
+    ``Fraction`` alone would also take exponents, decimals and underscores,
+    and ``1e9999999`` takes it seconds to minutes to build.
+    """
+    if not _COEFF.fullmatch(tok):
+        raise GraphError(f"malformed rational {tok!r}")
     try:
         return Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise GraphError(f"malformed rational {tok!r}") from exc
 
 

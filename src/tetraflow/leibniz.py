@@ -121,9 +121,6 @@ def expand_combination(terms) -> GraphSum:
 # ---------------------------------------------------------------------------
 # canonical form
 
-_LNF_CACHE: dict = {}
-
-
 def leibniz_normal_form(L: LeibnizGraph) -> tuple[tuple, int]:
     """Canonical encoding and sign of a Leibniz graph.
 
@@ -131,10 +128,6 @@ def leibniz_normal_form(L: LeibnizGraph) -> tuple[tuple, int]:
     permutations of each Jacobiator's targets, and (sign-free) interchange
     of the Jacobiator copies; sign 0 for self-antisymmetric patterns.
     """
-    key = L.key
-    cached = _LNF_CACHE.get(key)
-    if cached is not None:
-        return cached
     m, w, j = L.sink_count, L.wedge_count, L.jac_count
     best = None
     best_parity = 0
@@ -169,9 +162,7 @@ def leibniz_normal_form(L: LeibnizGraph) -> tuple[tuple, int]:
             elif enc == best and parity != best_parity:
                 zero = True
     sign = 0 if zero else (1 if best_parity == 0 else -1)
-    result = ((m,) + best, sign)
-    _LNF_CACHE[key] = result
-    return result
+    return (m,) + best, sign
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import GraphError, GraphSum, KontsevichGraph, normal_form
+from .graphs import GraphError, GraphSum
 from .leibniz import LeibnizGraph, expand, expand_combination
 from .ops import alternation, one_vector_graphs, schouten_bracket, tetra_flow, wedge_sum
 
@@ -20,13 +20,12 @@ from .ops import alternation, one_vector_graphs, schouten_bracket, tetra_flow, w
 @dataclass
 class LinearSystem:
     row_keys: list
-    col_ids: list
     columns: list[dict[int, Fraction]]
     rhs: dict[int, Fraction]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.row_keys), len(self.col_ids))
+        return (len(self.row_keys), len(self.columns))
 
     def dump(self) -> str:
         """Debug format: one row per line, 'col=coeff' entries then rhs."""
@@ -52,27 +51,30 @@ class SolutionSpace:
     free_cols: list[int] = field(default_factory=list)
 
 
-def assemble(target: GraphSum, columns: list[tuple[str, GraphSum]]) -> LinearSystem:
+def assemble(target: GraphSum, columns: list[GraphSum]) -> LinearSystem:
     """Equate sum_j x_j * column_j to the target, row per graph normal form."""
     sigs = set(target.signatures())
     keys = set(target.terms)
-    for _, col in columns:
+    for col in columns:
         sigs.update(col.signatures())
         keys.update(col.terms)
     if len(sigs) > 1:
         raise GraphError(f"signature mismatch across system: {sorted(sigs)}")
     row_keys = sorted(keys)
     index = {k: i for i, k in enumerate(row_keys)}
-    cols = []
-    for _, col in columns:
-        cols.append({index[k]: v for k, v in col.terms.items()})
+    cols = [{index[k]: v for k, v in col.terms.items()} for col in columns]
     rhs = {index[k]: v for k, v in target.terms.items()}
-    return LinearSystem(row_keys, [cid for cid, _ in columns], cols, rhs)
+    return LinearSystem(row_keys, cols, rhs)
 
 
 def solve(sys: LinearSystem) -> SolutionSpace:
-    """Exact Gaussian elimination; infeasibility is a result, not an error."""
-    ncols = len(sys.col_ids)
+    """Exact Gaussian elimination; infeasibility is a result, not an error.
+
+    A row without entries and with a nonzero right-hand side is a witness of
+    infeasibility.  Such a row is present from the start or is emptied by an
+    elimination step, so only those rows are checked.
+    """
+    ncols = len(sys.columns)
     rows: dict[int, dict[int, Fraction]] = {}
     rhs: dict[int, Fraction] = {}
     col_rows: dict[int, set[int]] = {}
@@ -83,18 +85,15 @@ def solve(sys: LinearSystem) -> SolutionSpace:
     for i, v in sys.rhs.items():
         rhs[i] = v
         rows.setdefault(i, {})
+    witnesses = [i for i, row in rows.items() if not row and rhs.get(i)]
 
-    active = set(rows)
     pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
     pivot_rows: dict[int, dict[int, Fraction]] = {}
     pivot_rhs: dict[int, Fraction] = {}
 
     while True:
-        # drop empty active rows; an empty row with nonzero rhs is a witness
-        for i in [i for i in active if not rows[i]]:
-            active.discard(i)
-            if rhs.get(i):
-                return SolutionSpace(False, None, [], witness_row=sys.row_keys[i])
+        if witnesses:
+            return SolutionSpace(False, None, [], witness_row=sys.row_keys[min(witnesses)])
         live_cols = [j for j, s in col_rows.items() if s]
         if not live_cols:
             break
@@ -104,7 +103,6 @@ def solve(sys: LinearSystem) -> SolutionSpace:
         pv = rows[r][c]
         prow = rows.pop(r)
         prhs = rhs.pop(r, Fraction(0))
-        active.discard(r)
         for j in prow:
             col_rows[j].discard(r)
         for i in list(col_rows[c]):
@@ -126,13 +124,11 @@ def solve(sys: LinearSystem) -> SolutionSpace:
                         col_rows[j].discard(i)
             if prhs:
                 rhs[i] = rhs.get(i, Fraction(0)) - f * prhs
+            if not row and rhs.get(i):
+                witnesses.append(i)
         pivots.append((r, c))
         pivot_rows[r] = prow
         pivot_rhs[r] = prhs
-
-    for i in active:
-        if rhs.get(i):
-            return SolutionSpace(False, None, [], witness_row=sys.row_keys[i])
 
     pivot_col_set = {c for _, c in pivots}
     free_cols = [j for j in range(ncols) if j not in pivot_col_set]
@@ -229,19 +225,13 @@ def alternated_column(L: LeibnizGraph) -> GraphSum:
     return alternation(expand(L), L.sink_count)
 
 
-def pattern_id(L: LeibnizGraph) -> str:
-    from .leibniz import serialize_leibniz
-    line = serialize_leibniz(L, 1)
-    return line.rsplit(" ", 1)[0]
-
-
-def build_columns(patterns: list[LeibnizGraph]) -> list[tuple[str, GraphSum, LeibnizGraph]]:
-    """(id, alternated column, pattern) for every pattern whose column is nonzero."""
+def build_columns(patterns: list[LeibnizGraph]) -> list[tuple[GraphSum, LeibnizGraph]]:
+    """(alternated column, pattern) for every pattern whose column is nonzero."""
     out = []
     for L in patterns:
         col = alternated_column(L)
         if col:
-            out.append((pattern_id(L), col, L))
+            out.append((col, L))
     return out
 
 
@@ -249,25 +239,22 @@ def build_columns(patterns: list[LeibnizGraph]) -> list[tuple[str, GraphSum, Lei
 class FactorizationResult:
     feasible: bool
     space: SolutionSpace | None
-    solution: list[tuple[LeibnizGraph, Fraction]]  # chosen patterns, coefficients
     support: int
     flattened: list[tuple[LeibnizGraph, Fraction]]  # sink-permutation expanded
 
 
 def solve_factorization(target: GraphSum, patterns: list[LeibnizGraph],
                         min_support: bool = True,
-                        columns: list[tuple[str, GraphSum, LeibnizGraph]] | None = None
+                        columns: list[tuple[GraphSum, LeibnizGraph]] | None = None
                         ) -> FactorizationResult:
     """Solve target = sum_j x_j * alternation(expand(pattern_j))."""
     cols = build_columns(patterns) if columns is None else columns
-    system = assemble(target, [(cid, col) for cid, col, _ in cols])
-    space = solve(system)
+    space = solve(assemble(target, [col for col, _ in cols]))
     if not space.feasible:
-        return FactorizationResult(False, space, [], 0, [])
+        return FactorizationResult(False, space, 0, [])
     x = minimize_support(space) if min_support else dict(space.particular)
-    chosen = [(cols[j][2], v) for j, v in sorted(x.items()) if v]
-    flattened = flatten_alternated(chosen)
-    return FactorizationResult(True, space, chosen, len(chosen), flattened)
+    chosen = [(cols[j][1], v) for j, v in sorted(x.items()) if v]
+    return FactorizationResult(True, space, len(chosen), flatten_alternated(chosen))
 
 
 def flatten_alternated(chosen: list[tuple[LeibnizGraph, Fraction]]
@@ -313,13 +300,9 @@ def nontriviality_check(tadpoles: bool = True) -> NontrivialityReport:
     target = tetra_flow(1, 6)
     xs = one_vector_graphs(3, tadpoles=tadpoles)
     wedge = wedge_sum()
-    x_cols: list[tuple[str, GraphSum]] = []
-    for g in xs:
-        col = schouten_bracket(wedge, GraphSum.single(g, 1), 2, 1)
-        if col:
-            x_cols.append(("X " + " ".join(str(t) for p in g.targets for t in p), col))
-    n_cols = [(cid, col) for cid, col, _ in
-              build_columns(generate_bivector_leibniz(tadpoles=tadpoles))]
+    x_cols = [col for g in xs
+              if (col := schouten_bracket(wedge, GraphSum.single(g, 1), 2, 1))]
+    n_cols = [col for col, _ in build_columns(generate_bivector_leibniz(tadpoles=tadpoles))]
     combined = solve(assemble(target, x_cols + n_cols))
     xonly = solve(assemble(target, x_cols))
     return NontrivialityReport(len(x_cols), len(n_cols),
@@ -344,8 +327,7 @@ class QuadraticReport:
                 and self.quadratic_all_linearly_realizable)
 
 
-def quadratic_part_check(target: GraphSum | None = None,
-                         tadpoles: bool = True) -> QuadraticReport:
+def quadratic_part_check(tadpoles: bool = True) -> QuadraticReport:
     """Do any solutions of the factorization carry a bilinear Jacobiator part?
 
     Expanding one Jacobiator of a bilinear pattern yields a combination of
@@ -361,21 +343,18 @@ def quadratic_part_check(target: GraphSum | None = None,
     """
     from .leibniz import generate_ansatz_linear, generate_ansatz_quadratic
     from .reference import lhs_table
-    if target is None:
-        target = lhs_table()
-    lin = build_columns(generate_ansatz_linear(tadpoles=tadpoles))
-    quad = build_columns(generate_ansatz_quadratic(tadpoles=tadpoles))
-    lin_cols = [(cid, col) for cid, col, _ in lin]
-    cols = lin_cols + [(cid, col) for cid, col, _ in quad]
-    nlin = len(lin)
-    space = solve(assemble(target, cols))
+    target = lhs_table()
+    lin_cols = [col for col, _ in build_columns(generate_ansatz_linear(tadpoles=tadpoles))]
+    quad_cols = [col for col, _ in build_columns(generate_ansatz_quadratic(tadpoles=tadpoles))]
+    nlin, nquad = len(lin_cols), len(quad_cols)
+    space = solve(assemble(target, lin_cols + quad_cols))
     if not space.feasible:
-        return QuadraticReport(nlin, len(quad), False, False, False, False)
-    order = list(range(nlin, nlin + len(quad))) + list(range(nlin))
+        return QuadraticReport(nlin, nquad, False, False, False, False)
+    order = list(range(nlin, nlin + nquad)) + list(range(nlin))
     x = minimize_support(space, order=order)
     min_quad_zero = all(j < nlin for j in x)
-    quad_only = solve(assemble(target, [(cid, col) for cid, col, _ in quad]))
+    quad_only = solve(assemble(target, quad_cols))
     lin_only = solve(assemble(target, lin_cols))
     realizable = lin_only.feasible and len(lin_only.pivot_cols) == len(space.pivot_cols)
-    return QuadraticReport(nlin, len(quad), True, min_quad_zero,
+    return QuadraticReport(nlin, nquad, True, min_quad_zero,
                            quad_only.feasible, realizable)

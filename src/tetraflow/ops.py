@@ -9,8 +9,9 @@ second argument into sink i of the first carries ``-(-1)^{(k-1-i)(l+1)}``.
 The bracket of a k-vector with an l-vector is the signed sum over all
 (k+l-1)! sink permutations of that graded commutator, divided by k!*l!.
 This single normalization reproduces the reference table of 39 tri-vector
-graphs bit-exactly and, independently, agrees with the component formulas
-of the symbolic oracle at arities (2,2), (2,1) and (1,1) with no residual
+graphs bit-exactly and, independently, agrees with the oracle's one
+component bracket ``poisson.schouten_components``, taken with the same
+argument order, at arities (2,2), (2,1) and (1,1) with no residual
 constant (see tests).
 """
 

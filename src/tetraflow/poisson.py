@@ -267,15 +267,18 @@ class PolyOperator:
     def to_multivector(self, arity: int | None = None) -> PolyMultivector:
         """Extract the multivector of a differential-order (1,...,1) operator.
 
-        Raises if the operator is not totally antisymmetric in its arguments.
+        Raises if the operator is not totally antisymmetric in its arguments
+        or has a key with other than ``arity`` arguments.
         """
         raw: dict[tuple[int, ...], Polynomial] = {}
         for key, p in self.terms.items():
             if any(len(mi) != 1 for mi in key):
                 raise GraphError(f"operator key {key} is not first order per argument")
-            idx = tuple(mi[0] for mi in key)
-            arity = len(idx)
-            raw[idx] = p
+            if arity is None:
+                arity = len(key)
+            elif len(key) != arity:
+                raise GraphError(f"operator key {key} has {len(key)} arguments, expected {arity}")
+            raw[tuple(mi[0] for mi in key)] = p
         if arity is None:
             raise GraphError("empty operator has no definite arity")
         if not raw:
@@ -481,57 +484,39 @@ def flow(P: PolyMultivector, a, b) -> PolyMultivector:
 
 
 def schouten_components(A: PolyMultivector, B: PolyMultivector) -> PolyMultivector:
-    """Component Schouten bracket of two bi-vectors (six-term sum per i<j<k)."""
+    """Schouten bracket of an a-vector and a b-vector, as an (a+b-1)-vector.
+
+    Written with odd variables, A = sum_I A^I xi_I over increasing I, and
+    the sign of the graph bracket ``ops.schouten_bracket``:
+    [[A, B]] = -sum_s (dR A/d xi_s * d_s B
+                       - (-1)^{(a-1)(b-1)} dR B/d xi_s * d_s A),
+    where dR/d xi_s is the right derivative.
+    """
     if A.dim != B.dim:
         raise GraphError("dimension mismatch")
-    if A.arity != 2 or B.arity != 2:
-        raise GraphError("schouten_components expects bi-vectors")
-    d = A.dim
-    out = PolyMultivector(d, 3)
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                total = Polynomial.zero(d)
-                for s in range(d):
-                    total = total + (
-                        A.component((s, k)) * B.component((i, j)).diff(s)
-                        + B.component((s, k)) * A.component((i, j)).diff(s)
-                        + A.component((s, j)) * B.component((k, i)).diff(s)
-                        + B.component((s, j)) * A.component((k, i)).diff(s)
-                        + A.component((s, i)) * B.component((j, k)).diff(s)
-                        + B.component((s, i)) * A.component((j, k)).diff(s))
-                if not total.is_zero():
-                    out.set_component((i, j, k), total)
-    return out
+    acc: dict[tuple[int, ...], Polynomial] = {}
+    _add_right_derivative_terms(acc, A, B, -1)
+    _add_right_derivative_terms(acc, B, A, -1 if (A.arity - 1) * (B.arity - 1) % 2 else 1)
+    return PolyMultivector(A.dim, A.arity + B.arity - 1,
+                           {idx: p for idx, p in acc.items() if p})
 
 
-def schouten_bivector_vector(P: PolyMultivector, X: PolyMultivector) -> PolyMultivector:
-    """[[P, X]]^{ij} = sum_s X^s d_s P^{ij} + P^{si} d_s X^j - P^{sj} d_s X^i."""
-    d = P.dim
-    out = PolyMultivector(d, 2)
-    for i in range(d):
-        for j in range(i + 1, d):
-            total = Polynomial.zero(d)
-            for s in range(d):
-                total = total + (X.component((s,)) * P.component((i, j)).diff(s)
-                                 + P.component((s, i)) * X.component((j,)).diff(s)
-                                 - P.component((s, j)) * X.component((i,)).diff(s))
-            if not total.is_zero():
-                out.set_component((i, j), total)
-    return out
-
-
-def vector_commutator(X: PolyMultivector, Y: PolyMultivector) -> PolyMultivector:
-    d = X.dim
-    out = PolyMultivector(d, 1)
-    for i in range(d):
-        total = Polynomial.zero(d)
-        for s in range(d):
-            total = total + (X.component((s,)) * Y.component((i,)).diff(s)
-                             - Y.component((s,)) * X.component((i,)).diff(s))
-        if not total.is_zero():
-            out.set_component((i,), total)
-    return out
+def _add_right_derivative_terms(acc: dict, A: PolyMultivector, B: PolyMultivector,
+                                c: int) -> None:
+    """Add c * sum_s dR A/d xi_s * d_s B to the components ``acc``."""
+    dB: dict[int, list] = {}
+    for I, p in A.comps.items():
+        for pos, s in enumerate(I):
+            if s not in dB:
+                dB[s] = [(K, dq) for K, q in B.comps.items() if (dq := q.diff(s))]
+            J = I[:pos] + I[pos + 1:]
+            # moving xi_s from position pos to the right end of xi_I
+            cs = c if (len(I) - 1 - pos) % 2 == 0 else -c
+            for K, dq in dB[s]:
+                order, sign = _sort_sign(J + K)
+                if sign:
+                    term = (p * dq).scaled(cs * sign)
+                    acc[order] = acc[order] + term if order in acc else term
 
 
 def jacobian_bracket(f: Polynomial, g: Polynomial) -> PolyMultivector:
@@ -561,8 +546,10 @@ def ratio_scan(P: PolyMultivector, ratios) -> list[tuple[Fraction, Fraction, boo
     return out
 
 
-def random_bivector(d: int, max_degree: int, rng: random.Random,
-                    coeff_range: int = 3) -> PolyMultivector:
+RANDOM_COEFF_RANGE = 3  # coefficients of the random bi-vectors lie in [-3, 3]
+
+
+def random_bivector(d: int, max_degree: int, rng: random.Random) -> PolyMultivector:
     """Seeded random polynomial bi-vector (generally not Poisson)."""
     exps = [e for e in product(range(max_degree + 1), repeat=d) if sum(e) <= max_degree]
     P = PolyMultivector(d, 2)
@@ -570,7 +557,7 @@ def random_bivector(d: int, max_degree: int, rng: random.Random,
         for j in range(i + 1, d):
             terms = {}
             for e in exps:
-                c = rng.randint(-coeff_range, coeff_range)
+                c = rng.randint(-RANDOM_COEFF_RANGE, RANDOM_COEFF_RANGE)
                 if c:
                     terms[e] = c
             if terms:
@@ -578,9 +565,8 @@ def random_bivector(d: int, max_degree: int, rng: random.Random,
     return P
 
 
-def sparse_random_bivector(d: int, max_degree: int, rng: random.Random,
-                           monomials: int = 3, coeff_range: int = 3) -> PolyMultivector:
-    """Seeded random bi-vector with few monomials per component.
+def sparse_random_bivector(d: int, max_degree: int, rng: random.Random) -> PolyMultivector:
+    """Seeded random bi-vector with at most three monomials per component.
 
     Keeps exact evaluation affordable in higher dimension while still
     exercising arbitrary index patterns; at least one component carries a
@@ -595,12 +581,12 @@ def sparse_random_bivector(d: int, max_degree: int, rng: random.Random,
         if (i, j) != forced and rng.random() < 0.3:
             continue
         terms: dict[tuple[int, ...], int] = {}
-        for e in rng.sample(exps, min(monomials, len(exps))):
-            c = rng.randint(-coeff_range, coeff_range)
+        for e in rng.sample(exps, min(3, len(exps))):
+            c = rng.randint(-RANDOM_COEFF_RANGE, RANDOM_COEFF_RANGE)
             if c:
                 terms[e] = c
         if (i, j) == forced:
-            terms[rng.choice(top)] = rng.randint(1, coeff_range)
+            terms[rng.choice(top)] = rng.randint(1, RANDOM_COEFF_RANGE)
         if terms:
             P.set_component((i, j), Polynomial(d, terms))
     return P
@@ -760,21 +746,15 @@ def factorization_identity_check(P: PolyMultivector) -> bool:
     terms, no graph-level reduction) and compares the two polydifferential
     operators exactly.  The identity holds whether or not P is Poisson.
     """
-    from fractions import Fraction as _Fr
     from .leibniz import expand_terms
     from .ops import lhs_trivector
     from .reference import PRESENTATION_SCALE, solution_rows_printed
 
-    lhs_op = eval_graph_sum(lhs_trivector(_Fr(1, 4), _Fr(3, 2)), P)
+    lhs_op = eval_graph_sum(lhs_trivector(Fraction(1, 4), Fraction(3, 2)), P)
     rhs_op = PolyOperator(P.dim)
-    cache: dict = {}
     for L, c in solution_rows_printed():
         for g in expand_terms(L):
-            op = cache.get(g.key)
-            if op is None:
-                op = eval_graph(g, P)
-                cache[g.key] = op
-            rhs_op.add_op(op, _Fr(c, PRESENTATION_SCALE))
+            rhs_op.add_op(eval_graph(g, P), Fraction(c, PRESENTATION_SCALE))
     return lhs_op == rhs_op
 
 

@@ -125,7 +125,7 @@ def test_criterion_4_ansatz_counting(columns, lhs39):
     # soft counts, reported against the run-through's 28,202 and 7,025
     labelled = sink_labelled_patterns([L for name in LINEAR_CLASS_ORDER for L in classes[name]])
     from tetraflow.linsys import assemble
-    system = assemble(lhs39, [(cid, col) for cid, col, _ in columns])
+    system = assemble(lhs39, [col for col, _ in columns])
     rows = system.shape[0]
     detail = (f"1132 = 216+432+108+288+24+64; sink-labelled slots {len(labelled)}"
               f" (vs 28,202), admissible rows {rows} (vs 7,025)")

@@ -198,3 +198,20 @@ def test_non_ascii_file_is_usage_error(tmp_path, capsys, argv, content):
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {src}: non-ASCII byte at offset ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["1e5", "0.5", "1_0"])
+@pytest.mark.parametrize("use", ["coefficient", "ratio", "scale"])
+def test_rational_other_than_p_or_p_over_q_is_usage_error(tmp_path, capsys, use, token):
+    src = tmp_path / "in.txt"
+    if use == "coefficient":
+        src.write_text(f"2 1 0 1 {token}\n")
+        argv = ["reduce", str(src), str(tmp_path / "out.txt")]
+    elif use == "ratio":
+        argv = ["flow", "--ratio", f"{token}:1", str(tmp_path / "out.txt")]
+    else:
+        run(["reference", "--table", "solution27", str(src)])
+        argv = ["verify", "--solution", str(src), "--placeholder-encoding",
+                "--scale", token]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -11,12 +11,10 @@ from tetraflow.linsys import (LinearSystem, assemble, build_columns,
 
 
 def toy_system(columns, rhs):
-    ncols = len(columns)
     nrows = max((max(col) + 1 for col in columns if col), default=len(rhs))
     nrows = max(nrows, len(rhs))
     return LinearSystem(
         row_keys=list(range(nrows)),
-        col_ids=[f"c{j}" for j in range(ncols)],
         columns=[{i: Fraction(v) for i, v in col.items()} for col in columns],
         rhs={i: Fraction(v) for i, v in rhs.items() if v},
     )
@@ -92,10 +90,10 @@ def test_assemble_trivial_cases(lhs39):
     cols = build_columns([LeibnizGraph(3, ((0, 4), (1, 5), (2, 3)), ((3, 4, 5),))])
     # absent target graph -> infeasible
     lone = GraphSum.single(KontsevichGraph(3, 5, ((0, 1), (2, 3), (3, 4), (3, 5), (3, 6))), 1)
-    sp = solve(assemble(lone, [(cid, col) for cid, col, _ in cols]))
+    sp = solve(assemble(lone, [col for col, _ in cols]))
     assert not sp.feasible
     # homogeneous system: x = 0 works
-    sp0 = solve(assemble(GraphSum(), [(cid, col) for cid, col, _ in cols]))
+    sp0 = solve(assemble(GraphSum(), [col for col, _ in cols]))
     assert sp0.feasible and sp0.particular == {}
 
 
@@ -117,7 +115,7 @@ def test_unbalanced_ratio_is_infeasible(columns):
     """Any ratio other than 1:6 admits no Leibniz-graph factorization."""
     from tetraflow.ops import lhs_trivector
     target = lhs_trivector(1, 1)
-    sp = solve(assemble(target, [(cid, col) for cid, col, _ in columns]))
+    sp = solve(assemble(target, [col for col, _ in columns]))
     assert not sp.feasible
     assert sp.witness_row is not None
 
@@ -138,11 +136,11 @@ def test_nontrivial_empty_target_feasible():
     for g in one_vector_graphs(3):
         col = schouten_bracket(wedge_sum(), GraphSum.single(g, 1), 2, 1)
         if col:
-            cols.append(("x", col))
+            cols.append(col)
     for L in generate_bivector_leibniz():
         col = alternation(expand(L), 2)
         if col:
-            cols.append(("n", col))
+            cols.append(col)
     sp = solve(assemble(GraphSum(), cols))
     assert sp.feasible and sp.particular == {}
 
@@ -152,8 +150,8 @@ def test_quadratic_sanity_inversion():
     pattern with coefficient 1."""
     from tetraflow.leibniz import generate_ansatz_quadratic
     quad = build_columns(generate_ansatz_quadratic())
-    cid, col, L = quad[0]
-    sp = solve(assemble(col, [(c, s) for c, s, _ in quad]))
+    col, L = quad[0]
+    sp = solve(assemble(col, [s for s, _ in quad]))
     assert sp.feasible
     x = minimize_support(sp)
     assert x == {0: Fraction(1)}

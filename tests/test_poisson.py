@@ -10,8 +10,7 @@ from tetraflow.poisson import (Polynomial, PolyMultivector, eval_graph,
                                jacobi_check, jacobian_bracket,
                                parse_poisson_file, parse_polynomial,
                                random_bivector, ratio_scan,
-                               schouten_bivector_vector, schouten_components,
-                               vector_commutator)
+                               schouten_components)
 
 from conftest import random_polynomial, random_jacobian_structure
 
@@ -180,6 +179,7 @@ def test_poisson_file_errors_name_the_line(text, message):
 
 
 def test_vector_oracles_consistent():
+    """Graded symmetry [[A, B]] = -(-1)^{(a-1)(b-1)} [[B, A]]."""
     rng = random.Random(5)
     d = 3
     X = PolyMultivector(d, 1)
@@ -187,11 +187,32 @@ def test_vector_oracles_consistent():
     for i in range(d):
         X.set_component((i,), random_polynomial(d, 2, rng))
         Y.set_component((i,), random_polynomial(d, 2, rng))
-    got = vector_commutator(X, Y)
-    assert got == vector_commutator(Y, X).scaled(-1)
     P = random_bivector(d, 2, rng)
-    pv = schouten_bivector_vector(P, X)
-    assert pv.arity == 2
+    Q = random_bivector(d, 2, rng)
+    for A, B in ((X, Y), (X, P), (P, X), (P, Q)):
+        got = schouten_components(A, B)
+        assert got.arity == A.arity + B.arity - 1 and not got.is_zero()
+        sign = (-1) ** ((A.arity - 1) * (B.arity - 1))
+        assert got == schouten_components(B, A).scaled(-sign)
+
+
+def test_graded_jacobi_of_bivector_d4():
+    """[[P, [[P, P]]]] = 0 for every bi-vector; in d = 3 it holds trivially,
+    because every 4-vector vanishes there."""
+    rng = random.Random(44)
+    for _ in range(3):
+        P = random_bivector(4, 2, rng)
+        PP = schouten_components(P, P)
+        assert not PP.is_zero()
+        assert schouten_components(P, PP) == PolyMultivector(4, 4)
+
+
+def test_to_multivector_rejects_wrong_arity(reference_P):
+    op = eval_graph(WEDGE, reference_P)
+    assert op.to_multivector(2) == reference_P
+    for arity in (1, 3):
+        with pytest.raises(GraphError):
+            op.to_multivector(arity)
 
 
 def test_to_multivector_rejects_asymmetric():
