@@ -12,7 +12,7 @@ from .graphs import (GraphError, GraphSum, KontsevichGraph, NormalForm,
                      format_graph_line, normal_form, parse_graph_line,
                      parse_lines, read_graph_lines, read_graph_sum,
                      serialize_graph)
-from .ops import (GAMMA1, GAMMA2_PRIME, WEDGE, collect_skew_orbits, insert,
+from .ops import (GAMMA1, GAMMA2_PRIME, WEDGE, collect_skew_orbits,
                   insert_terms, jacobiator_sum, lhs_trivector,
                   one_vector_graphs, schouten_bracket, skew_symmetrize,
                   tetra_flow, wedge_sum)

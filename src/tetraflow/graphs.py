@@ -283,8 +283,8 @@ def parse_coeff(tok: str) -> Fraction:
         raise GraphError(f"malformed rational {tok!r}")
     try:
         return Fraction(tok)
-    except ZeroDivisionError as exc:
-        raise GraphError(f"malformed rational {tok!r}") from exc
+    except (ValueError, ZeroDivisionError) as exc:  # too many digits, or q = 0
+        raise GraphError(f"malformed rational {tok[:40]!r}") from exc
 
 
 def parse_graph_line(line: str) -> tuple[KontsevichGraph, Fraction]:

@@ -4,17 +4,23 @@ Rows are keyed by Kontsevich normal forms, columns by ansatz patterns; all
 arithmetic is in Fraction, so feasibility and residuals are exact.  The
 elimination picks sparse pivots (fewest-entries column, then shortest row)
 with deterministic tie-breaks, which keeps fill-in manageable on the
-factorization systems while staying reproducible.
+factorization systems while staying reproducible.  One Gauss-Jordan pass
+back over the pivots then writes every pivot column in the free columns,
+giving the particular solution and the null space at once; the bilinear
+run-through reads its span question off that null space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 
 from .graphs import GraphError, GraphSum
-from .leibniz import LeibnizGraph, expand, expand_combination
-from .ops import alternation, one_vector_graphs, schouten_bracket, tetra_flow, wedge_sum
+from .leibniz import (LeibnizGraph, expand, expand_combination, generate_ansatz_linear,
+                      generate_ansatz_quadratic, generate_bivector_leibniz, leibniz_normal_form)
+from .ops import alternation, one_vector_graphs, perm_sign, schouten_bracket, tetra_flow, wedge_sum
+from .reference import lhs_table
 
 
 @dataclass
@@ -26,19 +32,6 @@ class LinearSystem:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_keys), len(self.columns))
-
-    def dump(self) -> str:
-        """Debug format: one row per line, 'col=coeff' entries then rhs."""
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
-        for j, col in enumerate(self.columns):
-            for i, v in col.items():
-                by_row.setdefault(i, []).append((j, v))
-        lines = []
-        for i, key in enumerate(self.row_keys):
-            ent = " ".join(f"{j}={v}" for j, v in sorted(by_row.get(i, [])))
-            row_txt = " ".join(str(t) for t in key[2]) if isinstance(key, tuple) else str(key)
-            lines.append(f"{row_txt} {ent} rhs={self.rhs.get(i, Fraction(0))}".rstrip())
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 @dataclass
@@ -130,33 +123,44 @@ def solve(sys: LinearSystem) -> SolutionSpace:
         pivot_rows[r] = prow
         pivot_rhs[r] = prhs
 
+    del rows, col_rows, rhs  # lowers the peak memory of the back pass
     pivot_col_set = {c for _, c in pivots}
     free_cols = [j for j in range(ncols) if j not in pivot_col_set]
 
-    def back_substitute(assign: dict[int, Fraction], use_rhs: bool) -> dict[int, Fraction]:
-        x = dict(assign)
-        for r, c in reversed(pivots):
-            row = pivot_rows[r]
-            s = pivot_rhs[r] if use_rhs else Fraction(0)
-            for j, v in row.items():
-                if j != c:
-                    xv = x.get(j)
-                    if xv:
-                        s -= v * xv
-            val = s / row[c]
-            if val:
-                x[c] = val
-        return x
+    # Gauss-Jordan back pass, latest pivot first: e[c] writes x_c in the free
+    # columns and x_{-1} = 1, which carries the right-hand side
+    e: dict[int, dict[int, Fraction]] = {}
+    for r, c in reversed(pivots):
+        row = pivot_rows.pop(r)
+        pv = row.pop(c)
+        if pivot_rhs[r]:
+            row[-1] = -pivot_rhs[r]
+        ec: dict[int, Fraction] = {}
+        for j, v in row.items():
+            for f, w in (e[j] if j in e else {j: 1}).items():
+                ec[f] = ec.get(f, 0) - v * w
+        e[c] = {f: w / pv for f, w in ec.items() if w}
 
-    particular = back_substitute({}, True)
-    nullspace = []
-    for f in free_cols:
-        vec = back_substitute({f: Fraction(1)}, False)
-        vec[f] = Fraction(1)
-        nullspace.append({j: v for j, v in vec.items() if v})
-    particular = {j: v for j, v in particular.items() if v}
-    return SolutionSpace(True, particular, nullspace,
+    # x_{-1} = 1 gives the particular solution, free column f = 1 its null vector
+    vecs = {f: {f: Fraction(1)} for f in [-1] + free_cols}
+    for _, c in reversed(pivots):
+        for f, w in e.pop(c).items():
+            vecs[f][c] = w
+    particular = {c: w for c, w in vecs.pop(-1).items() if c != -1}
+    return SolutionSpace(True, particular, list(vecs.values()),
                          pivot_cols=[c for _, c in pivots], free_cols=free_cols)
+
+
+def head_spans_tail(space: SolutionSpace, head: int) -> bool:
+    """Do the columns before ``head`` span every column of a feasible system?
+
+    Iff the null space projected onto the columns from ``head`` on has full
+    rank: column k is spanned iff a null vector is 1 at k, 0 on the rest.
+    """
+    ntail = len(space.pivot_cols) + len(space.free_cols) - head
+    projected = [{j - head: v for j, v in vec.items() if j >= head}
+                 for vec in space.nullspace]
+    return len(solve(LinearSystem(list(range(ntail)), projected, {})).pivot_cols) == ntail
 
 
 def minimize_support(space: SolutionSpace, order=None) -> dict[int, Fraction]:
@@ -221,15 +225,11 @@ def verify_factorization(solution: list[tuple[LeibnizGraph, Fraction]],
 # factorization pipeline
 
 
-def alternated_column(L: LeibnizGraph) -> GraphSum:
-    return alternation(expand(L), L.sink_count)
-
-
 def build_columns(patterns: list[LeibnizGraph]) -> list[tuple[GraphSum, LeibnizGraph]]:
     """(alternated column, pattern) for every pattern whose column is nonzero."""
     out = []
     for L in patterns:
-        col = alternated_column(L)
+        col = alternation(expand(L), L.sink_count)
         if col:
             out.append((col, L))
     return out
@@ -264,9 +264,6 @@ def flatten_alternated(chosen: list[tuple[LeibnizGraph, Fraction]]
     The result verifies against the same target via plain expansion; merged
     by canonical form so symmetric patterns do not repeat.
     """
-    from itertools import permutations
-    from .leibniz import leibniz_normal_form
-    from .ops import perm_sign
     acc: dict[tuple, Fraction] = {}
     for L, c in chosen:
         for sigma in permutations(range(L.sink_count)):
@@ -296,7 +293,6 @@ class NontrivialityReport:
 
 def nontriviality_check(tadpoles: bool = True) -> NontrivialityReport:
     """Is Q_{1:6} = [[P, X]] + nabla(P, Jac(P)) solvable?  (It is not.)"""
-    from .leibniz import generate_bivector_leibniz
     target = tetra_flow(1, 6)
     xs = one_vector_graphs(3, tadpoles=tadpoles)
     wedge = wedge_sum()
@@ -304,9 +300,10 @@ def nontriviality_check(tadpoles: bool = True) -> NontrivialityReport:
               if (col := schouten_bracket(wedge, GraphSum.single(g, 1), 2, 1))]
     n_cols = [col for col, _ in build_columns(generate_bivector_leibniz(tadpoles=tadpoles))]
     combined = solve(assemble(target, x_cols + n_cols))
-    xonly = solve(assemble(target, x_cols))
+    # a subset of the columns cannot reach a target that all of them miss
+    xonly_feasible = combined.feasible and solve(assemble(target, x_cols)).feasible
     return NontrivialityReport(len(x_cols), len(n_cols),
-                               combined.feasible, xonly.feasible,
+                               combined.feasible, xonly_feasible,
                                combined.witness_row)
 
 
@@ -337,12 +334,10 @@ def quadratic_part_check(tadpoles: bool = True) -> QuadraticReport:
     add nothing (each is linearly realizable), the target admits no purely
     quadratic realization, and support minimization of the combined system,
     offered the quadratic coordinates first, still eliminates all of them.
-    The quadratic columns all lie in the linear span iff the target is
-    reached by the linear columns alone with as many pivots as the combined
-    system has, which takes one elimination instead of one per column.
+    Whether the quadratic columns all lie in the linear span is read off
+    the combined system's null space by ``head_spans_tail``, so the linear
+    columns are not eliminated a second time.
     """
-    from .leibniz import generate_ansatz_linear, generate_ansatz_quadratic
-    from .reference import lhs_table
     target = lhs_table()
     lin_cols = [col for col, _ in build_columns(generate_ansatz_linear(tadpoles=tadpoles))]
     quad_cols = [col for col, _ in build_columns(generate_ansatz_quadratic(tadpoles=tadpoles))]
@@ -354,7 +349,5 @@ def quadratic_part_check(tadpoles: bool = True) -> QuadraticReport:
     x = minimize_support(space, order=order)
     min_quad_zero = all(j < nlin for j in x)
     quad_only = solve(assemble(target, quad_cols))
-    lin_only = solve(assemble(target, lin_cols))
-    realizable = lin_only.feasible and len(lin_only.pivot_cols) == len(space.pivot_cols)
     return QuadraticReport(nlin, nquad, True, min_quad_zero,
-                           quad_only.feasible, realizable)
+                           quad_only.feasible, head_spans_tail(space, nlin))

@@ -75,14 +75,6 @@ def insert_terms(a: KontsevichGraph, i: int, b: KontsevichGraph):
         yield KontsevichGraph(m, n, tuple(tuple(p) for p in pairs) + b_pairs)
 
 
-def insert(a: KontsevichGraph, i: int, b: KontsevichGraph) -> GraphSum:
-    """Reduced Leibniz insertion of ``b`` into sink ``i`` of ``a``."""
-    out = GraphSum()
-    for g in insert_terms(a, i, b):
-        out.add_graph(g, 1)
-    return out
-
-
 def perm_sign(sigma) -> int:
     """Sign of the permutation that sorts ``sigma``, a sequence of distinct values."""
     sign = 1

@@ -93,16 +93,6 @@ class Polynomial:
             return Polynomial(self.dim)
         return Polynomial(self.dim, {e: v * c for e, v in self.terms.items()})
 
-    def __pow__(self, k: int) -> "Polynomial":
-        out = Polynomial.const(self.dim, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def diff(self, i: int) -> "Polynomial":
         out = {}
         for e, c in self.terms.items():
@@ -595,6 +585,16 @@ def sparse_random_bivector(d: int, max_degree: int, rng: random.Random) -> PolyM
 # ---------------------------------------------------------------------------
 # text formats
 
+# The parser forms a product only if its operands' sizes multiply to at most
+# this, so that a short line such as (x1+x2+x3)^200 or 2^99999999 fails fast.
+PARSE_MAX_PRODUCT = 10**5
+
+
+def _parse_size(p: Polynomial) -> int:
+    """Term count, with each coefficient counted by its 64-bit words."""
+    return sum(1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
+               for c in p.terms.values())
+
 
 def parse_polynomial(text: str, dim: int) -> Polynomial:
     """Parse ``+ - * ^`` expressions over rationals and variables x1..xd."""
@@ -623,21 +623,32 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
             p = p + q if op == "+" else p - q
         return p
 
+    def mul(p: Polynomial, q: Polynomial) -> Polynomial:
+        if _parse_size(p) * _parse_size(q) > PARSE_MAX_PRODUCT:
+            raise GraphError(f"polynomial too large in {text[:40]!r}")
+        return p * q
+
     def parse_term() -> Polynomial:
         p = parse_factor()
         while peek() == "*":
             take()
-            p = p * parse_factor()
+            p = mul(p, parse_factor())
         return p
 
     def parse_factor() -> Polynomial:
         p = parse_atom()
         while peek() == "^":
             take()
-            t = take()
-            if t is None or not t.isdigit():
-                raise GraphError(f"expected integer exponent in {text!r}")
-            p = p ** int(t)
+            try:  # a token is an integer iff it is a digit run; int() refuses too many digits
+                k = int(take())
+            except (TypeError, ValueError) as exc:
+                raise GraphError(f"expected integer exponent in {text!r}") from exc
+            out = Polynomial.const(dim, 1)
+            for bit in bin(k)[2:]:  # square and multiply, leading bit first
+                out = mul(out, out)
+                if bit == "1":
+                    out = mul(out, p)
+            p = out
         return p
 
     def parse_atom() -> Polynomial:
@@ -652,7 +663,10 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
         if t == "-":
             return -parse_atom()
         if t.startswith("x"):
-            i = int(t[1:])
+            try:
+                i = int(t[1:])
+            except ValueError as exc:  # more digits than int() converts
+                raise GraphError(f"variable index too large in {text[:40]!r}") from exc
             if not 1 <= i <= dim:
                 raise GraphError(f"variable {t} out of range for dimension {dim}")
             return Polynomial.var(dim, i - 1)

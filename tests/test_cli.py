@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -200,18 +201,41 @@ def test_non_ascii_file_is_usage_error(tmp_path, capsys, argv, content):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("token", ["1e5", "0.5", "1_0"])
-@pytest.mark.parametrize("use", ["coefficient", "ratio", "scale"])
-def test_rational_other_than_p_or_p_over_q_is_usage_error(tmp_path, capsys, use, token):
+def token_argv(tmp_path, use, token):
+    """Command line that reads ``token`` in the place named by ``use``."""
     src = tmp_path / "in.txt"
     if use == "coefficient":
         src.write_text(f"2 1 0 1 {token}\n")
-        argv = ["reduce", str(src), str(tmp_path / "out.txt")]
-    elif use == "ratio":
-        argv = ["flow", "--ratio", f"{token}:1", str(tmp_path / "out.txt")]
-    else:
+        return ["reduce", str(src), str(tmp_path / "out.txt")]
+    if use == "ratio":
+        return ["flow", "--ratio", f"{token}:1", str(tmp_path / "out.txt")]
+    if use == "scale":
         run(["reference", "--table", "solution27", str(src)])
-        argv = ["verify", "--solution", str(src), "--placeholder-encoding",
+        return ["verify", "--solution", str(src), "--placeholder-encoding",
                 "--scale", token]
-    assert run(argv) == 2
+    src.write_text(f"3\n1 2 x1^{token}\n" if use == "exponent" else f"3\n1 2 x{token}\n")
+    return ["jacobi", "--poisson", str(src)]
+
+
+@pytest.mark.parametrize("token", ["1e5", "0.5", "1_0"])
+@pytest.mark.parametrize("use", ["coefficient", "ratio", "scale"])
+def test_rational_other_than_p_or_p_over_q_is_usage_error(tmp_path, capsys, use, token):
+    assert run(token_argv(tmp_path, use, token)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("use", ["coefficient", "ratio", "scale", "exponent", "variable"])
+def test_integer_with_too_many_digits_is_usage_error(tmp_path, capsys, use):
+    # 5000 digits: more than int() converts, so it raises ValueError
+    assert run(token_argv(tmp_path, use, "9" * 5000)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("poly", ["(x1+x2+x3)^200", "2^99999999"])
+def test_huge_polynomial_is_usage_error_fast(tmp_path, capsys, poly):
+    src = tmp_path / "p.txt"
+    src.write_text(f"3\n1 2 {poly}\n")
+    start = time.perf_counter()
+    assert run(["jacobi", "--poisson", str(src)]) == 2
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err.startswith("error: line 2: polynomial too large")

@@ -6,7 +6,7 @@ import pytest
 from tetraflow import reference
 from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph
 from tetraflow.leibniz import LeibnizGraph, expand
-from tetraflow.linsys import (LinearSystem, assemble, build_columns,
+from tetraflow.linsys import (LinearSystem, assemble, build_columns, head_spans_tail,
                               minimize_support, solve, verify_factorization)
 
 
@@ -47,6 +47,12 @@ def test_solver_random_consistent_systems():
         assert not residual(sys, space.particular)
         for vec in space.nullspace:
             assert not residual(toy_system(columns, {}), vec)
+        # particular 0 and null vector k the k-th unit vector on the free columns
+        assert len(space.nullspace) == ncols - len(space.pivot_cols)
+        for k, vec in enumerate(space.nullspace):
+            assert {f: vec.get(f, 0) for f in space.free_cols} == {
+                f: int(f == space.free_cols[k]) for f in space.free_cols}
+        assert not any(space.particular.get(f) for f in space.free_cols)
 
 
 def test_solver_infeasible_witness():
@@ -60,6 +66,18 @@ def test_solver_infeasible_after_elimination():
     # x0 + x1 = 1, x0 + x1 = 2
     sys = toy_system([{0: 1, 1: 1}, {0: 1, 1: 1}], {0: 1, 1: 2})
     assert not solve(sys).feasible
+
+
+@pytest.mark.parametrize("last, spanned", [({0: 1, 1: -2, 2: 3}, True), ({2: 1}, False)])
+def test_head_spans_tail(last, spanned):
+    # head: two columns spanning rows 0 and 1; tail: a copy of the first
+    # column, then a column inside or outside that span
+    sys = toy_system([{0: 1, 2: 3}, {1: 1}, {0: 2, 2: 6}, last], {0: 1, 2: 3})
+    space = solve(sys)
+    assert space.feasible
+    assert head_spans_tail(space, 2) is spanned
+    assert head_spans_tail(space, 3) is spanned
+    assert head_spans_tail(space, 4)
 
 
 def test_minimize_support_duplicate_columns():
@@ -103,12 +121,6 @@ def test_verify_factorization_cases(lhs39):
     bad = [(L, c if k else c + 1) for k, (L, c) in enumerate(sol)]
     assert not verify_factorization(bad, lhs39)
     assert verify_factorization([], GraphSum())
-
-
-def test_dump_format():
-    sys = toy_system([{0: 1, 1: -2}], {0: 5})
-    text = sys.dump()
-    assert "0=1" in text and "rhs=5" in text
 
 
 def test_unbalanced_ratio_is_infeasible(columns):

@@ -6,7 +6,7 @@ import pytest
 from tetraflow import reference
 from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph, normal_form
 from tetraflow.ops import (GAMMA1, GAMMA2_PRIME, WEDGE, alternation,
-                           collect_skew_orbits, insert, insert_terms,
+                           collect_skew_orbits, insert_terms,
                            jacobiator_sum, lhs_trivector, one_vector_graphs,
                            schouten_bracket, skew_symmetrize, tetra_flow,
                            wedge_sum)

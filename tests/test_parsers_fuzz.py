@@ -6,7 +6,9 @@ bounded so that no draw asks for a huge allocation or power: free text fed
 to the polynomial parsers has no '^', token-built exponents are at most 3
 with at most two of them per polynomial, and a Poisson file's dimension line
 is drawn from a short list (a large dimension allocates an exponent tuple of
-that length per variable).
+that length per variable).  The junk and index alphabets hold ``LONG``, an
+integer with more digits than ``int()`` converts, so it also lands where an
+exponent, a coefficient, a target or an index is read.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from tetraflow.leibniz import parse_leibniz_line, parse_leibniz_placeholder_line
 from tetraflow.poisson import parse_poisson_file, parse_polynomial
 
 FUZZ = settings(max_examples=300, deadline=None)
+LONG = "9" * 4301
 
 FREE = st.text(max_size=40)
 FREE_NO_CARET = st.text(st.characters(blacklist_characters="^"), max_size=40)
@@ -31,7 +34,7 @@ def insert_junk(draw, toks, junk):
 # three "|" groups of up to four targets, an optional coefficient, then up to
 # two junk tokens anywhere
 TARGET = st.integers(-1, 9).map(str)
-LINE_JUNK = ["x", "|", "#", "0", "7", "1/0", "-", "\u00b2", "\u0663", "1.5", ""]
+LINE_JUNK = ["x", "|", "#", "0", "7", "1/0", "-", "\u00b2", "\u0663", "1.5", "", LONG]
 
 
 @st.composite
@@ -52,7 +55,7 @@ LINE_TEXT = st.one_of(FREE, line_text())
 OPERANDS = ["x1", "x2", "x3", "x4", "1", "2", "1/2", "( x1 + 2 )"]
 EXPONENTS = ["^ 1", "^ 2", "^3"]
 POLY_JUNK = ["x0", "x", "\u00b2", "\u0663", "1/0", "3/", "&", "(", ")", "^ \u00b2",
-             "^ x1", "^ -1", "^", "-", "+", "*"]
+             "^ x1", "^ -1", "^", "-", "+", "*", LONG, "x" + LONG, "^ " + LONG]
 
 
 @st.composite
@@ -68,7 +71,7 @@ def polynomial_text(draw):
 POLY_TEXT = st.one_of(FREE_NO_CARET, polynomial_text())
 
 DIMENSION_LINES = ["1", "2", "3", "4", "0", "-1", "three", "3.5", "1 2 x1"]
-INDICES = ["1", "2", "3", "4", "5", "0", "-1", "a", "\u0662"]
+INDICES = ["1", "2", "3", "4", "5", "0", "-1", "a", "\u0662", LONG]
 COMPONENT_LINE = st.builds(lambda i, j, p: f"{i} {j} {p}", st.sampled_from(INDICES),
                            st.sampled_from(INDICES), polynomial_text())
 POISSON_TEXT = st.builds(
