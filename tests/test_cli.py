@@ -6,6 +6,7 @@ import pytest
 from tetraflow import reference
 from tetraflow.cli import main
 from tetraflow.graphs import parse_lines, read_graph_sum
+from tetraflow.poisson import MAX_EXPONENT
 
 
 def run(args):
@@ -239,3 +240,18 @@ def test_huge_polynomial_is_usage_error_fast(tmp_path, capsys, poly):
     assert run(["jacobi", "--poisson", str(src)]) == 2
     assert time.perf_counter() - start < 5
     assert capsys.readouterr().err.startswith("error: line 2: polynomial too large")
+
+
+@pytest.mark.parametrize("lines, prefix", [
+    (f"1 2 x1^{MAX_EXPONENT + 1}", "error: line 2: exponent above"),
+    (f"1 2 x2^{MAX_EXPONENT}*x2 + 1", "error: line 2: exponent above"),
+    # parses, but P^21 * d_1 P^13 in the bracket has x1^599
+    ("1 2 x1^300\n1 3 x1^300", "error: exponent above"),
+])
+def test_exponent_past_the_bound_is_usage_error(tmp_path, capsys, lines, prefix):
+    src = tmp_path / "p.txt"
+    src.write_text(f"3\n{lines}\n")
+    assert run(["jacobi", "--poisson", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix)
+    assert captured.out == "" and len(captured.err.splitlines()) == 1

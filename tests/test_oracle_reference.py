@@ -1,0 +1,104 @@
+"""The packed oracle against the exponent-tuple reference in oracle_reference.py."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import oracle_reference as ref
+from tetraflow import reference
+from tetraflow.graphs import GraphSum
+from tetraflow.ops import GAMMA1, tetra_flow
+from tetraflow.poisson import (MAX_EXPONENT, Polynomial, eval_graph, eval_graph_sum,
+                               jacobi_check, random_bivector, sparse_random_bivector)
+
+
+def random_terms(rng, d, top):
+    """Up to six monomials with exponents in [0, top] and integer or
+    fractional coefficients."""
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        e = tuple(rng.randint(0, top) for _ in range(d))
+        c = rng.choice([rng.randint(-2, 2), Fraction(rng.randint(-3, 3), rng.randint(1, 4))])
+        if c:
+            terms[e] = c
+    return terms
+
+
+def assert_same(got: Polynomial, want: ref.TuplePolynomial):
+    assert got == want.packed()
+    assert got.exponent_terms() == want.terms
+    assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_arithmetic_matches_tuple_reference(d):
+    rng = random.Random(6000 + d)
+    for trial in range(300):
+        # a few draws reach half the exponent bound, so products reach it
+        top = MAX_EXPONENT // 2 if trial % 10 == 0 else 3
+        tp, tq = random_terms(rng, d, top), random_terms(rng, d, top)
+        p, q = Polynomial(d, tp), Polynomial(d, tq)
+        rp, rq = ref.TuplePolynomial(d, tp), ref.TuplePolynomial(d, tq)
+        assert p.exponent_terms() == tp
+        assert_same(p * q, rp * rq)
+        assert_same(p + q, rp + rq)
+        assert_same(p - q, rp - rq)
+        assert_same(-p, -rp)
+        # cancellation down to zero, in a sum and after products
+        assert_same(p - p, rp - rp)
+        assert_same((p + q) * (p - q) - (p * p - q * q),
+                    (rp + rq) * (rp - rq) - (rp * rp - rq * rq))
+        for i in range(d):
+            assert_same(p.diff(i), rp.diff(i))
+            assert_same((p * q).diff(i), (rp * rq).diff(i))
+
+
+def criterion_6_firsts():
+    """The first bi-vector of each dimension that criterion 6 draws (seed
+    46101: ten each of d = 2 and 3 with degree 3, then ten sparse d = 4)."""
+    rng = random.Random(46101)
+    out = {}
+    for d in (2, 3, 4):
+        for k in range(10):
+            R = random_bivector(d, 3, rng) if d <= 3 else sparse_random_bivector(d, 3, rng)
+            if k == 0:
+                out[f"d={d}"] = R
+    return out
+
+
+def criterion_7_first():
+    """The first non-Poisson bi-vector criterion 7 draws (seed 46107)."""
+    rng = random.Random(46107)
+    while True:
+        R = random_bivector(3, 2, rng)
+        if not jacobi_check(R):
+            return R
+
+
+BIVECTORS = {**criterion_6_firsts(), "d=3 degree 2": criterion_7_first(),
+             "d=3 degree 1": random_bivector(3, 1, random.Random(61))}
+GRAPH_SUMS = {"GAMMA1": GraphSum.single(GAMMA1, 1), "tetra_flow(0, 1)": tetra_flow(0, 1),
+              "lhs39": reference.lhs_table()}
+# the tuple walker takes minutes on the 39 graphs and the dense degree-3
+# d = 3 bi-vector; the degree-2 one stands in for it there
+CASES = [(name, sum_name) for name in BIVECTORS for sum_name in GRAPH_SUMS
+         if (name, sum_name) != ("d=3", "lhs39")]
+
+# Sums that vanish: on d = 2 the tri-vector (every bi-vector is Poisson
+# there) and the two graphs of tetra_flow(0, 1), which cancel; GAMMA1, with a
+# vertex of in-degree 3, on degree 2; every sum on degree 1.
+ZERO_SUMS = {("d=2", "tetra_flow(0, 1)"), ("d=2", "lhs39"), ("d=3 degree 2", "GAMMA1"),
+             *(("d=3 degree 1", sum_name) for sum_name in GRAPH_SUMS)}
+
+
+@pytest.mark.parametrize("name, sum_name", CASES)
+def test_eval_graph_matches_tuple_walker(name, sum_name):
+    P, s = BIVECTORS[name], GRAPH_SUMS[sum_name]
+    terms = list(s.graphs())
+    want = [ref.eval_graph(g, P) for g, _ in terms]
+    for (g, _), op in zip(terms, want):
+        assert eval_graph(g, P) == op
+    total = eval_graph_sum(s, P)
+    assert total == ref.linear_combination(P.dim, [(op, c) for (_, c), op in zip(terms, want)])
+    assert total.is_zero() == ((name, sum_name) in ZERO_SUMS)

@@ -5,12 +5,15 @@ tokens, so that draws also get past the first checks.  The strategies are
 bounded so that no draw asks for a huge allocation or power: free text fed
 to the polynomial parsers has no '^', token-built exponents are at most 3
 with at most two of them per polynomial, and a Poisson file's dimension line
-is drawn from a short list (a large dimension allocates an exponent tuple of
-that length per variable).  The junk and index alphabets hold ``LONG``, an
+is drawn from a short list of valid and malformed lines.  The junk and index alphabets hold ``LONG``, an
 integer with more digits than ``int()`` converts, so it also lands where an
-exponent, a coefficient, a target or an index is read.
+exponent, a coefficient, a target or an index is read.  An error from a
+polynomial or structure parser quotes at most 40 characters of its input,
+so its message is at most MAX_MESSAGE characters long, however long the
+input is.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetraflow.graphs import GraphError, parse_graph_line
@@ -81,11 +84,17 @@ POISSON_TEXT = st.builds(
              max_size=4))
 
 
-def returns_or_raises_graph_error(parse, text):
+MAX_MESSAGE = 200
+
+
+def returns_or_raises_graph_error(parse, text, max_message=None):
+    """``parse(text)`` returns or raises GraphError, whose message is at most
+    ``max_message`` characters long when that is given."""
     try:
         parse(text)
-    except GraphError:
-        pass
+    except GraphError as exc:
+        if max_message is not None:
+            assert len(str(exc)) <= max_message, str(exc)[:300]
 
 
 @FUZZ
@@ -109,10 +118,36 @@ def test_fuzz_parse_leibniz_placeholder_line(text):
 @FUZZ
 @given(POLY_TEXT, st.integers(1, 4))
 def test_fuzz_parse_polynomial(text, dim):
-    returns_or_raises_graph_error(lambda t: parse_polynomial(t, dim), text)
+    returns_or_raises_graph_error(lambda t: parse_polynomial(t, dim), text, MAX_MESSAGE)
 
 
 @FUZZ
 @given(POISSON_TEXT)
 def test_fuzz_parse_poisson_file(text):
-    returns_or_raises_graph_error(parse_poisson_file, text)
+    returns_or_raises_graph_error(parse_poisson_file, text, MAX_MESSAGE)
+
+
+NINES = "9" * 5000
+LONG_POLYNOMIALS = [
+    "x1^" + NINES, "x1 " * 2000, "x1 + " * 2000, "(" + "x1 + " * 2000 + "x1",
+    "x1 * 1/0" + NINES, NINES + "/0", "x" + "0" * 3000 + "5", "x1 + x" + "y" * 3000,
+    "x1" * 2000 + "\u00b2",
+]
+
+
+@pytest.mark.parametrize("text", LONG_POLYNOMIALS, ids=range(len(LONG_POLYNOMIALS)))
+def test_long_polynomial_error_is_short(text):
+    with pytest.raises(GraphError) as exc:
+        parse_polynomial(text, 3)
+    assert len(str(exc.value)) <= MAX_MESSAGE
+
+
+@pytest.mark.parametrize("text", [
+    "3\n1 2 x1^" + NINES, "3\n1 2 " + "x1 " * 2000, NINES + "x", "-" + NINES[:4000],
+    "3\n1 " + NINES, "3\n1 " + NINES + " x1", "3\n" + NINES[:4000] + " 2 x1",
+    "3\n1 " + NINES[:4000] + " x1",
+], ids=range(8))
+def test_long_structure_error_is_short(text):
+    with pytest.raises(GraphError) as exc:
+        parse_poisson_file(text)
+    assert len(str(exc.value)) <= MAX_MESSAGE

@@ -5,7 +5,7 @@ import pytest
 
 from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph
 from tetraflow.ops import GAMMA1, WEDGE, tetra_flow, wedge_sum
-from tetraflow.poisson import (Polynomial, PolyMultivector, eval_graph,
+from tetraflow.poisson import (MAX_EXPONENT, W, Polynomial, PolyMultivector, eval_graph,
                                eval_graph_sum, flow, gamma1, gamma2,
                                jacobi_check, jacobian_bracket,
                                parse_poisson_file, parse_polynomial,
@@ -40,6 +40,41 @@ def test_polynomial_parse_errors():
 def test_polynomial_str_round_trip():
     p = P3("2*x1^2*x3 - x2 + 1/3")
     assert parse_polynomial(str(p), 3) == p
+
+
+def test_largest_exponent_parses_and_round_trips():
+    assert MAX_EXPONENT == 2 ** (W - 1) - 1
+    p = P3(f"x1^{MAX_EXPONENT}*x3 - 2*x2^{MAX_EXPONENT}")
+    assert p.exponent_terms() == {(MAX_EXPONENT, 0, 1): 1, (0, MAX_EXPONENT, 0): -2}
+    assert str(p) == f"x1^{MAX_EXPONENT}*x3 - 2*x2^{MAX_EXPONENT}"
+    assert parse_polynomial(str(p), 3) == p
+
+
+@pytest.mark.parametrize("text", [f"x1^{MAX_EXPONENT + 1}", f"x2^{MAX_EXPONENT}*x2",
+                                  f"(x3^{MAX_EXPONENT // 2 + 1})^2"])
+def test_exponent_past_the_bound_is_refused(text):
+    with pytest.raises(GraphError, match=f"exponent above {MAX_EXPONENT}"):
+        parse_polynomial(text, 3)
+
+
+def test_product_whose_fields_would_carry_raises():
+    half = MAX_EXPONENT // 2 + 1  # 2 * half sets the guard bit of its field
+    for d in (1, 3, 4):
+        for i in range(d):
+            e = tuple(half if k == i else 1 for k in range(d))
+            p = Polynomial(d, {e: 1, (0,) * d: 2})
+            with pytest.raises(GraphError, match=f"exponent above {MAX_EXPONENT}"):
+                p * p
+            # one below: the product reaches MAX_EXPONENT and spills into no other field
+            below = tuple(x - (k == i) for k, x in enumerate(e))
+            assert (Polynomial(d, {below: 1}) * p).exponent_terms() == {
+                tuple(x + y for x, y in zip(below, e)): 1, below: 2}
+
+
+@pytest.mark.parametrize("e", [(-1, 0, 0), (0, MAX_EXPONENT + 1, 0), (0, 0, 2 ** 64), (1, 2)])
+def test_constructor_rejects_exponent_out_of_range(e):
+    with pytest.raises(GraphError):
+        Polynomial(3, {e: 1})
 
 
 def test_jacobian_bracket_components(reference_P):
@@ -213,6 +248,29 @@ def test_to_multivector_rejects_wrong_arity(reference_P):
     for arity in (1, 3):
         with pytest.raises(GraphError):
             op.to_multivector(arity)
+
+
+def test_operator_add_keeps_arguments_and_results_apart(reference_P):
+    from tetraflow.poisson import PolyOperator
+    p, q = P3("x1 + 1"), P3("x1 - 1")
+    op = PolyOperator(3)
+    op.add(((0,),), p)
+    op.add(((0,),), q)
+    assert p == P3("x1 + 1") and q == P3("x1 - 1")
+    assert op.terms[((0,),)] == P3("2*x1")
+    op.add(((0,),), p, Fraction(-2))
+    assert op.terms[((0,),)] == P3("-2")
+    op.add(((0,),), P3("2"))
+    op.add(((1,),), p, 0)
+    assert op.is_zero()
+    # a multivector taken from an operator keeps its components when the
+    # operator changes later
+    op = eval_graph(WEDGE, reference_P)
+    mv = op.to_multivector(2)
+    op.add(((0,), (1,)), P3("x3"))
+    op.add(((1,), (0,)), P3("-x3"))
+    assert mv == reference_P
+    assert op.to_multivector(2) != reference_P
 
 
 def test_to_multivector_rejects_asymmetric():
