@@ -34,7 +34,7 @@ def _write_text(path: str, text: str) -> None:
 def parse_ratio(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise GraphError(f"malformed ratio {text!r}, expected a:b")
+        raise GraphError(f"malformed ratio {text[:40]!r}, expected a:b")
     return parse_coeff(parts[0]), parse_coeff(parts[1])
 
 

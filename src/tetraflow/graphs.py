@@ -34,7 +34,7 @@ class KontsevichGraph:
         for pair in self.targets:
             for t in pair:
                 if not 0 <= t < m + n:
-                    raise GraphError(f"target {t} out of range [0, {m + n})")
+                    raise GraphError(f"target {brief(t)} out of range [0, {brief(m + n)})")
 
     @property
     def key(self) -> tuple[int, int, tuple[int, ...]]:
@@ -270,6 +270,17 @@ def format_coeff(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+def brief(n: int) -> str:
+    """``n`` in decimal for an error message, cut to 20 digits and '...':
+    integers read from input may have thousands of digits, and ``str``
+    refuses more than 4300."""
+    head = abs(n)
+    while head >= 10**40:
+        head //= 10**20
+    text = str(head)
+    return "-" * (n < 0) + (text if len(text) <= 20 else text[:20] + "...")
+
+
 _COEFF = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -280,7 +291,7 @@ def parse_coeff(tok: str) -> Fraction:
     and ``1e9999999`` takes it seconds to minutes to build.
     """
     if not _COEFF.fullmatch(tok):
-        raise GraphError(f"malformed rational {tok!r}")
+        raise GraphError(f"malformed rational {tok[:40]!r}")
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:  # too many digits, or q = 0
@@ -291,17 +302,18 @@ def parse_graph_line(line: str) -> tuple[KontsevichGraph, Fraction]:
     """Parse one ``m n t1 ... t_{2n} coeff`` line into a labelled graph."""
     toks = line.split()
     if len(toks) < 3:
-        raise GraphError(f"wrong token count in {line!r}")
+        raise GraphError(f"wrong token count in {line[:40]!r}")
     try:
         m, n = int(toks[0]), int(toks[1])
     except ValueError as exc:
-        raise GraphError(f"bad prefix in {line!r}") from exc
+        raise GraphError(f"bad prefix in {line[:40]!r}") from exc
     if m < 0 or n < 0 or len(toks) != 2 + 2 * n + 1:
-        raise GraphError(f"wrong token count in {line!r}: expected {2 + 2*n + 1} tokens")
+        raise GraphError(f"wrong token count in {line[:40]!r}: "
+                         f"expected {brief(2 + 2*n + 1)} tokens")
     try:
         flat = [int(t) for t in toks[2:2 + 2 * n]]
     except ValueError as exc:
-        raise GraphError(f"bad target in {line!r}") from exc
+        raise GraphError(f"bad target in {line[:40]!r}") from exc
     coeff = parse_coeff(toks[-1])
     pairs = tuple((flat[2 * k], flat[2 * k + 1]) for k in range(n))
     return KontsevichGraph(m, n, pairs), coeff

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from .graphs import (GraphError, GraphSum, KontsevichGraph, format_coeff,
+from .graphs import (GraphError, GraphSum, KontsevichGraph, brief, format_coeff,
                      format_graph_line, parse_coeff, parse_lines)
 from .ops import perm_sign
 
@@ -35,13 +35,14 @@ class LeibnizGraph:
         for pair in self.wedge_targets:
             for t in pair:
                 if not 0 <= t < hi:
-                    raise GraphError(f"wedge target {t} out of range [0, {hi})")
+                    raise GraphError(f"wedge target {brief(t)} out of range [0, {brief(hi)})")
         for i, triple in enumerate(self.jac_targets):
             if len(set(triple)) != 3:
-                raise GraphError(f"Jacobiator targets {triple} are not distinct")
+                raise GraphError(f"Jacobiator targets ({', '.join(map(brief, triple))})"
+                                 " are not distinct")
             for t in triple:
                 if not 0 <= t < hi:
-                    raise GraphError(f"Jacobiator target {t} out of range [0, {hi})")
+                    raise GraphError(f"Jacobiator target {brief(t)} out of range [0, {brief(hi)})")
                 if t == m + w + i:
                     raise GraphError("Jacobiator may not target itself")
 
@@ -183,25 +184,25 @@ def _parse_targets(toks: list[str], line: str) -> list[int]:
     try:
         return [int(t) for t in toks]
     except ValueError as exc:
-        raise GraphError(f"bad target in {line!r}") from exc
+        raise GraphError(f"bad target in {line[:40]!r}") from exc
 
 
 def parse_leibniz_line(line: str) -> tuple[LeibnizGraph, Fraction]:
     toks = line.split()
     if len(toks) < 4 or "|" not in toks:
-        raise GraphError(f"bad Leibniz graph line {line!r}")
+        raise GraphError(f"bad Leibniz graph line {line[:40]!r}")
     try:
         m, w = int(toks[0]), int(toks[1])
     except ValueError as exc:
-        raise GraphError(f"bad prefix in {line!r}") from exc
+        raise GraphError(f"bad prefix in {line[:40]!r}") from exc
     rest = toks[2:]
     bar = rest.index("|")
     if bar != 2 * w:
-        raise GraphError(f"expected {2*w} wedge targets in {line!r}")
+        raise GraphError(f"expected {brief(2 * w)} wedge targets in {line[:40]!r}")
     wedge_flat = _parse_targets(rest[:bar], line)
     wedges = tuple((wedge_flat[2 * k], wedge_flat[2 * k + 1]) for k in range(w))
     if rest[-1] == "|":
-        raise GraphError(f"missing coefficient in {line!r}")
+        raise GraphError(f"missing coefficient in {line[:40]!r}")
     groups: list[list[str]] = []
     for tok in rest[bar:]:
         if tok == "|":
@@ -213,7 +214,7 @@ def parse_leibniz_line(line: str) -> tuple[LeibnizGraph, Fraction]:
     jacs = []
     for grp in groups:
         if len(grp) != 3:
-            raise GraphError(f"expected 3 Jacobiator targets in {line!r}")
+            raise GraphError(f"expected 3 Jacobiator targets in {line[:40]!r}")
         jacs.append(tuple(_parse_targets(grp, line)))
     return LeibnizGraph(m, wedges, tuple(jacs)), coeff
 
@@ -234,19 +235,19 @@ def parse_leibniz_placeholder_line(line: str) -> tuple[LeibnizGraph, Fraction]:
     try:
         m, n = int(toks[0]), int(toks[1])
     except (ValueError, IndexError) as exc:
-        raise GraphError(f"bad prefix in {line!r}") from exc
+        raise GraphError(f"bad prefix in {line[:40]!r}") from exc
     w = n - 2
     if w < 0 or len(toks) != 2 + 2 * n + 1:
-        raise GraphError(f"wrong token count in {line!r}")
+        raise GraphError(f"wrong token count in {line[:40]!r}")
     flat = _parse_targets(toks[2:2 + 2 * n], line)
     coeff = parse_coeff(toks[-1])
     wedges = tuple((flat[2 * k], flat[2 * k + 1]) for k in range(w))
     for pair in wedges:
         for t in pair:
             if t > m + w:
-                raise GraphError(f"wedge edge onto hidden vertex in {line!r}")
+                raise GraphError(f"wedge edge onto hidden vertex in {line[:40]!r}")
     if flat[2 * w + 2] != m + w:
-        raise GraphError(f"expected placeholder {m + w} in {line!r}")
+        raise GraphError(f"expected placeholder {brief(m + w)} in {line[:40]!r}")
     jac = (flat[2 * w], flat[2 * w + 1], flat[2 * w + 3])
     return LeibnizGraph(m, wedges, (jac,)), coeff
 

@@ -217,26 +217,18 @@ def collect_skew_orbits(s: GraphSum, m: int) -> list[tuple[tuple[int, int, tuple
     validate_multivector(s, m)
     remaining = dict(s.terms)
     out = []
-    for key in sorted(remaining):
+    # keys are visited in order and each orbit leaves whole, so the first key
+    # met of an orbit is its minimum whenever the sum is antisymmetric; when
+    # the minimum is missing, the orbit check below fails at it
+    for key in sorted(s.terms):
         if key not in remaining:
             continue
-        mm, nn, _ = key
-        g = graph_from_encoding(*key)
-        orbit_keys = set()
-        for sigma in permutations(range(m)):
-            nf = normal_form(g.permute_sinks(sigma))
-            if nf.sign != 0:
-                orbit_keys.add((mm, nn, nf.encoding))
-        rep_key = min(orbit_keys)
-        rep = graph_from_encoding(*rep_key)
-        alt = alternation(GraphSum.single(rep, 1), m)
-        anchor = next((k for k in sorted(alt.terms) if k in remaining), None)
-        if anchor is None:
+        alt = alternation(GraphSum({key: 1}), m)
+        if key not in alt.terms:
             raise GraphError("sum is not totally antisymmetric: orphan orbit")
-        lam = remaining[anchor] / alt.terms[anchor]
+        lam = remaining[key] / alt.terms[key]
         for k2, v2 in alt.terms.items():
-            have = remaining.pop(k2, Fraction(0))
-            if have != lam * v2:
+            if remaining.pop(k2, 0) != lam * v2:
                 raise GraphError("sum is not totally antisymmetric: orbit mismatch")
-        out.append((rep_key, lam * PRESENTATION_SCALE))
-    return sorted(out)
+        out.append((key, lam * PRESENTATION_SCALE))
+    return out

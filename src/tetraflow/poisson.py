@@ -12,8 +12,13 @@ derivative subtracts one bit.  Exponents are at most MAX_EXPONENT = 511; a
 polynomial or product past that raises GraphError rather than letting a
 field spill into the next.  Exponent tuples appear only at the boundaries:
 the ``Polynomial`` constructor packs them, ``exponent_terms`` and the
-printed form unpack.  ``eval_graph`` multiplies vertex factors depth-first
-and merges each leaf into its ``PolyOperator`` in place.
+printed form unpack (the printed form and ``degree`` only up to the highest
+variable used).  ``eval_graph`` multiplies vertex factors depth-first and
+merges each leaf into its ``PolyOperator`` in place.
+
+The oracle walks the stored components of a bi-vector, both index orders
+of each (``_signed_pairs``), and never the d(d-1) index pairs of R^d: its
+cost follows the components and the variables they use, not d.
 """
 
 from __future__ import annotations
@@ -111,9 +116,6 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.dim == other.dim and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
         get = out.get
@@ -173,21 +175,19 @@ class Polynomial:
                 out[e - unit] = c * k
         return Polynomial._packed(self.dim, out)
 
-    def diff_multi(self, idxs) -> "Polynomial":
-        p = self
-        for i in idxs:
-            if p.is_zero():
-                break
-            p = p.diff(i)
-        return p
+    def _used_exponents(self) -> dict[tuple[int, ...], Fraction | int]:
+        """Exponent tuples cut after the highest variable any monomial uses;
+        they sort as the full ``dim``-length tuples do."""
+        fields = -(-max(self.terms, default=0).bit_length() // W)
+        return {_unpack(e, fields): c for e, c in self.terms.items()}
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.exponent_terms()), default=-1)
+        return max((sum(e) for e in self._used_exponents()), default=-1)
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        terms = self.exponent_terms()
+        terms = self._used_exponents()
         # canonical graded-lexicographic order, highest degree first
         keys = sorted(terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
         parts = []
@@ -365,16 +365,12 @@ class PolyOperator:
             raw[tuple(mi[0] for mi in key)] = p
         if arity is None:
             raise GraphError("empty operator has no definite arity")
-        if not raw:
-            return PolyMultivector(self.dim, arity)
         out = PolyMultivector(self.dim, arity)
         seen = set()
         for idx, p in raw.items():
             order, sign = _sort_sign(idx)
             if sign == 0:
-                if not p.is_zero():
-                    raise GraphError("repeated-index component is nonzero")
-                continue
+                raise GraphError("repeated-index component is nonzero")
             if order in seen:
                 continue
             seen.add(order)
@@ -384,13 +380,24 @@ class PolyOperator:
                 got = raw.get(perm_idx, Polynomial.zero(self.dim))
                 if got != (ref if s2 == 1 else -ref):
                     raise GraphError("operator is not totally antisymmetric")
-            if not ref.is_zero():
-                out.comps[order] = ref
+            out.comps[order] = ref
         return out
 
 
 # ---------------------------------------------------------------------------
 # graph evaluation
+
+
+def _signed_pairs(P: PolyMultivector) -> dict[tuple[int, int], Polynomial]:
+    """P^{ij} and P^{ji} = -P^{ij} for every stored component of the
+    bi-vector P, keyed in sorted (i, j) order: the only index pairs on which
+    P is nonzero, so the oracle never scans the d(d-1) pairs of R^d."""
+    signed = {}
+    for (i, j), p in P.comps.items():
+        if p:
+            signed[i, j] = p
+            signed[j, i] = -p
+    return dict(sorted(signed.items()))
 
 
 def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
@@ -416,9 +423,8 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
     if any(indeg[m + k] > maxdeg for k in range(n)):
         return op
 
-    pairs = [(i, j) for i in range(d) for j in range(d)
-             if i != j and not P.component((i, j)).is_zero()]
-    if not pairs:
+    signed = _signed_pairs(P)
+    if not signed:
         return op
 
     # the edges of internal vertex k carry the indices flat[2k] (left) and
@@ -447,7 +453,12 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
         canonical = key[:2] + tuple(sorted(key[2:]))
         p = dcache.get(canonical)
         if p is None:
-            p = dcache[canonical] = P.component(key[:2]).diff_multi(canonical[2:])
+            p = signed[key[:2]]
+            for i in canonical[2:]:
+                if not p.terms:
+                    break
+                p = p.diff(i)
+            dcache[canonical] = p
         dcache[key] = p
         return p
 
@@ -460,7 +471,7 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
             op.add(tuple(tuple(sorted(map(at, incoming[s]))) for s in range(m)), partial)
             return
         left = 2 * t
-        for i, j in pairs:
+        for i, j in signed:
             flat[left] = i
             flat[left + 1] = j
             factor = partial
@@ -494,77 +505,60 @@ def gamma1(P: PolyMultivector) -> PolyMultivector:
     """First tetrahedral generator, computed from its index formula."""
     d = P.dim
     out = PolyMultivector(d, 2)
-    nz = [(k, kp) for k in range(d) for kp in range(d)
-          if k != kp and not P.component((k, kp)).is_zero()]
-    for i in range(d):
-        for j in range(i + 1, d):
-            pij = P.component((i, j))
-            if pij.is_zero():
-                continue
-            total = Polynomial.zero(d)
-            for k, kp in nz:
-                t1 = pij.diff(k)
-                if t1.is_zero():
-                    continue
-                for l, lp in nz:
-                    t2 = t1.diff(l)
-                    if t2.is_zero():
-                        continue
-                    for mm, mp in nz:
-                        t3 = t2.diff(mm)
-                        if t3.is_zero():
-                            continue
-                        term = (t3 * P.component((k, kp)).diff(lp)
-                                * P.component((l, lp)).diff(mp)
-                                * P.component((mm, mp)).diff(kp))
-                        if not term.is_zero():
-                            total = total + term
-            if not total.is_zero():
-                out.set_component((i, j), total)
-    return out
-
-
-def gamma2_prime(P: PolyMultivector) -> list[list[Polynomial]]:
-    """Second tetrahedral generator before antisymmetrization, as a full matrix."""
-    d = P.dim
-    mat = [[Polynomial.zero(d) for _ in range(d)] for _ in range(d)]
-    nz = [(a, b) for a in range(d) for b in range(d)
-          if a != b and not P.component((a, b)).is_zero()]
-    for i, j in nz:
-        pij = P.component((i, j))
-        for k, mm in nz:
-            pkm = P.component((k, mm))
+    signed = _signed_pairs(P)
+    for (i, j), pij in sorted(P.comps.items()):
+        total = Polynomial.zero(d)
+        for k, kp in signed:
             t1 = pij.diff(k)
             if t1.is_zero():
                 continue
-            for kp, l in nz:
+            for l, lp in signed:
+                t2 = t1.diff(l)
+                if t2.is_zero():
+                    continue
+                for mm, mp in signed:
+                    t3 = t2.diff(mm)
+                    if t3.is_zero():
+                        continue
+                    term = (t3 * signed[k, kp].diff(lp)
+                            * signed[l, lp].diff(mp)
+                            * signed[mm, mp].diff(kp))
+                    if not term.is_zero():
+                        total = total + term
+        if not total.is_zero():
+            out.set_component((i, j), total)
+    return out
+
+
+def gamma2(P: PolyMultivector) -> PolyMultivector:
+    """Second tetrahedral generator, the antisymmetrization
+    (1/2)(M^{ij} - M^{ji}) of its index formula M."""
+    signed = _signed_pairs(P)
+    M: dict[tuple[int, int], Polynomial] = {}
+    for (i, j), pij in signed.items():
+        for (k, mm), pkm in signed.items():
+            t1 = pij.diff(k)
+            if t1.is_zero():
+                continue
+            for kp, l in signed:
                 t2 = t1.diff(l)
                 if t2.is_zero():
                     continue
                 s1 = pkm.diff(kp)
                 if s1.is_zero():
                     continue
-                for mp, lp in nz:
+                for mp, lp in signed:
                     s2 = s1.diff(lp)
                     if s2.is_zero():
                         continue
-                    term = (t2 * s2 * P.component((kp, l)).diff(mp)
-                            * P.component((mp, lp)).diff(j))
-                    if not term.is_zero():
-                        mat[i][mm] = mat[i][mm] + term
-    return mat
-
-
-def gamma2(P: PolyMultivector) -> PolyMultivector:
-    d = P.dim
-    mat = gamma2_prime(P)
-    out = PolyMultivector(d, 2)
+                    term = (t2 * s2 * signed[kp, l].diff(mp)
+                            * signed[mp, lp].diff(j))
+                    if i != mm and not term.is_zero():
+                        M[i, mm] = M[i, mm] + term if (i, mm) in M else term
+    out = PolyMultivector(P.dim, 2)
     half = Fraction(1, 2)
-    for i in range(d):
-        for j in range(i + 1, d):
-            comp = (mat[i][j] - mat[j][i]).scaled(half)
-            if not comp.is_zero():
-                out.set_component((i, j), comp)
+    for idx, m in M.items():
+        out.add_component(idx, m.scaled(half))
     return out
 
 

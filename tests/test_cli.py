@@ -255,3 +255,50 @@ def test_exponent_past_the_bound_is_usage_error(tmp_path, capsys, lines, prefix)
     captured = capsys.readouterr()
     assert captured.err.startswith(prefix)
     assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
+LONG_INPUTS = {
+    "target": (["reduce", "IN", "OUT"], "2 1 0 " + "9" * 4000 + " 1\n"),
+    "token count": (["reduce", "IN", "OUT"], "2 1 0" + " 1" * 3000 + "\n"),
+    "wedge count": (["verify", "--solution", "IN"], "3 " + "9" * 4000 + " 0 1 | 0 1 2 1\n"),
+    "ratio": (["flow", "--ratio", "1:" + "x" * 3000, "OUT"], ""),
+    # the bound of the range has more digits than str() converts
+    "sink count": (["reduce", "IN", "OUT"], "9" * 4300 + " 1 0 -1 1\n"),
+    "wedge targets": (["verify", "--solution", "IN"], "3 " + "9" * 4300 + " 0 1 | 0 1 2 1\n"),
+}
+
+
+@pytest.mark.parametrize("argv, content", LONG_INPUTS.values(), ids=LONG_INPUTS.keys())
+def test_long_input_error_is_one_short_line(tmp_path, capsys, argv, content):
+    src = tmp_path / "in.txt"
+    src.write_text(content)
+    argv = [{"IN": str(src), "OUT": str(tmp_path / "out.txt")}.get(a, a) for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert len(err) <= 200, err[:300]
+
+
+# two stored components; scanning all d(d-1) index pairs instead, ratio-scan
+# took 38 s at d = 2000 and eval 34 s at d = 700 on a shared 2-core host
+FEW_COMPONENTS = "1 2 x3^3\n2 3 x1^2*x2\n"
+
+
+@pytest.mark.parametrize("command, dim", [("ratio-scan", 2000), ("eval", 700)])
+def test_oracle_time_follows_stored_components_not_dimension(tmp_path, capsys, command, dim):
+    graphs = tmp_path / "lhs39.txt"
+    run(["reference", "--table", "lhs39", str(graphs)])
+    outputs = []
+    for d in (3, dim):
+        src = tmp_path / f"p{d}.txt"
+        src.write_text(f"{d}\n{FEW_COMPONENTS}")
+        argv = [command, "--poisson", str(src)]
+        if command == "eval":
+            argv += ["--graphs", str(graphs)]
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run(argv) == 0
+        assert time.perf_counter() - start < 5
+        outputs.append(capsys.readouterr().out)
+    assert "nonzero" in outputs[0] or "1;2;3" in outputs[0]
+    assert outputs[1] == outputs[0]

@@ -150,6 +150,20 @@ def test_collect_reconstructs(lhs39):
     assert recon == lhs39
 
 
+@pytest.mark.parametrize("case", ["vanishing alternation", "orbit minimum missing"])
+def test_collect_refuses_a_sum_that_is_not_antisymmetric(lhs39, case):
+    if case == "vanishing alternation":
+        # swapping sinks 1 and 2 (sign -1) only relabels vertices 4 and 5
+        # (sign +1), so the alternation of this graph cancels
+        star = KontsevichGraph(3, 3, ((0, 3), (1, 3), (2, 3)))
+        s, message = GraphSum.single(star, 1), "orphan orbit"
+    else:
+        first = min(lhs39.terms)
+        s, message = lhs39 - GraphSum({first: lhs39.terms[first]}), "orbit mismatch"
+    with pytest.raises(GraphError, match=message):
+        collect_skew_orbits(s, 3)
+
+
 def test_collect_matches_reference_orbits(lhs39):
     from itertools import permutations
     mine = dict(collect_skew_orbits(lhs39, 3))

@@ -7,10 +7,11 @@ to the polynomial parsers has no '^', token-built exponents are at most 3
 with at most two of them per polynomial, and a Poisson file's dimension line
 is drawn from a short list of valid and malformed lines.  The junk and index alphabets hold ``LONG``, an
 integer with more digits than ``int()`` converts, so it also lands where an
-exponent, a coefficient, a target or an index is read.  An error from a
-polynomial or structure parser quotes at most 40 characters of its input,
-so its message is at most MAX_MESSAGE characters long, however long the
-input is.
+exponent, a coefficient, a target or an index is read; the line alphabet
+also holds ``BIG``, a 4000-digit integer that ``int()`` converts, so it
+becomes a count or a target.  An error from any of these parsers quotes at
+most 40 characters of its input and at most 20 digits of an integer, so its
+message is at most MAX_MESSAGE characters long, however long the input is.
 """
 
 import pytest
@@ -22,6 +23,7 @@ from tetraflow.poisson import parse_poisson_file, parse_polynomial
 
 FUZZ = settings(max_examples=300, deadline=None)
 LONG = "9" * 4301
+BIG = "9" * 4000
 
 FREE = st.text(max_size=40)
 FREE_NO_CARET = st.text(st.characters(blacklist_characters="^"), max_size=40)
@@ -37,7 +39,7 @@ def insert_junk(draw, toks, junk):
 # three "|" groups of up to four targets, an optional coefficient, then up to
 # two junk tokens anywhere
 TARGET = st.integers(-1, 9).map(str)
-LINE_JUNK = ["x", "|", "#", "0", "7", "1/0", "-", "\u00b2", "\u0663", "1.5", "", LONG]
+LINE_JUNK = ["x", "|", "#", "0", "7", "1/0", "-", "\u00b2", "\u0663", "1.5", "", LONG, BIG]
 
 
 @st.composite
@@ -100,19 +102,19 @@ def returns_or_raises_graph_error(parse, text, max_message=None):
 @FUZZ
 @given(LINE_TEXT)
 def test_fuzz_parse_graph_line(text):
-    returns_or_raises_graph_error(parse_graph_line, text)
+    returns_or_raises_graph_error(parse_graph_line, text, MAX_MESSAGE)
 
 
 @FUZZ
 @given(LINE_TEXT)
 def test_fuzz_parse_leibniz_line(text):
-    returns_or_raises_graph_error(parse_leibniz_line, text)
+    returns_or_raises_graph_error(parse_leibniz_line, text, MAX_MESSAGE)
 
 
 @FUZZ
 @given(LINE_TEXT)
 def test_fuzz_parse_leibniz_placeholder_line(text):
-    returns_or_raises_graph_error(parse_leibniz_placeholder_line, text)
+    returns_or_raises_graph_error(parse_leibniz_placeholder_line, text, MAX_MESSAGE)
 
 
 @FUZZ

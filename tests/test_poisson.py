@@ -10,7 +10,7 @@ from tetraflow.poisson import (MAX_EXPONENT, W, Polynomial, PolyMultivector, eva
                                jacobi_check, jacobian_bracket,
                                parse_poisson_file, parse_polynomial,
                                random_bivector, ratio_scan,
-                               schouten_components)
+                               schouten_components, sparse_random_bivector)
 
 from conftest import random_polynomial, random_jacobian_structure
 
@@ -180,6 +180,31 @@ def test_eval_after_set_component_sees_new_component():
 def test_eval_gamma_encodings_match_formulas(reference_P):
     assert eval_graph(GAMMA1, reference_P).to_multivector(2) == gamma1(reference_P)
     assert eval_graph_sum(tetra_flow(0, 1), reference_P).to_multivector(2) == gamma2(reference_P)
+
+
+def declared_in(P, dim):
+    """P with the same components, declared on R^dim instead of R^{P.dim}."""
+    out = PolyMultivector(dim, P.arity)
+    pad = (0,) * (dim - P.dim)
+    for idx, p in P.comps.items():
+        out.set_component(idx, Polynomial(dim, {e + pad: c for e, c in p.exponent_terms().items()}))
+    return out
+
+
+def test_oracle_output_does_not_depend_on_declared_dimension(lhs39):
+    P = sparse_random_bivector(3, 3, random.Random(1))
+    Q = declared_in(P, 40)
+    for formula in (gamma1, gamma2):
+        assert formula(P).lines() and formula(Q).lines() == formula(P).lines()
+    printed = [{key: str(p) for key, p in eval_graph_sum(lhs39, R).terms.items()}
+               for R in (P, Q)]
+    assert printed[0] and printed[1] == printed[0]
+
+
+def test_degree_and_str_read_only_the_variables_used():
+    x1 = Polynomial.var(10**6, 0)
+    assert x1.degree() == 1
+    assert str(x1) == "x1"
 
 
 def test_eval_dimension_mismatch():
