@@ -10,9 +10,16 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .graphs import (GraphError, format_graph_line, normal_form, parse_coeff,
-                     read_graph_lines, read_graph_sum)
 from . import reference
+from .graphs import (GraphError, format_graph_line, normal_form, parse_coeff, quote,
+                     read_graph_lines, read_graph_sum)
+from .leibniz import (LINEAR_CLASS_ORDER, generate_ansatz_linear, generate_ansatz_quadratic,
+                      generate_linear_classes, read_leibniz_file, serialize_leibniz,
+                      sink_labelled_patterns)
+from .linsys import (assemble, build_columns, nontriviality_check, quadratic_part_check,
+                     solve_factorization, verify_factorization)
+from .ops import collect_skew_orbits, lhs_trivector, tetra_flow
+from .poisson import eval_graph_sum, jacobi_check, parse_poisson_file, ratio_scan
 
 
 def _read_text(path: str) -> str:
@@ -34,7 +41,7 @@ def _write_text(path: str, text: str) -> None:
 def parse_ratio(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise GraphError(f"malformed ratio {text[:40]!r}, expected a:b")
+        raise GraphError(f"malformed ratio {quote(text)}, expected a:b")
     return parse_coeff(parts[0]), parse_coeff(parts[1])
 
 
@@ -57,14 +64,12 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    from .ops import tetra_flow
     a, b = parse_ratio(args.ratio)
     _write_text(args.outfile, tetra_flow(a, b).serialize())
     return 0
 
 
 def cmd_lhs(args) -> int:
-    from .ops import collect_skew_orbits, lhs_trivector
     a, b = parse_ratio(args.ratio)
     s = lhs_trivector(a, b)
     if args.collect:
@@ -82,8 +87,6 @@ def cmd_lhs(args) -> int:
 
 
 def cmd_gen_ansatz(args) -> int:
-    from .leibniz import (generate_ansatz_linear, generate_ansatz_quadratic,
-                          serialize_leibniz)
     gen = generate_ansatz_quadratic if args.quadratic else generate_ansatz_linear
     pats = gen(tadpoles=not args.no_tadpoles)
     lines = [serialize_leibniz(L, 1) for L in pats]
@@ -92,9 +95,6 @@ def cmd_gen_ansatz(args) -> int:
 
 
 def cmd_count(args) -> int:
-    from .leibniz import (LINEAR_CLASS_ORDER, generate_ansatz_linear,
-                          generate_ansatz_quadratic, generate_linear_classes,
-                          sink_labelled_patterns)
     tad = not args.no_tadpoles
     classes = generate_linear_classes(tadpoles=tad)
     total = 0
@@ -108,7 +108,6 @@ def cmd_count(args) -> int:
     print(f"sink-labelled patterns across all assignments: {len(labelled)}"
           " (reference run-through counted 28,202 unknown slots with repetitions)")
     if args.rows:
-        from .linsys import assemble, build_columns
         cols = build_columns(patterns)
         system = assemble(reference.lhs_table(), [col for col, _ in cols])
         print(f"assembled rows (admissible graph universe): {system.shape[0]}"
@@ -117,8 +116,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .leibniz import generate_ansatz_linear, read_leibniz_file, serialize_leibniz
-    from .linsys import solve_factorization
     target = read_graph_sum(_read_text(args.lhs)) if args.lhs else reference.lhs_table()
     if args.ansatz:
         patterns = [L for L, _ in read_leibniz_file(_read_text(args.ansatz))]
@@ -136,8 +133,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .leibniz import read_leibniz_file
-    from .linsys import verify_factorization
     solution = read_leibniz_file(_read_text(args.solution), placeholder=args.placeholder_encoding)
     target = read_graph_sum(_read_text(args.lhs)) if args.lhs else reference.lhs_table()
     scale = parse_coeff(args.scale)
@@ -149,7 +144,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_nontrivial(args) -> int:
-    from .linsys import nontriviality_check
     rep = nontriviality_check(tadpoles=not args.no_tadpoles)
     print(f"1-vector ansatz graphs: {rep.vector_graphs}")
     print(f"bi-vector Leibniz ansatz graphs: {rep.leibniz_graphs}")
@@ -159,7 +153,6 @@ def cmd_nontrivial(args) -> int:
 
 
 def cmd_quadcheck(args) -> int:
-    from .linsys import quadratic_part_check
     rep = quadratic_part_check(tadpoles=not args.no_tadpoles)
     print(f"linear columns: {rep.linear_count}, quadratic columns: {rep.quadratic_count}")
     print(f"combined system feasible: {rep.feasible}")
@@ -173,12 +166,10 @@ def cmd_quadcheck(args) -> int:
 
 
 def _load_poisson(path: str):
-    from .poisson import parse_poisson_file
     return parse_poisson_file(_read_text(path))
 
 
 def cmd_eval(args) -> int:
-    from .poisson import eval_graph_sum
     P = _load_poisson(args.poisson)
     s = read_graph_sum(_read_text(args.graphs))
     op = eval_graph_sum(s, P)
@@ -192,7 +183,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ratio_scan(args) -> int:
-    from .poisson import ratio_scan
     P = _load_poisson(args.poisson)
     if args.ratios:
         ratios = [parse_ratio(t) for t in args.ratios.split(",")]
@@ -208,7 +198,6 @@ def cmd_ratio_scan(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    from .poisson import jacobi_check
     P = _load_poisson(args.poisson)
     ok = jacobi_check(P)
     print("PASS" if ok else "FAIL")

@@ -63,6 +63,16 @@ class KontsevichGraph:
             tuple((relabel(a), relabel(b)) for a, b in self.targets))
 
 
+def perm_sign(sigma) -> int:
+    """Sign of the permutation that sorts ``sigma``, a sequence of distinct values."""
+    sign = 1
+    for x in range(len(sigma)):
+        for y in range(x + 1, len(sigma)):
+            if sigma[x] > sigma[y]:
+                sign = -sign
+    return sign
+
+
 @dataclass(frozen=True)
 class NormalForm:
     sink_count: int
@@ -281,6 +291,33 @@ def brief(n: int) -> str:
     return "-" * (n < 0) + (text if len(text) <= 20 else text[:20] + "...")
 
 
+def quote(text: str) -> str:
+    """The start of ``text`` quoted for an error message: ``repr`` of its
+    first 40 characters, cut to 60 characters and '...' when escapes
+    lengthen it (one character can escape to ten)."""
+    q = repr(text[:40])
+    return q if len(q) <= 60 else q[:60] + "..."
+
+
+# Sizes a text line may ask for.  normal_form follows every tied branch, so
+# n internal vertices on one target pair cost n! (0.4 s at n = 8 and 3 s at
+# n = 9 on a shared 2-core host); a Leibniz line expands to up to 3 * 4^w
+# labelled graphs of w + 2j internal vertices; a solve column sums over all
+# m! sink permutations.
+MAX_SINKS = 6
+MAX_INTERNAL = 8
+
+
+def check_size(m: int, n: int) -> None:
+    """Refuse a graph of ``m`` sinks and ``n`` internal vertices (for a
+    Leibniz graph, the internal vertices it expands to) beyond the sizes the
+    exact algorithms finish in about a second."""
+    if not (0 <= m <= MAX_SINKS and 0 <= n <= MAX_INTERNAL):
+        raise GraphError(f"graph of {brief(m)} sinks and {brief(n)} internal vertices is"
+                         f" outside the limits of {MAX_SINKS} sinks and {MAX_INTERNAL}"
+                         " internal vertices")
+
+
 _COEFF = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -291,29 +328,30 @@ def parse_coeff(tok: str) -> Fraction:
     and ``1e9999999`` takes it seconds to minutes to build.
     """
     if not _COEFF.fullmatch(tok):
-        raise GraphError(f"malformed rational {tok[:40]!r}")
+        raise GraphError(f"malformed rational {quote(tok)}")
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:  # too many digits, or q = 0
-        raise GraphError(f"malformed rational {tok[:40]!r}") from exc
+        raise GraphError(f"malformed rational {quote(tok)}") from exc
 
 
 def parse_graph_line(line: str) -> tuple[KontsevichGraph, Fraction]:
     """Parse one ``m n t1 ... t_{2n} coeff`` line into a labelled graph."""
     toks = line.split()
     if len(toks) < 3:
-        raise GraphError(f"wrong token count in {line[:40]!r}")
+        raise GraphError(f"wrong token count in {quote(line)}")
     try:
         m, n = int(toks[0]), int(toks[1])
     except ValueError as exc:
-        raise GraphError(f"bad prefix in {line[:40]!r}") from exc
-    if m < 0 or n < 0 or len(toks) != 2 + 2 * n + 1:
-        raise GraphError(f"wrong token count in {line[:40]!r}: "
+        raise GraphError(f"bad prefix in {quote(line)}") from exc
+    if len(toks) != 2 + 2 * n + 1:
+        raise GraphError(f"wrong token count in {quote(line)}: "
                          f"expected {brief(2 + 2*n + 1)} tokens")
+    check_size(m, n)
     try:
         flat = [int(t) for t in toks[2:2 + 2 * n]]
     except ValueError as exc:
-        raise GraphError(f"bad target in {line[:40]!r}") from exc
+        raise GraphError(f"bad target in {quote(line)}") from exc
     coeff = parse_coeff(toks[-1])
     pairs = tuple((flat[2 * k], flat[2 * k + 1]) for k in range(n))
     return KontsevichGraph(m, n, pairs), coeff

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from .graphs import (GraphError, GraphSum, KontsevichGraph, brief, format_coeff,
-                     format_graph_line, parse_coeff, parse_lines)
-from .ops import perm_sign
+from .graphs import (GraphError, GraphSum, KontsevichGraph, brief, check_size,
+                     format_coeff, format_graph_line, parse_coeff, parse_graph_line,
+                     parse_lines, perm_sign, quote)
 
 
 @dataclass(frozen=True)
@@ -184,25 +184,25 @@ def _parse_targets(toks: list[str], line: str) -> list[int]:
     try:
         return [int(t) for t in toks]
     except ValueError as exc:
-        raise GraphError(f"bad target in {line[:40]!r}") from exc
+        raise GraphError(f"bad target in {quote(line)}") from exc
 
 
 def parse_leibniz_line(line: str) -> tuple[LeibnizGraph, Fraction]:
     toks = line.split()
     if len(toks) < 4 or "|" not in toks:
-        raise GraphError(f"bad Leibniz graph line {line[:40]!r}")
+        raise GraphError(f"bad Leibniz graph line {quote(line)}")
     try:
         m, w = int(toks[0]), int(toks[1])
     except ValueError as exc:
-        raise GraphError(f"bad prefix in {line[:40]!r}") from exc
+        raise GraphError(f"bad prefix in {quote(line)}") from exc
     rest = toks[2:]
     bar = rest.index("|")
     if bar != 2 * w:
-        raise GraphError(f"expected {brief(2 * w)} wedge targets in {line[:40]!r}")
+        raise GraphError(f"expected {brief(2 * w)} wedge targets in {quote(line)}")
     wedge_flat = _parse_targets(rest[:bar], line)
     wedges = tuple((wedge_flat[2 * k], wedge_flat[2 * k + 1]) for k in range(w))
     if rest[-1] == "|":
-        raise GraphError(f"missing coefficient in {line[:40]!r}")
+        raise GraphError(f"missing coefficient in {quote(line)}")
     groups: list[list[str]] = []
     for tok in rest[bar:]:
         if tok == "|":
@@ -214,8 +214,9 @@ def parse_leibniz_line(line: str) -> tuple[LeibnizGraph, Fraction]:
     jacs = []
     for grp in groups:
         if len(grp) != 3:
-            raise GraphError(f"expected 3 Jacobiator targets in {line[:40]!r}")
+            raise GraphError(f"expected 3 Jacobiator targets in {quote(line)}")
         jacs.append(tuple(_parse_targets(grp, line)))
+    check_size(m, w + 2 * len(jacs))
     return LeibnizGraph(m, wedges, tuple(jacs)), coeff
 
 
@@ -231,35 +232,49 @@ def serialize_leibniz_placeholder(L: LeibnizGraph, c: Fraction | int) -> str:
 
 
 def parse_leibniz_placeholder_line(line: str) -> tuple[LeibnizGraph, Fraction]:
-    toks = line.split()
-    try:
-        m, n = int(toks[0]), int(toks[1])
-    except (ValueError, IndexError) as exc:
-        raise GraphError(f"bad prefix in {line[:40]!r}") from exc
-    w = n - 2
-    if w < 0 or len(toks) != 2 + 2 * n + 1:
-        raise GraphError(f"wrong token count in {line[:40]!r}")
-    flat = _parse_targets(toks[2:2 + 2 * n], line)
-    coeff = parse_coeff(toks[-1])
-    wedges = tuple((flat[2 * k], flat[2 * k + 1]) for k in range(w))
-    for pair in wedges:
-        for t in pair:
-            if t > m + w:
-                raise GraphError(f"wedge edge onto hidden vertex in {line[:40]!r}")
-    if flat[2 * w + 2] != m + w:
-        raise GraphError(f"expected placeholder {brief(m + w)} in {line[:40]!r}")
-    jac = (flat[2 * w], flat[2 * w + 1], flat[2 * w + 3])
-    return LeibnizGraph(m, wedges, (jac,)), coeff
+    """A placeholder line is a graph line: its last two vertices, (t1, t2)
+    and (placeholder, t3), stand for the Jacobiator (t1, t2, t3)."""
+    g, coeff = parse_graph_line(line)
+    m, w = g.sink_count, g.internal_count - 2
+    if w < 0:
+        raise GraphError(f"no Jacobiator in {quote(line)}")
+    *wedges, (t1, t2), (hole, t3) = g.targets
+    if any(t > m + w for pair in wedges for t in pair):
+        raise GraphError(f"wedge edge onto hidden vertex in {quote(line)}")
+    if hole != m + w:
+        raise GraphError(f"expected placeholder {brief(m + w)} in {quote(line)}")
+    return LeibnizGraph(m, tuple(wedges), ((t1, t2, t3),)), coeff
 
 
 # ---------------------------------------------------------------------------
 # ansatz generation
 
-LINEAR_CLASS_ORDER = ("jac3", "jac2", "jac1-pair", "jac1-split", "jac0-pair", "jac0-split")
+
+def _targets(ground, free, arity: int) -> list[tuple[int, ...]]:
+    """Target tuples of a vertex with ``arity`` edges standing on the sinks
+    ``ground``: those sinks, then each increasing choice of the rest from
+    ``free``."""
+    return [tuple(ground) + rest for rest in combinations(free, arity - len(ground))]
 
 
-def _free_options(v: int, others: list[int], jac: int, tadpoles: bool) -> list[int]:
-    return sorted(([v] if tadpoles else []) + others + [jac])
+def _wedge_pairs(v: int, ground, others, jac: int, tadpoles: bool) -> list[tuple[int, ...]]:
+    """Target pairs of wedge ``v`` standing on the sinks ``ground``; its free
+    edges land on ``others``, on ``jac``, and with tadpoles on ``v`` itself."""
+    return _targets(ground, sorted(([v] if tadpoles else []) + others + [jac]), 2)
+
+
+# Tri-vector classes of 3 wedges (3, 4, 5) and 1 Jacobiator (6): the sinks
+# each wedge stands on, then the sinks the Jacobiator stands on; the
+# Jacobiator's other targets are wedges.
+_LINEAR_CLASSES = (
+    ("jac3", (), (), (), (0, 1, 2)),
+    ("jac2", (0,), (), (), (1, 2)),
+    ("jac1-pair", (0, 1), (), (), (2,)),
+    ("jac1-split", (0,), (1,), (), (2,)),
+    ("jac0-pair", (0, 1), (2,), (), ()),
+    ("jac0-split", (0,), (1,), (2,), ()),
+)
+LINEAR_CLASS_ORDER = tuple(name for name, *_ in _LINEAR_CLASSES)
 
 
 def generate_linear_classes(tadpoles: bool = True) -> dict[str, list[LeibnizGraph]]:
@@ -269,54 +284,19 @@ def generate_linear_classes(tadpoles: bool = True) -> dict[str, list[LeibnizGrap
     assignment of sinks to the vertices standing on them; the sink
     permutations are restored downstream by skew-symmetrization.
     """
-    w1, w2, w3, jac = 3, 4, 5, 6
-    fo = lambda v, others: _free_options(v, others, jac, tadpoles)
-    po = lambda v, others: list(combinations(fo(v, others), 2))
-    classes: dict[str, list[LeibnizGraph]] = {name: [] for name in LINEAR_CLASS_ORDER}
-
-    def mk(wedges, jt):
-        return LeibnizGraph(3, tuple(wedges), (tuple(jt),))
-
-    # Jacobiator on all three sinks
-    for p1 in po(w1, [w2, w3]):
-        for p2 in po(w2, [w1, w3]):
-            for p3 in po(w3, [w1, w2]):
-                classes["jac3"].append(mk([p1, p2, p3], (0, 1, 2)))
-    # Jacobiator on two sinks, one wedge on the remaining sink
-    for t in (w1, w2, w3):
-        for x in fo(w1, [w2, w3]):
-            for p2 in po(w2, [w1, w3]):
-                for p3 in po(w3, [w1, w2]):
-                    classes["jac2"].append(mk([(0, x), p2, p3], (1, 2, t)))
-    # Jacobiator on one sink, one wedge on both remaining sinks
-    for ta, tb in combinations((w1, w2, w3), 2):
-        for p2 in po(w2, [w1, w3]):
-            for p3 in po(w3, [w1, w2]):
-                classes["jac1-pair"].append(mk([(0, 1), p2, p3], (2, ta, tb)))
-    # Jacobiator on one sink, two wedges on one remaining sink each
-    for ta, tb in combinations((w1, w2, w3), 2):
-        for x in fo(w1, [w2, w3]):
-            for y in fo(w2, [w1, w3]):
-                for p3 in po(w3, [w1, w2]):
-                    classes["jac1-split"].append(mk([(0, x), (1, y), p3], (2, ta, tb)))
-    # Jacobiator on no sink, one wedge on two sinks
-    for x in fo(w2, [w1, w3]):
-        for p3 in po(w3, [w1, w2]):
-            classes["jac0-pair"].append(mk([(0, 1), (2, x), p3], (w1, w2, w3)))
-    # Jacobiator on no sink, every wedge on one sink
-    for x in fo(w1, [w2, w3]):
-        for y in fo(w2, [w1, w3]):
-            for z in fo(w3, [w1, w2]):
-                classes["jac0-split"].append(mk([(0, x), (1, y), (2, z)], (w1, w2, w3)))
+    wedges, jac = (3, 4, 5), 6
+    classes: dict[str, list[LeibnizGraph]] = {}
+    for name, *wedge_sinks, jac_sinks in _LINEAR_CLASSES:
+        options = [_wedge_pairs(v, g, [u for u in wedges if u != v], jac, tadpoles)
+                   for v, g in zip(wedges, wedge_sinks)]
+        classes[name] = [LeibnizGraph(3, tuple(pairs), (jt,)) for jt, *pairs
+                         in product(_targets(jac_sinks, wedges, 3), *options)]
     return classes
 
 
 def generate_ansatz_linear(tadpoles: bool = True) -> list[LeibnizGraph]:
     classes = generate_linear_classes(tadpoles)
-    out: list[LeibnizGraph] = []
-    for name in LINEAR_CLASS_ORDER:
-        out.extend(classes[name])
-    return out
+    return [L for name in LINEAR_CLASS_ORDER for L in classes[name]]
 
 
 def generate_ansatz_quadratic(tadpoles: bool = True) -> list[LeibnizGraph]:
@@ -328,16 +308,13 @@ def generate_ansatz_quadratic(tadpoles: bool = True) -> list[LeibnizGraph]:
     such patterns with tadpoles allowed, three without.
     """
     wedge, jacA, jacB = 3, 4, 5
-    out: list[LeibnizGraph] = []
     # one Jacobiator on two sinks, the other on the third
-    wedge_pairs = ([(wedge, jacA), (wedge, jacB)] if tadpoles else []) + [(jacA, jacB)]
-    for third in (wedge, jacB):
-        for wp in wedge_pairs:
-            out.append(LeibnizGraph(3, (wp,), ((0, 1, third), (2, wedge, jacA))))
+    out = [LeibnizGraph(3, (wp,), ((0, 1, third), (2, wedge, jacA)))
+           for third in (wedge, jacB)
+           for wp in _wedge_pairs(wedge, (), [jacA], jacB, tadpoles)]
     # both Jacobiators on one sink each, the wedge on the third
-    xs = ([wedge] if tadpoles else []) + [jacA]
-    for x in xs:
-        out.append(LeibnizGraph(3, ((2, x),), ((0, wedge, jacB), (1, wedge, jacA))))
+    out += [LeibnizGraph(3, (wp,), ((0, wedge, jacB), (1, wedge, jacA)))
+            for wp in _wedge_pairs(wedge, (2,), [], jacA, tadpoles)]
     return out
 
 
@@ -349,34 +326,15 @@ def generate_bivector_leibniz(tadpoles: bool = True) -> list[LeibnizGraph]:
     """
     w1, w2, jac = 2, 3, 4
     seen = {}
-    sources = (w1, w2, jac)
-    for s0 in sources:
-        for s1 in sources:
-            ground = {w1: [], w2: [], jac: []}
-            ground[s0].append(0)
-            ground[s1].append(1)
-            if len(ground[jac]) > 2:
-                continue
-            jac_free = [list(c) for c in combinations(
-                [v for v in (w1, w2)], 3 - len(ground[jac]))]
-            w1_free = list(combinations(_free_options(w1, [w2], jac, tadpoles),
-                                        2 - len(ground[w1])))
-            w2_free = list(combinations(_free_options(w2, [w1], jac, tadpoles),
-                                        2 - len(ground[w2])))
-            for jf in jac_free:
-                jt = tuple(ground[jac] + jf)
-                if len(set(jt)) != 3:
-                    continue
-                for f1 in w1_free:
-                    for f2 in w2_free:
-                        p1 = tuple(sorted(ground[w1] + list(f1)))
-                        p2 = tuple(sorted(ground[w2] + list(f2)))
-                        if len(p1) != 2 or len(p2) != 2 or p1[0] == p1[1] or p2[0] == p2[1]:
-                            continue
-                        L = LeibnizGraph(2, (p1, p2), (jt,))
-                        enc, sign = leibniz_normal_form(L)
-                        if sign != 0 and enc not in seen:
-                            seen[enc] = L
+    for on in product((w1, w2, jac), repeat=2):
+        ground = {v: [s for s in (0, 1) if on[s] == v] for v in (w1, w2, jac)}
+        for jt, p1, p2 in product(_targets(ground[jac], (w1, w2), 3),
+                                  _wedge_pairs(w1, ground[w1], [w2], jac, tadpoles),
+                                  _wedge_pairs(w2, ground[w2], [w1], jac, tadpoles)):
+            L = LeibnizGraph(2, (p1, p2), (jt,))
+            enc, sign = leibniz_normal_form(L)
+            if sign != 0 and enc not in seen:
+                seen[enc] = L
     return [seen[k] for k in sorted(seen)]
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
-from .graphs import GraphError, GraphSum
+from .graphs import GraphError, GraphSum, perm_sign
 from .leibniz import (LeibnizGraph, expand, expand_combination, generate_ansatz_linear,
                       generate_ansatz_quadratic, generate_bivector_leibniz, leibniz_normal_form)
-from .ops import alternation, one_vector_graphs, perm_sign, schouten_bracket, tetra_flow, wedge_sum
+from .ops import alternation, one_vector_graphs, schouten_bracket, tetra_flow, wedge_sum
 from .reference import lhs_table
 
 

@@ -18,11 +18,12 @@ constant (see tests).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 from .graphs import (GraphError, GraphSum, KontsevichGraph, graph_from_encoding,
-                     normal_form)
+                     normal_form, perm_sign)
+from .reference import PRESENTATION_SCALE
 
 # Oriented tetrahedra on four internal vertices (two sinks, labels 2..5).
 # GAMMA1 is skew in its sinks; GAMMA2_PRIME is not and enters the flow
@@ -73,16 +74,6 @@ def insert_terms(a: KontsevichGraph, i: int, b: KontsevichGraph):
         for (k, s), tgt in zip(slots, assignment):
             pairs[k][s] = tgt
         yield KontsevichGraph(m, n, tuple(tuple(p) for p in pairs) + b_pairs)
-
-
-def perm_sign(sigma) -> int:
-    """Sign of the permutation that sorts ``sigma``, a sequence of distinct values."""
-    sign = 1
-    for x in range(len(sigma)):
-        for y in range(x + 1, len(sigma)):
-            if sigma[x] > sigma[y]:
-                sign = -sign
-    return sign
 
 
 def _signed_sink_sum(s: GraphSum, m: int, scale: Fraction) -> GraphSum:
@@ -179,12 +170,11 @@ def lhs_trivector(a: Fraction | int, b: Fraction | int) -> GraphSum:
 def one_vector_graphs(internal: int = 3, tadpoles: bool = True) -> list[KontsevichGraph]:
     """All 1-vector Kontsevich graphs: one sink of in-degree 1, distinct
     normal forms only."""
-    from itertools import combinations, product as _product
     m = 1
     verts = list(range(m + internal))
     pair_sets = list(combinations(verts, 2))
     seen: dict[tuple, KontsevichGraph] = {}
-    for pairs in _product(pair_sets, repeat=internal):
+    for pairs in product(pair_sets, repeat=internal):
         if not tadpoles and any(m + k in p for k, p in enumerate(pairs)):
             continue
         indeg0 = sum(1 for p in pairs for t in p if t == 0)
@@ -213,7 +203,6 @@ def collect_skew_orbits(s: GraphSum, m: int) -> list[tuple[tuple[int, int, tuple
     sum_i (c_i / PRESENTATION_SCALE) * alternation(rep_i) with the scale of
     the reference orbit table.
     """
-    from .reference import PRESENTATION_SCALE
     validate_multivector(s, m)
     remaining = dict(s.terms)
     out = []

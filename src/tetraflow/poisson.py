@@ -29,7 +29,7 @@ from itertools import permutations, product
 from operator import or_
 import random
 
-from .graphs import GraphError, GraphSum, KontsevichGraph, parse_lines
+from .graphs import GraphError, GraphSum, KontsevichGraph, parse_lines, quote
 
 
 # Exponent packing (Kronecker substitution, as in Monagan & Pearce's sparse
@@ -537,6 +537,8 @@ def gamma2(P: PolyMultivector) -> PolyMultivector:
     M: dict[tuple[int, int], Polynomial] = {}
     for (i, j), pij in signed.items():
         for (k, mm), pkm in signed.items():
+            if mm == i:  # the antisymmetrization never reads M^{ii}
+                continue
             t1 = pij.diff(k)
             if t1.is_zero():
                 continue
@@ -553,7 +555,7 @@ def gamma2(P: PolyMultivector) -> PolyMultivector:
                         continue
                     term = (t2 * s2 * signed[kp, l].diff(mp)
                             * signed[mp, lp].diff(j))
-                    if i != mm and not term.is_zero():
+                    if not term.is_zero():
                         M[i, mm] = M[i, mm] + term if (i, mm) in M else term
     out = PolyMultivector(P.dim, 2)
     half = Fraction(1, 2)
@@ -718,7 +720,7 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
 
     def mul(p: Polynomial, q: Polynomial) -> Polynomial:
         if _parse_size(p) * _parse_size(q) > PARSE_MAX_PRODUCT:
-            raise GraphError(f"polynomial too large in {text[:40]!r}")
+            raise GraphError(f"polynomial too large in {quote(text)}")
         return p * q
 
     def parse_term() -> Polynomial:
@@ -735,7 +737,7 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
             try:  # a token is an integer iff it is a digit run; int() refuses too many digits
                 k = int(take())
             except (TypeError, ValueError) as exc:
-                raise GraphError(f"expected integer exponent in {text[:40]!r}") from exc
+                raise GraphError(f"expected integer exponent in {quote(text)}") from exc
             out = Polynomial.const(dim, 1)
             for bit in bin(k)[2:]:  # square and multiply, leading bit first
                 out = mul(out, out)
@@ -747,11 +749,11 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
     def parse_atom() -> Polynomial:
         t = take()
         if t is None:
-            raise GraphError(f"unexpected end of polynomial {text[:40]!r}")
+            raise GraphError(f"unexpected end of polynomial {quote(text)}")
         if t == "(":
             p = parse_expr()
             if take() != ")":
-                raise GraphError(f"unbalanced parentheses in {text[:40]!r}")
+                raise GraphError(f"unbalanced parentheses in {quote(text)}")
             return p
         if t == "-":
             return -parse_atom()
@@ -759,27 +761,27 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
             try:
                 i = int(t[1:])
             except ValueError as exc:  # more digits than int() converts
-                raise GraphError(f"variable index too large in {text[:40]!r}") from exc
+                raise GraphError(f"variable index too large in {quote(text)}") from exc
             if not 1 <= i <= dim:
                 raise GraphError(f"variable {t[:40]} out of range for dimension {dim}")
             return Polynomial.var(dim, i - 1)
         try:
             return Polynomial.const(dim, _num(Fraction(t)))
         except (ValueError, ZeroDivisionError) as exc:
-            raise GraphError(f"bad token {t[:40]!r} in polynomial {text[:40]!r}") from exc
+            raise GraphError(f"bad token {quote(t)} in polynomial {quote(text)}") from exc
 
     try:
         p = parse_expr()
     except RecursionError as exc:
-        raise GraphError(f"polynomial nested too deeply: {text[:40]!r}...") from exc
+        raise GraphError(f"polynomial nested too deeply: {quote(text)}...") from exc
     if peek() is not None:
-        raise GraphError(f"trailing tokens in polynomial {text[:40]!r}")
+        raise GraphError(f"trailing tokens in polynomial {quote(text)}")
     return p
 
 
 def _tokenize(text: str) -> list[str]:
     if not text.isascii():  # str.isdigit would accept digits like '²'
-        raise GraphError(f"non-ASCII character in polynomial {text[:40]!r}")
+        raise GraphError(f"non-ASCII character in polynomial {quote(text)}")
     toks = []
     i = 0
     while i < len(text):
@@ -823,18 +825,18 @@ def parse_poisson_file(text: str) -> PolyMultivector:
             try:
                 d = int(line)
             except ValueError as exc:
-                raise GraphError(f"bad dimension line {line[:40]!r}") from exc
+                raise GraphError(f"bad dimension line {quote(line)}") from exc
             if d < 1:
                 raise GraphError(f"dimension {line[:40]} is not positive")
             P = PolyMultivector(d, 2)
             return
         parts = line.split(None, 2)
         if len(parts) != 3:
-            raise GraphError(f"bad component line {line[:40]!r}")
+            raise GraphError(f"bad component line {quote(line)}")
         try:
             i, j = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise GraphError(f"bad component indices in {line[:40]!r}") from exc
+            raise GraphError(f"bad component indices in {quote(line)}") from exc
         if not 1 <= i < j <= P.dim:
             raise GraphError(f"component indices {parts[0][:20]} {parts[1][:20]} out of range")
         P.add_component((i - 1, j - 1), parse_polynomial(parts[2], P.dim))

@@ -1,11 +1,14 @@
+import hashlib
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from tetraflow import reference
 from tetraflow.cli import main
-from tetraflow.graphs import parse_lines, read_graph_sum
+from tetraflow.graphs import parse_lines, read_graph_lines, read_graph_sum
+from tetraflow.ops import collect_skew_orbits, lhs_trivector
 from tetraflow.poisson import MAX_EXPONENT
 
 
@@ -110,6 +113,52 @@ def test_gen_ansatz_and_count(tmp_path, capsys):
     text = capsys.readouterr().out
     for token in ("216", "432", "108", "288", "24", "64", "1132"):
         assert token in text
+
+
+# line count and sha256 prefix of each ansatz family as written by gen-ansatz
+GEN_ANSATZ = {
+    "linear": ([], 1132, "cab4cd13deb98f4e"),
+    "quadratic": (["--quadratic"], 8, "24046f30a06ebc34"),
+    "linear, no tadpoles": (["--no-tadpoles"], 252, "e7fd47477c3ff4ce"),
+    "quadratic, no tadpoles": (["--quadratic", "--no-tadpoles"], 3, "b9e0b0e04b46d86e"),
+}
+
+
+@pytest.mark.parametrize("flags, lines, digest", GEN_ANSATZ.values(), ids=GEN_ANSATZ.keys())
+def test_gen_ansatz_families_are_pinned(tmp_path, flags, lines, digest):
+    out = tmp_path / "ansatz.txt"
+    assert run(["gen-ansatz", *flags, str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data.splitlines()) == lines
+    assert hashlib.sha256(data).hexdigest().startswith(digest)
+
+
+def test_count_without_tadpoles(capsys):
+    assert run(["count", "--no-tadpoles"]) == 0
+    out = capsys.readouterr().out
+    assert "total        252\n" in out
+    assert "sink-labelled patterns across all assignments: 1026 " in out
+
+
+def test_count_rows(capsys):
+    assert run(["count", "--rows"]) == 0
+    assert "assembled rows (admissible graph universe): 6926 " in capsys.readouterr().out
+
+
+def test_lhs_collect_writes_the_skew_orbits(tmp_path):
+    out = tmp_path / "orbits.txt"
+    assert run(["lhs", "--ratio", "1/4:3/2", "--collect", str(out)]) == 0
+    orbits = collect_skew_orbits(lhs_trivector(Fraction(1, 4), Fraction(3, 2)), 3)
+    assert len(orbits) == 9
+    assert [(g.key, c) for g, c in read_graph_lines(out.read_text())] == orbits
+    assert run(["lhs", "--ratio", "0:0", "--collect", str(out)]) == 0
+    assert out.read_text() == ""
+
+
+def test_solve_without_support_minimization_verifies(tmp_path):
+    out = tmp_path / "solution.txt"
+    assert run(["solve", "--no-min-support", str(out)]) == 0
+    assert run(["verify", "--solution", str(out)]) == 0
 
 
 def test_jacobi_command(tmp_path):
@@ -276,6 +325,32 @@ def test_long_input_error_is_one_short_line(tmp_path, capsys, argv, content):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert len(err) <= 200, err[:300]
+
+
+# lines past the size limits: 10^50 sinks; ten internal vertices on one
+# target pair, whose normal form follows 10! tied branches; and eight wedges
+# all onto the Jacobiator, 3 * 4^8 labelled terms once expanded, in the bar
+# and in the placeholder encoding
+OVERSIZED = {
+    "sinks": (["reduce", "IN", "OUT"], "9" * 50 + " 0 1\n"),
+    "tied vertices": (["reduce", "IN", "OUT"], "2 10" + " 0 1" * 10 + " 1\n"),
+    "expansion": (["verify", "--solution", "IN"], "1 8" + " 9" * 16 + " | 0 1 2 1\n"),
+    "placeholder expansion": (["verify", "--placeholder-encoding", "--solution", "IN"],
+                              "1 10" + " 9" * 16 + " 1 2 9 0 1\n"),
+}
+
+
+@pytest.mark.parametrize("argv, content", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_oversized_line_is_refused_fast(tmp_path, capsys, argv, content):
+    src = tmp_path / "in.txt"
+    src.write_text(content)
+    argv = [{"IN": str(src), "OUT": str(tmp_path / "out.txt")}.get(a, a) for a in argv]
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: ") and len(err.splitlines()) == 1
     assert len(err) <= 200, err[:300]
 
 

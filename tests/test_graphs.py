@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetraflow import reference
-from tetraflow.graphs import (_NF_CACHE, GraphError, GraphSum, KontsevichGraph,
-                              graph_from_encoding, normal_form,
+from tetraflow.graphs import (_NF_CACHE, MAX_INTERNAL, MAX_SINKS, GraphError, GraphSum,
+                              KontsevichGraph, graph_from_encoding, normal_form,
                               parse_graph_line, parse_lines, read_graph_lines,
                               read_graph_sum, serialize_graph)
 
@@ -37,6 +37,15 @@ def test_parse_wedge():
 def test_parse_errors(line):
     with pytest.raises(GraphError):
         parse_graph_line(line)
+
+
+def test_graph_line_size_limits():
+    assert parse_graph_line(f"{MAX_SINKS} 0 1")[0].sink_count == MAX_SINKS
+    n = MAX_INTERNAL
+    assert parse_graph_line(f"2 {n} {'0 1 ' * n}1")[0].internal_count == n
+    for line in (f"{MAX_SINKS + 1} 0 1", f"2 {n + 1} {'0 1 ' * (n + 1)}1"):
+        with pytest.raises(GraphError, match="outside the limits"):
+            parse_graph_line(line)
 
 
 def test_normal_form_swap_sign():

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from tetraflow import reference
-from tetraflow.graphs import GraphError, normal_form, parse_lines, read_graph_lines
+from tetraflow.graphs import (MAX_INTERNAL, MAX_SINKS, GraphError, normal_form, parse_lines,
+                              read_graph_lines)
 from tetraflow.leibniz import (LINEAR_CLASS_ORDER, LeibnizGraph, expand,
                                expand_combination, expand_terms,
                                generate_ansatz_linear,
@@ -172,6 +173,46 @@ def test_placeholder_encoding_round_trip():
     body = parse_lines(text, str)
     for (L, c), line in zip(rows, body):
         assert serialize_leibniz_placeholder(L, c) == " ".join(line.split())
+
+
+def test_placeholder_line_is_a_graph_line_with_a_jacobiator():
+    L, c = parse_leibniz_placeholder_line("3 5 0 6 1 6 2 6 3 4 6 5 -1/4")
+    assert L == LeibnizGraph(3, ((0, 6), (1, 6), (2, 6)), ((3, 4, 5),))
+    assert c == Fraction(-1, 4)
+    for line in ("3 1 0 1 1",            # no room for the Jacobiator
+                 "3 2 0 1 5 2 1",        # second vertex is not the placeholder
+                 "3 3 0 5 1 2 4 3 1",    # wedge edge onto the hidden vertex 5
+                 "3 2 0 1 3 2",          # missing coefficient
+                 "-1 6 0 1 0 1 0 1 0 1 0 1 3 2 1"):  # negative sink count
+        with pytest.raises(GraphError):
+            parse_leibniz_placeholder_line(line)
+
+
+def test_size_limits_clear_every_shipped_and_generated_pattern():
+    patterns = [L for L, _ in reference.solution_rows_printed()]
+    for tad in (True, False):
+        patterns += generate_ansatz_linear(tad) + generate_ansatz_quadratic(tad)
+        patterns += generate_bivector_leibniz(tad)
+    for L in patterns:
+        assert L.sink_count <= MAX_SINKS and L.wedge_count + 2 * L.jac_count <= 5
+        assert parse_leibniz_line(serialize_leibniz(L, 1))[0] == L
+    assert MAX_INTERNAL >= 5
+
+
+def test_size_limits_count_the_expanded_internal_vertices():
+    w = MAX_INTERNAL - 2  # the Jacobiator expands to two vertices
+    jac = 3 + w
+    wedges = " ".join(f"0 {jac}" for _ in range(w))
+    assert parse_leibniz_line(f"3 {w} {wedges} | 0 1 2 1")[0].wedge_count == w
+    assert parse_leibniz_placeholder_line(f"3 {w + 2} {wedges} 1 2 {jac} 0 1")[0].wedge_count == w
+    with pytest.raises(GraphError, match="internal vertices"):
+        parse_leibniz_line(f"3 {w + 1} {wedges} 0 1 | 0 1 2 1")
+    with pytest.raises(GraphError, match="internal vertices"):
+        parse_leibniz_line(f"3 {w - 1} {wedges.split(' ', 2)[2]} | 0 1 2 | 0 1 2 1")
+    with pytest.raises(GraphError, match="internal vertices"):
+        parse_leibniz_placeholder_line(f"3 {w + 3} {wedges} 0 1 1 2 {jac + 1} 0 1")
+    with pytest.raises(GraphError, match="sinks"):
+        parse_leibniz_line(f"{MAX_SINKS + 1} 0 | 0 1 2 1")
 
 
 def test_native_encoding_round_trip():

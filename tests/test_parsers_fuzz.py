@@ -11,13 +11,16 @@ exponent, a coefficient, a target or an index is read; the line alphabet
 also holds ``BIG``, a 4000-digit integer that ``int()`` converts, so it
 becomes a count or a target.  An error from any of these parsers quotes at
 most 40 characters of its input and at most 20 digits of an integer, so its
-message is at most MAX_MESSAGE characters long, however long the input is.
+message is at most MAX_MESSAGE characters long, however long the input is
+and however its characters escape: ``repr`` writes one character as up to
+ten, and the pinned examples below are lines whose errors ran to 201 and
+more characters when quotes were cut before escaping.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tetraflow.graphs import GraphError, parse_graph_line
+from tetraflow.graphs import GraphError, parse_coeff, parse_graph_line
 from tetraflow.leibniz import parse_leibniz_line, parse_leibniz_placeholder_line
 from tetraflow.poisson import parse_poisson_file, parse_polynomial
 
@@ -113,6 +116,8 @@ def test_fuzz_parse_leibniz_line(text):
 
 @FUZZ
 @given(LINE_TEXT)
+@example("\x80" * 15 + "\u0378" * 20 + " y y 1")  # bad prefix
+@example("0 0 " + "\u0378" * 28 + " y y 1")         # wrong token count
 def test_fuzz_parse_leibniz_placeholder_line(text):
     returns_or_raises_graph_error(parse_leibniz_placeholder_line, text, MAX_MESSAGE)
 
@@ -127,6 +132,20 @@ def test_fuzz_parse_polynomial(text, dim):
 @given(POISSON_TEXT)
 def test_fuzz_parse_poisson_file(text):
     returns_or_raises_graph_error(parse_poisson_file, text, MAX_MESSAGE)
+
+
+# a character that ``repr`` escapes to ten
+TAGS = "\U000e0001" * 40
+
+
+@pytest.mark.parametrize("parse", [
+    parse_graph_line, parse_leibniz_line, parse_leibniz_placeholder_line, parse_coeff,
+    lambda t: parse_polynomial(t, 3), parse_poisson_file,
+], ids=["graph", "leibniz", "placeholder", "coeff", "polynomial", "structure"])
+def test_escaped_quote_is_short(parse):
+    with pytest.raises(GraphError) as exc:
+        parse(TAGS)
+    assert len(str(exc.value)) <= MAX_MESSAGE
 
 
 NINES = "9" * 5000
