@@ -13,8 +13,14 @@ polynomial or product past that raises GraphError rather than letting a
 field spill into the next.  Exponent tuples appear only at the boundaries:
 the ``Polynomial`` constructor packs them, ``exponent_terms`` and the
 printed form unpack (the printed form and ``degree`` only up to the highest
-variable used).  ``eval_graph`` multiplies vertex factors depth-first and
-merges each leaf into its ``PolyOperator`` in place.
+variable used).
+
+``eval_graph`` contracts a graph as a tensor network over its edge indices
+(variable elimination): it assigns the internal vertices one at a time and
+keeps, per state of the edge indices still needed, the sum of the partial
+products that reach it, so a partial product many assignments share is
+formed once.  The vertex order minimizes the states visited, by an exact
+dynamic program over the vertex subsets (``_contraction_order``).
 
 The oracle walks the stored components of a bi-vector, both index orders
 of each (``_signed_pairs``), and never the d(d-1) index pairs of R^d: its
@@ -26,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations, product
-from operator import or_
+from operator import itemgetter, or_
 import random
 
 from .graphs import GraphError, GraphSum, KontsevichGraph, parse_lines, quote
@@ -207,6 +213,18 @@ class Polynomial:
         return text
 
 
+def _merge(terms: dict, other: dict, scale=1) -> None:
+    """Add ``scale`` times the monomials ``other`` to ``terms``, in place,
+    dropping the coefficients that cancel."""
+    get = terms.get
+    for e, c in other.items():
+        new = get(e, 0) + c * scale
+        if new:
+            terms[e] = new
+        else:
+            del terms[e]
+
+
 def _num(c):
     """Normalize a coefficient: plain int when integral, Fraction otherwise."""
     if isinstance(c, int):
@@ -326,15 +344,8 @@ class PolyOperator:
             if p.terms:
                 self.terms[key] = p.scaled(scale)
             return
-        terms = mine.terms
-        get = terms.get
-        for e, c in p.terms.items():
-            new = get(e, 0) + c * scale
-            if new:
-                terms[e] = new
-            else:
-                del terms[e]
-        if not terms:
+        _merge(mine.terms, p.terms, scale)
+        if not mine.terms:
             del self.terms[key]
 
     def add_op(self, other: "PolyOperator", scale=1) -> None:
@@ -405,9 +416,19 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
 
     Every internal vertex contributes the P component of its (left, right)
     edge indices, differentiated by the indices of its incoming edges; sink
-    multi-indices collect the indices of edges into each sink.  Assignments
-    are enumerated depth-first so that a vanishing vertex factor prunes the
-    whole subtree.
+    multi-indices collect the indices of edges into each sink.
+
+    The sum is contracted one internal vertex at a time, in the order of
+    ``_contraction_order``.  A state is the tuple of index values on the
+    live edge positions: assigned ones that a sink or a factor not yet
+    multiplied in still reads.  After each step a dict maps every state to
+    the sum of the partial products of all assignments that reach it.  A
+    step takes each state through every index pair of the new vertex, sums
+    the product of the factors the pair completes over all pairs that lead
+    to the same next state, and multiplies that sum into the state's
+    polynomial once; a pair with a vanishing factor drops out.  The final
+    states are keyed by the sink positions alone, and each enters the
+    operator through one ``PolyOperator.add``.
     """
     if P.arity != 2:
         raise GraphError("eval_graph expects a bi-vector")
@@ -427,21 +448,24 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
     if not signed:
         return op
 
-    # the edges of internal vertex k carry the indices flat[2k] (left) and
-    # flat[2k + 1] (right); incoming[v] lists the flat positions of v's
-    # incoming edges
+    # the edges of internal vertex k sit at positions 2k (left) and 2k + 1
+    # (right); incoming[v] lists the positions of v's incoming edges
+    target = [t for pair in g.targets for t in pair]
     incoming: list[list[int]] = [[] for _ in range(m + n)]
-    for k, (a, b) in enumerate(g.targets):
-        incoming[a].append(2 * k)
-        incoming[b].append(2 * k + 1)
+    for pos, t in enumerate(target):
+        incoming[t].append(pos)
+    # vertex k's factor reads the positions reads[k]: k's own pair, then
+    # its incoming edges; it is multiplied in once the vertices in the bit
+    # set ready[k] (k and the sources of those edges) are assigned
+    reads = [(2 * k, 2 * k + 1, *incoming[m + k]) for k in range(n)]
+    ready = [reduce(or_, (1 << (pos >> 1) for pos in r)) for r in reads]
+    # a position dies once both factors reading it are in; one into a sink
+    # never does (bit n lies outside every vertex set)
+    dies = [ready[pos >> 1] | ready[t - m] if t >= m else 1 << n
+            for pos, t in enumerate(target)]
 
-    # vertex k's factor is computable once k and all sources of its
-    # incoming edges are assigned; it is looked up by the flat positions of
-    # k's own pair followed by those of its incoming edges
-    completed_at: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for k in range(n):
-        ready = max([k] + [pos // 2 for pos in incoming[m + k]])
-        completed_at[ready].append((2 * k, 2 * k + 1, *incoming[m + k]))
+    def live(S: int) -> list[int]:
+        return [pos for pos in range(2 * n) if S >> (pos >> 1) & 1 and dies[pos] & ~S]
 
     if P._dcache is None:
         P._dcache = {}
@@ -462,32 +486,90 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
         dcache[key] = p
         return p
 
-    one = Polynomial.const(d, 1)
-    flat = [0] * (2 * n)
-    at = flat.__getitem__
+    pairs = list(signed)
+    base = len({i for i, _ in pairs})
+    states = {(): Polynomial.const(d, 1)}
+    positions: list[int] = []
+    S = 0
+    for v in _contraction_order(n, live, base):
+        S |= 1 << v
+        # a row is a state followed by the new vertex's pair
+        at = {pos: i for i, pos in enumerate(positions + [2 * v, 2 * v + 1])}
+        positions = live(S)
+        next_state = _getter([at[pos] for pos in positions])
+        factors = [_getter([at[pos] for pos in reads[k]])
+                   for k in range(n) if ready[k] >> v & 1 and not ready[k] & ~S]
+        nxt: dict[tuple[int, ...], Polynomial] = {}
+        for state, partial in states.items():
+            if not partial.terms:
+                continue
+            if not factors:
+                # nothing dies, so no two rows share a next state
+                for pair in pairs:
+                    nxt[next_state(state + pair)] = partial
+                continue
+            sums: dict[tuple[int, ...], dict] = {}
+            for pair in pairs:
+                row = state + pair
+                prod = None
+                for factor in factors:
+                    key = factor(row)
+                    dp = dcache.get(key)
+                    if dp is None:
+                        dp = deriv(key)
+                    if not dp.terms:
+                        break
+                    prod = dp if prod is None else prod * dp
+                else:
+                    key = next_state(row)
+                    acc = sums.get(key)
+                    if acc is None:
+                        sums[key] = dict(prod.terms)
+                    else:
+                        _merge(acc, prod.terms)
+            for key, terms in sums.items():
+                if terms:
+                    new = partial * Polynomial._packed(d, terms)
+                    old = nxt.get(key)
+                    if old is None:
+                        nxt[key] = new
+                    else:
+                        _merge(old.terms, new.terms)
+        states = nxt
 
-    def walk(t: int, partial: Polynomial) -> None:
-        if t == n:
-            op.add(tuple(tuple(sorted(map(at, incoming[s]))) for s in range(m)), partial)
-            return
-        left = 2 * t
-        for i, j in signed:
-            flat[left] = i
-            flat[left + 1] = j
-            factor = partial
-            for positions in completed_at[t]:
-                key = tuple(map(at, positions))
-                dp = dcache.get(key)
-                if dp is None:
-                    dp = deriv(key)
-                if not dp.terms:
-                    break
-                factor = factor * dp
-            else:
-                walk(t + 1, factor)
-
-    walk(0, one)
+    at = {pos: i for i, pos in enumerate(positions)}
+    sink_at = [[at[pos] for pos in incoming[s]] for s in range(m)]
+    for state, partial in states.items():
+        if partial.terms:
+            op.add(tuple(tuple(sorted(state[i] for i in idx)) for idx in sink_at), partial)
     return op
+
+
+def _contraction_order(n: int, live, base: int) -> list[int]:
+    """The order of the n internal vertices that minimizes the sum, over
+    the steps, of base ** (number of live positions before the step), the
+    bound on the rows a step visits; ties go to the lexicographically
+    first order.  The live set after assigning a vertex set depends only on
+    that set, so a dynamic program over the 2^n subsets is exact."""
+    full = (1 << n) - 1
+    cost = [0] * (full + 1)
+    for S in range(full - 1, -1, -1):
+        cost[S] = base ** len(live(S)) + min(
+            cost[S | 1 << v] for v in range(n) if not S >> v & 1)
+    order, S = [], 0
+    while S != full:
+        v = min((v for v in range(n) if not S >> v & 1), key=lambda v: cost[S | 1 << v])
+        order.append(v)
+        S |= 1 << v
+    return order
+
+
+def _getter(idx: list[int]):
+    """The function taking a tuple to the tuple of its entries at ``idx``."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda t: (t[i],)
+    return itemgetter(*idx) if idx else lambda t: ()
 
 
 def eval_graph_sum(s: GraphSum, P: PolyMultivector) -> PolyOperator:
@@ -796,7 +878,7 @@ def _tokenize(text: str) -> list[str]:
             while j < len(text) and text[j].isdigit():
                 j += 1
             if j == i + 1:
-                raise GraphError(f"bad variable at {text[i:i + 40]!r}")
+                raise GraphError(f"bad variable at {quote(text[i:])}")
             toks.append(text[i:j])
             i = j
         elif ch.isdigit():

@@ -9,7 +9,7 @@ from tetraflow import reference
 from tetraflow.cli import main
 from tetraflow.graphs import parse_lines, read_graph_lines, read_graph_sum
 from tetraflow.ops import collect_skew_orbits, lhs_trivector
-from tetraflow.poisson import MAX_EXPONENT
+from tetraflow.poisson import MAX_EXPONENT, random_bivector
 
 
 def run(args):
@@ -376,4 +376,27 @@ def test_oracle_time_follows_stored_components_not_dimension(tmp_path, capsys, c
         assert time.perf_counter() - start < 5
         outputs.append(capsys.readouterr().out)
     assert "nonzero" in outputs[0] or "1;2;3" in outputs[0]
+    assert outputs[1] == outputs[0]
+
+
+# a graph of 8 internal vertices, and the same graph with internal vertices
+# 2..9 relabelled 9..2; the depth-first walk over index pairs took more than
+# 90 s on it with the dense structure below, on a shared 2-core host
+EIGHT_INTERNAL = ("2 8 0 1 1 6 2 5 4 3 0 2 6 9 9 5 8 7 1\n",
+                  "2 8 3 4 2 6 5 2 0 9 7 8 9 6 1 5 0 1 1\n")
+
+
+def test_eval_of_eight_internal_vertices_is_fast_and_label_free(tmp_path, capsys):
+    src = tmp_path / "p.txt"
+    src.write_text("\n".join(["3", *random_bivector(3, 3, random.Random(9)).lines()]) + "\n")
+    outputs = []
+    for k, line in enumerate(EIGHT_INTERNAL):
+        graphs = tmp_path / f"g{k}.txt"
+        graphs.write_text(line)
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run(["eval", "--poisson", str(src), "--graphs", str(graphs)]) == 0
+        assert time.perf_counter() - start < 15
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] != "0\n"
     assert outputs[1] == outputs[0]

@@ -7,10 +7,11 @@ import pytest
 
 import oracle_reference as ref
 from tetraflow import reference
-from tetraflow.graphs import GraphSum
+from tetraflow.graphs import GraphSum, KontsevichGraph
 from tetraflow.ops import GAMMA1, tetra_flow
-from tetraflow.poisson import (MAX_EXPONENT, Polynomial, eval_graph, eval_graph_sum,
-                               jacobi_check, random_bivector, sparse_random_bivector)
+from tetraflow.poisson import (MAX_EXPONENT, Polynomial, PolyOperator, eval_graph,
+                               eval_graph_sum, jacobi_check, random_bivector,
+                               sparse_random_bivector)
 
 
 def random_terms(rng, d, top):
@@ -102,3 +103,80 @@ def test_eval_graph_matches_tuple_walker(name, sum_name):
     total = eval_graph_sum(s, P)
     assert total == ref.linear_combination(P.dim, [(op, c) for (_, c), op in zip(terms, want)])
     assert total.is_zero() == ((name, sum_name) in ZERO_SUMS)
+
+
+# Random graphs for the contraction gate: m in 0-3 sinks, n in 0-5 internal
+# vertices, each target uniform over all vertices, so self-loops (tadpoles),
+# double edges and cycles all occur; the bi-vectors are dense and sparse, d
+# = 2, 3 and 4, of degree 1-3.
+GATE_GRAPHS = 320
+GATE_BIVECTORS = [
+    make(d, deg, random.Random(7000 + 10 * d + deg))
+    for d in (2, 3, 4) for deg in (1, 2, 3)
+    for make in (random_bivector, sparse_random_bivector)]
+# the tuple walker visits up to (stored pairs)^n leaves; a graph is paired
+# only with bi-vectors that keep this bound small, so that the dense d = 4
+# ones meet the smaller graphs
+GATE_MAX_LEAVES = 2000
+
+
+def random_graph(rng) -> KontsevichGraph:
+    m, n = rng.randint(0, 3), rng.randint(0, 5)
+    if m + n == 0:
+        return KontsevichGraph(0, 0, ())
+    return KontsevichGraph(m, n, tuple((rng.randrange(m + n), rng.randrange(m + n))
+                                       for _ in range(n)))
+
+
+def has_cycle(g: KontsevichGraph) -> bool:
+    """A directed cycle of two or more internal vertices."""
+    m, n = g.sink_count, g.internal_count
+    succ = [{t - m for t in pair if t >= m and t - m != k} for k, pair in enumerate(g.targets)]
+    reach = [set(s) for s in succ]
+    for _ in range(n):
+        reach = [r.union(*(reach[t] for t in r)) for r in reach]
+    return any(k in reach[k] for k in range(n))
+
+
+def relabelled(g: KontsevichGraph, rng) -> tuple[KontsevichGraph, int]:
+    """``g`` with its internal vertices permuted and the edge pair of some
+    vertices swapped, and the sign (-1)^(swaps) that the operator picks up."""
+    m, n = g.sink_count, g.internal_count
+    perm = rng.sample(range(n), n)
+    label = lambda v: v if v < m else m + perm[v - m]
+    targets = [None] * n
+    sign = 1
+    for k, (a, b) in enumerate(g.targets):
+        if rng.random() < 0.5:
+            a, b = b, a
+            sign = -sign
+        targets[perm[k]] = (label(a), label(b))
+    return KontsevichGraph(m, n, tuple(targets)), sign
+
+
+def test_contraction_matches_tuple_walker_on_random_graphs():
+    rng = random.Random(9090)
+    seen = {"self-loop": 0, "double edge": 0, "cycle": 0, "n = 0": 0, "m = 0": 0,
+            "nonzero": 0}
+    dims = set()
+    for _ in range(GATE_GRAPHS):
+        g = random_graph(rng)
+        fits = [P for P in GATE_BIVECTORS
+                if (2 * len(P.comps)) ** g.internal_count <= GATE_MAX_LEAVES]
+        P = rng.choice(fits)
+        dims.add(P.dim)
+        got = eval_graph(g, P)
+        assert got == ref.eval_graph(g, P), g
+        h, sign = relabelled(g, rng)
+        want = PolyOperator(P.dim)
+        want.add_op(got, sign)
+        assert eval_graph(h, P) == want, (g, h)
+        m = g.sink_count
+        seen["self-loop"] += any(m + k in pair for k, pair in enumerate(g.targets))
+        seen["double edge"] += any(a == b for a, b in g.targets)
+        seen["cycle"] += has_cycle(g)
+        seen["n = 0"] += g.internal_count == 0
+        seen["m = 0"] += m == 0
+        seen["nonzero"] += not got.is_zero()
+    assert dims == {2, 3, 4}
+    assert min(seen.values()) >= 10, seen

@@ -134,17 +134,22 @@ def test_fuzz_parse_poisson_file(text):
     returns_or_raises_graph_error(parse_poisson_file, text, MAX_MESSAGE)
 
 
-# a character that ``repr`` escapes to ten
+# a character that ``repr`` escapes to ten; the polynomial tokenizer refuses
+# non-ASCII text first, so a bad variable is followed by ASCII control
+# characters, which ``repr`` escapes to four
 TAGS = "\U000e0001" * 40
+CONTROLS = "x" + "\x01" * 100
 
 
-@pytest.mark.parametrize("parse", [
-    parse_graph_line, parse_leibniz_line, parse_leibniz_placeholder_line, parse_coeff,
-    lambda t: parse_polynomial(t, 3), parse_poisson_file,
-], ids=["graph", "leibniz", "placeholder", "coeff", "polynomial", "structure"])
-def test_escaped_quote_is_short(parse):
+@pytest.mark.parametrize("parse, text", [
+    (parse_graph_line, TAGS), (parse_leibniz_line, TAGS),
+    (parse_leibniz_placeholder_line, TAGS), (parse_coeff, TAGS),
+    (lambda t: parse_polynomial(t, 3), TAGS), (parse_poisson_file, TAGS),
+    (lambda t: parse_polynomial(t, 3), CONTROLS),
+], ids=["graph", "leibniz", "placeholder", "coeff", "polynomial", "structure", "bad variable"])
+def test_escaped_quote_is_short(parse, text):
     with pytest.raises(GraphError) as exc:
-        parse(TAGS)
+        parse(text)
     assert len(str(exc.value)) <= MAX_MESSAGE
 
 

@@ -30,7 +30,7 @@ def test_polynomial_arithmetic():
 
 
 def test_polynomial_parse_errors():
-    for bad in ("x0", "x4", "x1 +", "1/0", "x1 & x2", "((x1)",
+    for bad in ("x0", "x4", "x", "x1 + x*x2", "x1 +", "1/0", "x1 & x2", "((x1)",
                 "x1^\u00b2", "x\u00b2", "\u00b2", "x1^\u0663",
                 "(" * 300 + "x1" + ")" * 300, "-" * 2000 + "x1"):
         with pytest.raises(GraphError):
