@@ -16,9 +16,9 @@ from .graphs import (GraphError, format_graph_line, normal_form, parse_coeff, qu
 from .leibniz import (LINEAR_CLASS_ORDER, generate_ansatz_linear, generate_ansatz_quadratic,
                       generate_linear_classes, read_leibniz_file, serialize_leibniz,
                       sink_labelled_patterns)
-from .linsys import (assemble, build_columns, nontriviality_check, quadratic_part_check,
-                     solve_factorization, verify_factorization)
-from .ops import collect_skew_orbits, lhs_trivector, tetra_flow
+from .linsys import (assemble, build_columns, nontriviality_check, orbit_graph_count,
+                     quadratic_part_check, solve_factorization, verify_factorization)
+from .ops import collect_skew_orbits, lhs_trivector, skew_coordinates, tetra_flow
 from .poisson import eval_graph_sum, jacobi_check, parse_poisson_file, ratio_scan
 
 
@@ -109,8 +109,8 @@ def cmd_count(args) -> int:
           " (reference run-through counted 28,202 unknown slots with repetitions)")
     if args.rows:
         cols = build_columns(patterns)
-        system = assemble(reference.lhs_table(), [col for col, _ in cols])
-        print(f"assembled rows (admissible graph universe): {system.shape[0]}"
+        system = assemble(skew_coordinates(reference.lhs_table()), [col for col, _ in cols])
+        print(f"assembled rows (admissible graph universe): {orbit_graph_count(system.row_keys)}"
               " (reference run-through: 7,025)")
     return 0
 

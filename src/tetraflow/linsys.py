@@ -1,7 +1,13 @@
 """Exact rational linear systems over graph-sum rows.
 
-Rows are keyed by Kontsevich normal forms, columns by ansatz patterns; all
-arithmetic is in Fraction, so feasibility and residuals are exact.  The
+Rows are keyed by the keys of the sums put in, columns by ansatz patterns;
+all arithmetic is in Fraction, so feasibility and residuals are exact.  The
+factorization systems are written in orbit coordinates: a skew sum S is
+the sum of lambda_o * alternation(rep_o) over signed sink-permutation
+orbits o (``ops.orbit_sum``, ``ops.skew_coordinates``), so each row is one
+orbit representative rather than one graph normal form.  The map from skew
+sums to lambda is linear and injective, so every solution space in column
+coordinates, and with it every result, is the one the graph rows give.  The
 elimination picks sparse pivots (fewest-entries column, then shortest row)
 with deterministic tie-breaks, which keeps fill-in manageable on the
 factorization systems while staying reproducible.  One Gauss-Jordan pass
@@ -19,7 +25,8 @@ from itertools import permutations
 from .graphs import GraphError, GraphSum, perm_sign
 from .leibniz import (LeibnizGraph, expand, expand_combination, generate_ansatz_linear,
                       generate_ansatz_quadratic, generate_bivector_leibniz, leibniz_normal_form)
-from .ops import alternation, one_vector_graphs, schouten_bracket, tetra_flow, wedge_sum
+from .ops import (alternation, one_vector_graphs, orbit_sum, schouten_bracket,
+                  skew_coordinates, tetra_flow, wedge_sum)
 from .reference import lhs_table
 
 
@@ -44,15 +51,19 @@ class SolutionSpace:
     free_cols: list[int] = field(default_factory=list)
 
 
-def assemble(target: GraphSum, columns: list[GraphSum]) -> LinearSystem:
-    """Equate sum_j x_j * column_j to the target, row per graph normal form."""
-    sigs = set(target.signatures())
-    keys = set(target.terms)
-    for col in columns:
-        sigs.update(col.signatures())
-        keys.update(col.terms)
+def check_signatures(sums: list[GraphSum]) -> None:
+    """Refuse sums whose graphs do not all share one (sinks, internal) signature."""
+    sigs = set().union(*(s.signatures() for s in sums))
     if len(sigs) > 1:
         raise GraphError(f"signature mismatch across system: {sorted(sigs)}")
+
+
+def assemble(target: GraphSum, columns: list[GraphSum]) -> LinearSystem:
+    """Equate sum_j x_j * column_j to the target, row per key."""
+    check_signatures([target] + columns)
+    keys = set(target.terms)
+    for col in columns:
+        keys.update(col.terms)
     row_keys = sorted(keys)
     index = {k: i for i, k in enumerate(row_keys)}
     cols = [{index[k]: v for k, v in col.terms.items()} for col in columns]
@@ -226,13 +237,20 @@ def verify_factorization(solution: list[tuple[LeibnizGraph, Fraction]],
 
 
 def build_columns(patterns: list[LeibnizGraph]) -> list[tuple[GraphSum, LeibnizGraph]]:
-    """(alternated column, pattern) for every pattern whose column is nonzero."""
+    """(column, pattern) for every pattern whose alternated expansion is
+    nonzero, the column being that alternation in orbit coordinates."""
     out = []
     for L in patterns:
-        col = alternation(expand(L), L.sink_count)
+        col = orbit_sum(expand(L))
         if col:
             out.append((col, L))
     return out
+
+
+def orbit_graph_count(row_keys) -> int:
+    """The graph normal forms that orbit rows stand for: each orbit's size,
+    summed; the row count of the same system written over graphs."""
+    return sum(len(alternation(GraphSum({key: Fraction(1)}), key[0])) for key in row_keys)
 
 
 @dataclass
@@ -247,9 +265,17 @@ def solve_factorization(target: GraphSum, patterns: list[LeibnizGraph],
                         min_support: bool = True,
                         columns: list[tuple[GraphSum, LeibnizGraph]] | None = None
                         ) -> FactorizationResult:
-    """Solve target = sum_j x_j * alternation(expand(pattern_j))."""
+    """Solve target = sum_j x_j * alternation(expand(pattern_j)).
+
+    Every column is skew, so a target that is not skew lies outside their
+    span: it is infeasible once it passes the signature check.
+    """
     cols = build_columns(patterns) if columns is None else columns
-    space = solve(assemble(target, [col for col, _ in cols]))
+    lam = skew_coordinates(target)
+    if lam is None:
+        check_signatures([target] + [col for col, _ in cols])
+        return FactorizationResult(False, None, 0, [])
+    space = solve(assemble(lam, [col for col, _ in cols]))
     if not space.feasible:
         return FactorizationResult(False, space, 0, [])
     x = minimize_support(space) if min_support else dict(space.particular)
@@ -293,10 +319,10 @@ class NontrivialityReport:
 
 def nontriviality_check(tadpoles: bool = True) -> NontrivialityReport:
     """Is Q_{1:6} = [[P, X]] + nabla(P, Jac(P)) solvable?  (It is not.)"""
-    target = tetra_flow(1, 6)
+    target = skew_coordinates(tetra_flow(1, 6))
     xs = one_vector_graphs(3, tadpoles=tadpoles)
     wedge = wedge_sum()
-    x_cols = [col for g in xs
+    x_cols = [skew_coordinates(col) for g in xs
               if (col := schouten_bracket(wedge, GraphSum.single(g, 1), 2, 1))]
     n_cols = [col for col, _ in build_columns(generate_bivector_leibniz(tadpoles=tadpoles))]
     combined = solve(assemble(target, x_cols + n_cols))
@@ -338,7 +364,7 @@ def quadratic_part_check(tadpoles: bool = True) -> QuadraticReport:
     the combined system's null space by ``head_spans_tail``, so the linear
     columns are not eliminated a second time.
     """
-    target = lhs_table()
+    target = skew_coordinates(lhs_table())
     lin_cols = [col for col, _ in build_columns(generate_ansatz_linear(tadpoles=tadpoles))]
     quad_cols = [col for col, _ in build_columns(generate_ansatz_quadratic(tadpoles=tadpoles))]
     nlin, nquad = len(lin_cols), len(quad_cols)

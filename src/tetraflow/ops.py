@@ -22,7 +22,7 @@ from itertools import combinations, permutations, product
 from math import factorial
 
 from .graphs import (GraphError, GraphSum, KontsevichGraph, graph_from_encoding,
-                     normal_form, perm_sign)
+                     normal_form, orbit_normal_form, perm_sign)
 from .reference import PRESENTATION_SCALE
 
 # Oriented tetrahedra on four internal vertices (two sinks, labels 2..5).
@@ -76,8 +76,8 @@ def insert_terms(a: KontsevichGraph, i: int, b: KontsevichGraph):
         yield KontsevichGraph(m, n, tuple(tuple(p) for p in pairs) + b_pairs)
 
 
-def _signed_sink_sum(s: GraphSum, m: int, scale: Fraction) -> GraphSum:
-    """``scale`` times the sum of ``s`` over signed permutations of its m sinks."""
+def alternation(s: GraphSum, m: int) -> GraphSum:
+    """Plain signed sum of ``s`` over the permutations of its m sinks (no 1/m!)."""
     sigs = s.signatures()
     if any(sig[0] != m for sig in sigs):
         raise GraphError(f"mixed sink counts {sigs}, expected {m}")
@@ -86,18 +86,47 @@ def _signed_sink_sum(s: GraphSum, m: int, scale: Fraction) -> GraphSum:
     for (mm, nn, enc), c in s.terms.items():
         g = graph_from_encoding(mm, nn, enc)
         for sigma in perms:
-            out.add_graph(g.permute_sinks(sigma), c * perm_sign(sigma) * scale)
+            out.add_graph(g.permute_sinks(sigma), c * perm_sign(sigma))
     return out
 
 
 def skew_symmetrize(s: GraphSum, m: int) -> GraphSum:
     """(1/m!) sum over signed sink permutations; idempotent on skew sums."""
-    return _signed_sink_sum(s, m, Fraction(1, factorial(m)))
+    return alternation(s, m).scaled(Fraction(1, factorial(m)))
 
 
-def alternation(s: GraphSum, m: int) -> GraphSum:
-    """Plain signed sum over sink permutations (no 1/m!)."""
-    return _signed_sink_sum(s, m, Fraction(1))
+def orbit_sum(s: GraphSum) -> GraphSum:
+    """The sum of c * sign * representative over the terms c * g of ``s``,
+    (representative, sign) being ``orbit_normal_form(g)``.
+
+    Its keys are orbit representatives and ``alternation`` of it equals
+    ``alternation`` of ``s``: these are the orbit coordinates of that
+    alternation, in which distinct keys alternate to sums of disjoint support.
+    """
+    out: dict = {}
+    for key, c in s.terms.items():
+        nf = orbit_normal_form(graph_from_encoding(*key))
+        if nf.sign:
+            rep = (nf.sink_count, nf.internal_count, nf.encoding)
+            out[rep] = out.get(rep, 0) + c * nf.sign
+    return GraphSum({k: v for k, v in out.items() if v})
+
+
+def skew_coordinates(s: GraphSum) -> GraphSum | None:
+    """The orbit coordinates of a skew sum: the sum of lambda_o * rep_o whose
+    ``alternation`` is ``s``, or None when ``s`` is not totally antisymmetric
+    in the sinks of one common sink count.
+
+    A skew sum on m sinks equals (1/m!) alternation(s), so lambda is
+    ``orbit_sum(s) / m!``; the exact check that it alternates back to ``s``
+    decides whether ``s`` was skew.
+    """
+    sinks = {m for m, _ in s.signatures()}
+    if len(sinks) > 1:
+        return None
+    m = sinks.pop() if sinks else 0
+    lam = orbit_sum(s).scaled(Fraction(1, factorial(m)))
+    return lam if alternation(lam, m) == s else None
 
 
 def validate_multivector(s: GraphSum, arity: int | None = None) -> int:
@@ -142,7 +171,7 @@ def schouten_bracket(a: GraphSum, b: GraphSum, arity_a: int | None = None,
                 sign = 1 if ((k - 1 - i) * (ell + 1)) % 2 else -1
                 for term in insert_terms(ga, i, gb):
                     raw.add_graph(term, c * sign)
-    return _signed_sink_sum(raw, k + ell - 1, Fraction(1, factorial(k) * factorial(ell)))
+    return alternation(raw, k + ell - 1).scaled(Fraction(1, factorial(k) * factorial(ell)))
 
 
 def tetra_flow(a: Fraction | int, b: Fraction | int) -> GraphSum:
@@ -199,25 +228,14 @@ def collect_skew_orbits(s: GraphSum, m: int) -> list[tuple[tuple[int, int, tuple
     """Collect a totally antisymmetric sum into signed sink-permutation orbits.
 
     Returns (representative key, coefficient) pairs, representatives being the
-    minimal normal form over the orbit, such that the sum equals
-    sum_i (c_i / PRESENTATION_SCALE) * alternation(rep_i) with the scale of
-    the reference orbit table.
+    minimal normal form over the orbit (``orbit_normal_form``), such that the
+    sum equals sum_i (c_i / PRESENTATION_SCALE) * alternation(rep_i) with the
+    scale of the reference orbit table.
     """
     validate_multivector(s, m)
-    remaining = dict(s.terms)
-    out = []
-    # keys are visited in order and each orbit leaves whole, so the first key
-    # met of an orbit is its minimum whenever the sum is antisymmetric; when
-    # the minimum is missing, the orbit check below fails at it
-    for key in sorted(s.terms):
-        if key not in remaining:
-            continue
-        alt = alternation(GraphSum({key: 1}), m)
-        if key not in alt.terms:
+    lam = skew_coordinates(s)
+    if lam is None:
+        if any(orbit_normal_form(g).sign == 0 for g, _ in s.graphs()):
             raise GraphError("sum is not totally antisymmetric: orphan orbit")
-        lam = remaining[key] / alt.terms[key]
-        for k2, v2 in alt.terms.items():
-            if remaining.pop(k2, 0) != lam * v2:
-                raise GraphError("sum is not totally antisymmetric: orbit mismatch")
-        out.append((key, lam * PRESENTATION_SCALE))
-    return out
+        raise GraphError("sum is not totally antisymmetric: orbit mismatch")
+    return [(key, c * PRESENTATION_SCALE) for key, c in lam.items()]

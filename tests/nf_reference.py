@@ -1,14 +1,15 @@
-"""Brute-force reference for ``graphs.normal_form``.
+"""Brute-force references for ``graphs.normal_form`` and ``orbit_normal_form``.
 
 Walks all n! relabellings of the internal vertices (swaps are implied by
 sorting each pair) and keeps the lexicographically smallest flattened
 sequence, with the sign-0 rule for a minimum reached with both swap
-parities.  The library's pruned search must agree with it exactly.
+parities.  The library's pruned search must agree with it exactly, and its
+orbit form with the minimum of this one over the sink permutations.
 """
 
 from itertools import permutations
 
-from tetraflow.graphs import KontsevichGraph, NormalForm
+from tetraflow.graphs import KontsevichGraph, NormalForm, perm_sign
 
 
 def brute_normal_form(g: KontsevichGraph) -> NormalForm:
@@ -39,3 +40,22 @@ def brute_normal_form(g: KontsevichGraph) -> NormalForm:
         elif seq == best and parity != best_parity:
             zero = True
     return NormalForm(m, n, best, 0 if zero else (1 if best_parity == 0 else -1))
+
+
+def brute_orbit_normal_form(g: KontsevichGraph) -> NormalForm:
+    """``brute_normal_form`` minimized over all m! sink permutations.
+
+    Each permutation attaining the minimum has the orbit sign sign(sigma)
+    times its normal-form sign; the result's sign is 0 when the normal form
+    is self-antisymmetric or when the minimum is attained with both signs.
+    """
+    m = g.sink_count
+    best = None
+    signs = set()
+    for sigma in permutations(range(m)):
+        nf = brute_normal_form(g.permute_sinks(sigma))
+        if best is None or nf.encoding < best:
+            best, signs = nf.encoding, set()
+        if nf.encoding == best:
+            signs.add(nf.sign * perm_sign(sigma))
+    return NormalForm(m, g.internal_count, best, signs.pop() if signs in ({1}, {-1}) else 0)

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetraflow import reference
-from tetraflow.graphs import (_NF_CACHE, MAX_INTERNAL, MAX_SINKS, GraphError, GraphSum,
-                              KontsevichGraph, graph_from_encoding, normal_form,
-                              parse_graph_line, parse_lines, read_graph_lines,
-                              read_graph_sum, serialize_graph)
+from tetraflow.graphs import (_NF_CACHE, _ORBIT_CACHE, MAX_INTERNAL, MAX_SINKS, GraphError,
+                              GraphSum, KontsevichGraph, graph_from_encoding, normal_form,
+                              orbit_normal_form, parse_graph_line, parse_lines,
+                              read_graph_lines, read_graph_sum, serialize_graph)
+from tetraflow.leibniz import (expand, generate_ansatz_linear, generate_ansatz_quadratic,
+                               generate_bivector_leibniz)
+from tetraflow.ops import alternation
 
-from nf_reference import brute_normal_form
+from nf_reference import brute_normal_form, brute_orbit_normal_form
 
 WEDGE = KontsevichGraph(2, 1, ((0, 1),))
 
@@ -77,10 +80,9 @@ def test_normal_form_idempotent_on_reference_rows():
 
 
 def test_normal_form_matches_brute_force_on_ansatz_graphs():
-    from tetraflow.leibniz import generate_ansatz_linear
-    from tetraflow.linsys import build_columns
     _NF_CACHE.clear()
-    build_columns(generate_ansatz_linear())
+    for L in generate_ansatz_linear():
+        alternation(expand(L), L.sink_count)
     computed = dict(_NF_CACHE)
     assert len(computed) > 28000
     for key, nf in computed.items():
@@ -100,6 +102,63 @@ def test_normal_form_matches_brute_force_on_random_graphs():
         assert nf == brute_normal_form(g), g
         self_antisymmetric += nf.sign == 0 and nf.encoding != ()
     assert self_antisymmetric > 0
+
+
+def test_orbit_normal_form_matches_brute_force_on_ansatz_terms():
+    """Every term of the reduced expansion of every linear, quadratic and
+    bi-vector pattern: the graphs the solve columns put in orbit form."""
+    keys = set()
+    for patterns in (generate_ansatz_linear(), generate_ansatz_quadratic(),
+                     generate_bivector_leibniz()):
+        for L in patterns:
+            keys.update(expand(L).terms)
+    assert len(keys) > 4000
+    _ORBIT_CACHE.clear()
+    vanishing = 0
+    for key in keys:
+        g = graph_from_encoding(*key)
+        nf = orbit_normal_form(g)
+        assert nf == brute_orbit_normal_form(g), key
+        if nf.sign == 0:
+            vanishing += 1
+            assert not alternation(GraphSum.single(g), g.sink_count), key
+    assert vanishing > 0
+
+
+def test_orbit_normal_form_matches_brute_force_on_random_graphs():
+    rng = random.Random(1610)
+    seen = {"sign 0": 0, "untargeted sink": 0, "two untargeted sinks": 0,
+            "sink of in-degree 2": 0}
+    for _ in range(10_000):
+        m, n = rng.randint(0, 4), rng.randint(0, 5)
+        g = KontsevichGraph(m, n, tuple((rng.randrange(m + n), rng.randrange(m + n))
+                                        for _ in range(n)))
+        _ORBIT_CACHE.clear()
+        nf = orbit_normal_form(g)
+        assert nf == brute_orbit_normal_form(g), g
+        degrees = g.sink_in_degrees()
+        seen["untargeted sink"] += degrees.count(0) == 1
+        seen["two untargeted sinks"] += degrees.count(0) >= 2
+        seen["sink of in-degree 2"] += 2 in degrees
+        if nf.sign == 0 and nf.encoding:
+            seen["sign 0"] += 1
+            assert not alternation(GraphSum.single(g), m), g
+    assert min(seen.values()) >= 100, seen
+
+
+def test_orbit_normal_form_sign_carries_the_alternation():
+    """alternation(g) = sign * alternation(representative): a graph, the same
+    graph with sinks 0 and 1 swapped, and a graph whose sinks 1 and 2 have
+    no edge (swapping them changes nothing, so its alternation vanishes)."""
+    g = KontsevichGraph(3, 5, ((4, 2), (0, 1), (4, 6), (4, 7), (4, 5)))
+    cases = [g, g.permute_sinks((1, 0, 2)), KontsevichGraph(3, 2, ((0, 4), (3, 0)))]
+    forms = [orbit_normal_form(h) for h in cases]
+    for h, nf in zip(cases, forms):
+        rep = graph_from_encoding(nf.sink_count, nf.internal_count, nf.encoding)
+        assert (alternation(GraphSum.single(h), 3)
+                == alternation(GraphSum.single(rep), 3).scaled(nf.sign))
+    assert forms[0].encoding == forms[1].encoding
+    assert forms[0].sign == -forms[1].sign != 0 and forms[2].sign == 0
 
 
 @st.composite

@@ -5,9 +5,12 @@ import pytest
 
 from tetraflow import reference
 from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph
-from tetraflow.leibniz import LeibnizGraph, expand
+from tetraflow.leibniz import (LeibnizGraph, expand, generate_ansatz_linear,
+                               generate_ansatz_quadratic, generate_bivector_leibniz)
 from tetraflow.linsys import (LinearSystem, assemble, build_columns, head_spans_tail,
-                              minimize_support, solve, verify_factorization)
+                              minimize_support, solve, solve_factorization,
+                              verify_factorization)
+from tetraflow.ops import alternation, skew_coordinates
 
 
 def toy_system(columns, rhs):
@@ -105,11 +108,15 @@ def test_minimize_support_rejects_infeasible():
 
 
 def test_assemble_trivial_cases(lhs39):
-    cols = build_columns([LeibnizGraph(3, ((0, 4), (1, 5), (2, 3)), ((3, 4, 5),))])
-    # absent target graph -> infeasible
+    pattern = LeibnizGraph(3, ((0, 4), (1, 5), (2, 3)), ((3, 4, 5),))
+    cols = build_columns([pattern])
+    # a lone target graph is not skew, so no skew column reaches it
     lone = GraphSum.single(KontsevichGraph(3, 5, ((0, 1), (2, 3), (3, 4), (3, 5), (3, 6))), 1)
-    sp = solve(assemble(lone, [col for col, _ in cols]))
-    assert not sp.feasible
+    assert skew_coordinates(lone) is None
+    assert not solve_factorization(lone, [pattern], columns=cols).feasible
+    # its skew-symmetrization is skew but absent from the column
+    skew = skew_coordinates(alternation(lone, 3))
+    assert skew and not solve(assemble(skew, [col for col, _ in cols])).feasible
     # homogeneous system: x = 0 works
     sp0 = solve(assemble(GraphSum(), [col for col, _ in cols]))
     assert sp0.feasible and sp0.particular == {}
@@ -126,10 +133,26 @@ def test_verify_factorization_cases(lhs39):
 def test_unbalanced_ratio_is_infeasible(columns):
     """Any ratio other than 1:6 admits no Leibniz-graph factorization."""
     from tetraflow.ops import lhs_trivector
-    target = lhs_trivector(1, 1)
+    target = skew_coordinates(lhs_trivector(1, 1))
+    assert target
     sp = solve(assemble(target, [col for col, _ in columns]))
     assert not sp.feasible
     assert sp.witness_row is not None
+
+
+@pytest.mark.parametrize("family", [generate_ansatz_linear, generate_ansatz_quadratic,
+                                    generate_bivector_leibniz])
+def test_orbit_columns_alternate_back_to_the_graph_columns(family):
+    """Each orbit-coordinate column, alternated back out, is the alternated
+    expansion of its pattern, and exactly the patterns whose alternated
+    expansion vanishes are dropped."""
+    patterns = family()
+    cols = dict((L, col) for col, L in build_columns(patterns))
+    for L in patterns:
+        graph_column = alternation(expand(L), L.sink_count)
+        if graph_column:
+            assert alternation(cols.pop(L), L.sink_count) == graph_column, L
+    assert not cols
 
 
 def test_solver_reproduction_shares_columns(lhs39, ansatz, columns):

@@ -4,14 +4,16 @@ from fractions import Fraction
 import pytest
 
 from tetraflow import reference
-from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph, normal_form
+from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph
 from tetraflow.ops import (GAMMA1, GAMMA2_PRIME, WEDGE, alternation,
                            collect_skew_orbits, insert_terms,
                            jacobiator_sum, lhs_trivector, one_vector_graphs,
-                           schouten_bracket, skew_symmetrize, tetra_flow,
-                           wedge_sum)
+                           orbit_sum, schouten_bracket, skew_coordinates,
+                           skew_symmetrize, tetra_flow, wedge_sum)
 from tetraflow.poisson import (eval_graph_sum, random_bivector,
                                schouten_components, flow)
+
+from nf_reference import brute_orbit_normal_form
 
 
 def test_insert_term_count_wedge_into_wedge():
@@ -150,6 +152,18 @@ def test_collect_reconstructs(lhs39):
     assert recon == lhs39
 
 
+def test_skew_coordinates_alternate_back(lhs39):
+    lam = skew_coordinates(lhs39)
+    assert len(lam) == 9 and alternation(lam, 3) == lhs39
+    assert lam == orbit_sum(lhs39).scaled(Fraction(1, 6))
+    flow = tetra_flow(1, 6)
+    assert alternation(skew_coordinates(flow), 2) == flow
+    assert skew_coordinates(GraphSum()) == GraphSum()
+    # G2' is not skew in its sinks, nor is a sum of two sink counts
+    assert skew_coordinates(GraphSum.single(GAMMA2_PRIME)) is None
+    assert skew_coordinates(wedge_sum() + jacobiator_sum()) is None
+
+
 @pytest.mark.parametrize("case", ["vanishing alternation", "orbit minimum missing"])
 def test_collect_refuses_a_sum_that_is_not_antisymmetric(lhs39, case):
     if case == "vanishing alternation":
@@ -165,22 +179,12 @@ def test_collect_refuses_a_sum_that_is_not_antisymmetric(lhs39, case):
 
 
 def test_collect_matches_reference_orbits(lhs39):
-    from itertools import permutations
     mine = dict(collect_skew_orbits(lhs39, 3))
-
-    def orbit_min(g):
-        best = None
-        for sigma in permutations(range(3)):
-            nf = normal_form(g.permute_sinks(sigma))
-            if nf.sign != 0:
-                k = (nf.sink_count, nf.internal_count, nf.encoding)
-                best = k if best is None or k < best else best
-        return best
-
     recon = GraphSum()
     seen = set()
     for g, c in reference.skew_orbit_rows():
-        key = orbit_min(g)
+        nf = brute_orbit_normal_form(g)
+        key = (nf.sink_count, nf.internal_count, nf.encoding)
         seen.add(key)
         assert abs(mine[key]) == abs(c)
         recon.add_sum(alternation(GraphSum.single(g, 1), 3),
