@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from .graphs import (GraphError, GraphSum, KontsevichGraph, brief, check_size,
-                     format_coeff, format_graph_line, parse_coeff, parse_graph_line,
+                     format_coeff, parse_coeff, parse_graph_line,
                      parse_lines, perm_sign, quote)
 
 
@@ -104,6 +104,7 @@ def expand_terms(L: LeibnizGraph) -> list[KontsevichGraph]:
 
 
 def expand(L: LeibnizGraph, coeff: Fraction | int = 1) -> GraphSum:
+    """Reduced expansion of ``coeff * L``."""
     s = GraphSum()
     for g in expand_terms(L):
         s.add_graph(g, coeff)
@@ -111,11 +112,11 @@ def expand(L: LeibnizGraph, coeff: Fraction | int = 1) -> GraphSum:
 
 
 def expand_combination(terms) -> GraphSum:
-    """Reduced expansion of a list of (LeibnizGraph, coefficient) pairs."""
+    """Reduced expansion of a list of (LeibnizGraph, coefficient) pairs: the
+    sum of their ``expand``."""
     s = GraphSum()
     for L, c in terms:
-        for g in expand_terms(L):
-            s.add_graph(g, c)
+        s.add_sum(expand(L, c))
     return s
 
 
@@ -218,17 +219,6 @@ def parse_leibniz_line(line: str) -> tuple[LeibnizGraph, Fraction]:
         jacs.append(tuple(_parse_targets(grp, line)))
     check_size(m, w + 2 * len(jacs))
     return LeibnizGraph(m, wedges, tuple(jacs)), coeff
-
-
-def serialize_leibniz_placeholder(L: LeibnizGraph, c: Fraction | int) -> str:
-    """One-Jacobiator encoding with the placeholder written as a Kontsevich
-    graph prefix: wedge pairs, then (t1, t2), then (placeholder, t3)."""
-    if L.jac_count != 1:
-        raise GraphError("placeholder encoding covers one Jacobiator only")
-    m, w = L.sink_count, L.wedge_count
-    t1, t2, t3 = L.jac_targets[0]
-    flat = [t for pair in L.wedge_targets for t in pair] + [t1, t2, m + w, t3]
-    return format_graph_line(m, w + 2, flat, Fraction(c))
 
 
 def parse_leibniz_placeholder_line(line: str) -> tuple[LeibnizGraph, Fraction]:

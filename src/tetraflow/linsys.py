@@ -5,7 +5,8 @@ all arithmetic is in Fraction, so feasibility and residuals are exact.  The
 factorization systems are written in orbit coordinates: a skew sum S is
 the sum of lambda_o * alternation(rep_o) over signed sink-permutation
 orbits o (``ops.orbit_sum``, ``ops.skew_coordinates``), so each row is one
-orbit representative rather than one graph normal form.  The map from skew
+orbit representative, and a column takes one orbit search per labelled
+term of its pattern's expansion.  The map from skew
 sums to lambda is linear and injective, so every solution space in column
 coordinates, and with it every result, is the one the graph rows give.  The
 elimination picks sparse pivots (fewest-entries column, then shortest row)
@@ -23,7 +24,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .graphs import GraphError, GraphSum, perm_sign
-from .leibniz import (LeibnizGraph, expand, expand_combination, generate_ansatz_linear,
+from .leibniz import (LeibnizGraph, expand_combination, expand_terms, generate_ansatz_linear,
                       generate_ansatz_quadratic, generate_bivector_leibniz, leibniz_normal_form)
 from .ops import (alternation, one_vector_graphs, orbit_sum, schouten_bracket,
                   skew_coordinates, tetra_flow, wedge_sum)
@@ -76,7 +77,8 @@ def solve(sys: LinearSystem) -> SolutionSpace:
 
     A row without entries and with a nonzero right-hand side is a witness of
     infeasibility.  Such a row is present from the start or is emptied by an
-    elimination step, so only those rows are checked.
+    elimination step, so only those rows are checked.  Entries are read as
+    ``Fraction``, so integer input gives exact results.
     """
     ncols = len(sys.columns)
     rows: dict[int, dict[int, Fraction]] = {}
@@ -84,10 +86,10 @@ def solve(sys: LinearSystem) -> SolutionSpace:
     col_rows: dict[int, set[int]] = {}
     for j, col in enumerate(sys.columns):
         for i, v in col.items():
-            rows.setdefault(i, {})[j] = v
+            rows.setdefault(i, {})[j] = Fraction(v)
             col_rows.setdefault(j, set()).add(i)
     for i, v in sys.rhs.items():
-        rhs[i] = v
+        rhs[i] = Fraction(v)
         rows.setdefault(i, {})
     witnesses = [i for i, row in rows.items() if not row and rhs.get(i)]
 
@@ -238,10 +240,11 @@ def verify_factorization(solution: list[tuple[LeibnizGraph, Fraction]],
 
 def build_columns(patterns: list[LeibnizGraph]) -> list[tuple[GraphSum, LeibnizGraph]]:
     """(column, pattern) for every pattern whose alternated expansion is
-    nonzero, the column being that alternation in orbit coordinates."""
+    nonzero, the column being that alternation in orbit coordinates: each
+    labelled term of the expansion is put in orbit form once, unreduced."""
     out = []
     for L in patterns:
-        col = orbit_sum(expand(L))
+        col = orbit_sum((g, 1) for g in expand_terms(L))
         if col:
             out.append((col, L))
     return out

@@ -1,5 +1,5 @@
 """Graph operations: Leibniz insertion, Schouten bracket, skew-symmetrization,
-and the two tetrahedral flow generators.
+orbit coordinates, and the two tetrahedral flow generators.
 
 Sign conventions follow the interrupted sink enumeration: when one argument
 is plugged into sink ``j`` of the other, the inserted argument's own sinks
@@ -23,6 +23,7 @@ from math import factorial
 
 from .graphs import (GraphError, GraphSum, KontsevichGraph, graph_from_encoding,
                      normal_form, orbit_normal_form, perm_sign)
+from .leibniz import LeibnizGraph, expand
 from .reference import PRESENTATION_SCALE
 
 # Oriented tetrahedra on four internal vertices (two sinks, labels 2..5).
@@ -95,21 +96,23 @@ def skew_symmetrize(s: GraphSum, m: int) -> GraphSum:
     return alternation(s, m).scaled(Fraction(1, factorial(m)))
 
 
-def orbit_sum(s: GraphSum) -> GraphSum:
-    """The sum of c * sign * representative over the terms c * g of ``s``,
+def orbit_sum(terms) -> GraphSum:
+    """The sum of c * sign * representative over labelled terms ``(g, c)``,
     (representative, sign) being ``orbit_normal_form(g)``.
 
-    Its keys are orbit representatives and ``alternation`` of it equals
-    ``alternation`` of ``s``: these are the orbit coordinates of that
-    alternation, in which distinct keys alternate to sums of disjoint support.
+    Its keys are orbit representatives and its ``alternation`` equals the
+    alternation of the sum of the terms: these are the orbit coordinates of
+    that alternation, in which distinct keys alternate to sums of disjoint
+    support.  The terms need not be reduced, and coefficients of any exact
+    type come out as ``Fraction``.
     """
     out: dict = {}
-    for key, c in s.terms.items():
-        nf = orbit_normal_form(graph_from_encoding(*key))
+    for g, c in terms:
+        nf = orbit_normal_form(g)
         if nf.sign:
             rep = (nf.sink_count, nf.internal_count, nf.encoding)
             out[rep] = out.get(rep, 0) + c * nf.sign
-    return GraphSum({k: v for k, v in out.items() if v})
+    return GraphSum({k: Fraction(v) for k, v in out.items() if v})
 
 
 def skew_coordinates(s: GraphSum) -> GraphSum | None:
@@ -118,14 +121,14 @@ def skew_coordinates(s: GraphSum) -> GraphSum | None:
     in the sinks of one common sink count.
 
     A skew sum on m sinks equals (1/m!) alternation(s), so lambda is
-    ``orbit_sum(s) / m!``; the exact check that it alternates back to ``s``
-    decides whether ``s`` was skew.
+    ``orbit_sum(s.graphs()) / m!``; the exact check that it alternates back
+    to ``s`` decides whether ``s`` was skew.
     """
     sinks = {m for m, _ in s.signatures()}
     if len(sinks) > 1:
         return None
     m = sinks.pop() if sinks else 0
-    lam = orbit_sum(s).scaled(Fraction(1, factorial(m)))
+    lam = orbit_sum(s.graphs()).scaled(Fraction(1, factorial(m)))
     return lam if alternation(lam, m) == s else None
 
 
@@ -217,11 +220,9 @@ def one_vector_graphs(internal: int = 3, tadpoles: bool = True) -> list[Kontsevi
 
 
 def jacobiator_sum() -> GraphSum:
-    """The three-graph realization of [[P, P]]/2 on three sinks."""
-    out = GraphSum()
-    for t1, t2, t3 in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        out.add_graph(KontsevichGraph(3, 2, ((t1, t2), (3, t3))), 1)
-    return out
+    """The three-graph realization of [[P, P]]/2 on three sinks, expanded
+    from the bare Jacobiator so that ``leibniz.expand_terms`` alone fixes it."""
+    return expand(LeibnizGraph(3, (), ((0, 1, 2),)))
 
 
 def collect_skew_orbits(s: GraphSum, m: int) -> list[tuple[tuple[int, int, tuple[int, ...]], Fraction]]:

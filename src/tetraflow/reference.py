@@ -44,10 +44,6 @@ def lhs_table() -> GraphSum:
     return read_graph_sum(table_text("lhs39"))
 
 
-def lhs_table_rows():
-    return read_graph_lines(table_text("lhs39"))
-
-
 def skew_orbit_rows():
     return read_graph_lines(table_text("skew9"))
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetraflow import reference
-from tetraflow.graphs import (_NF_CACHE, _ORBIT_CACHE, MAX_INTERNAL, MAX_SINKS, GraphError,
+from tetraflow.graphs import (_NF_CACHE, MAX_INTERNAL, MAX_SINKS, GraphError,
                               GraphSum, KontsevichGraph, graph_from_encoding, normal_form,
                               orbit_normal_form, parse_graph_line, parse_lines,
                               read_graph_lines, read_graph_sum, serialize_graph)
-from tetraflow.leibniz import (expand, generate_ansatz_linear, generate_ansatz_quadratic,
-                               generate_bivector_leibniz)
+from tetraflow.leibniz import (expand, expand_terms, generate_ansatz_linear,
+                               generate_ansatz_quadratic, generate_bivector_leibniz)
 from tetraflow.ops import alternation
 
 from nf_reference import brute_normal_form, brute_orbit_normal_form
@@ -69,7 +69,7 @@ def test_wedge_on_two_wedges_is_zero():
 
 
 def test_normal_form_idempotent_on_reference_rows():
-    for g, _ in reference.lhs_table_rows():
+    for g, _ in read_graph_lines(reference.table_text("lhs39")):
         nf = normal_form(g)
         canon = KontsevichGraph(
             nf.sink_count, nf.internal_count,
@@ -105,18 +105,17 @@ def test_normal_form_matches_brute_force_on_random_graphs():
 
 
 def test_orbit_normal_form_matches_brute_force_on_ansatz_terms():
-    """Every term of the reduced expansion of every linear, quadratic and
-    bi-vector pattern: the graphs the solve columns put in orbit form."""
-    keys = set()
+    """Every distinct labelled term of the expansion of every linear,
+    quadratic and bi-vector pattern: the graphs the solve columns put in
+    orbit form."""
+    terms = {}
     for patterns in (generate_ansatz_linear(), generate_ansatz_quadratic(),
                      generate_bivector_leibniz()):
         for L in patterns:
-            keys.update(expand(L).terms)
-    assert len(keys) > 4000
-    _ORBIT_CACHE.clear()
+            terms.update((g.key, g) for g in expand_terms(L))
+    assert len(terms) > 9000
     vanishing = 0
-    for key in keys:
-        g = graph_from_encoding(*key)
+    for key, g in terms.items():
         nf = orbit_normal_form(g)
         assert nf == brute_orbit_normal_form(g), key
         if nf.sign == 0:
@@ -133,7 +132,6 @@ def test_orbit_normal_form_matches_brute_force_on_random_graphs():
         m, n = rng.randint(0, 4), rng.randint(0, 5)
         g = KontsevichGraph(m, n, tuple((rng.randrange(m + n), rng.randrange(m + n))
                                         for _ in range(n)))
-        _ORBIT_CACHE.clear()
         nf = orbit_normal_form(g)
         assert nf == brute_orbit_normal_form(g), g
         degrees = g.sink_in_degrees()

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from tetraflow import reference
-from tetraflow.graphs import (MAX_INTERNAL, MAX_SINKS, GraphError, normal_form, parse_lines,
-                              read_graph_lines)
+from tetraflow.graphs import (MAX_INTERNAL, MAX_SINKS, GraphError, normal_form,
+                              parse_graph_line, parse_lines, serialize_graph)
 from tetraflow.leibniz import (LINEAR_CLASS_ORDER, LeibnizGraph, expand,
                                expand_combination, expand_terms,
                                generate_ansatz_linear,
@@ -15,7 +15,6 @@ from tetraflow.leibniz import (LINEAR_CLASS_ORDER, LeibnizGraph, expand,
                                generate_linear_classes, leibniz_normal_form,
                                parse_leibniz_line, parse_leibniz_placeholder_line,
                                read_leibniz_file, serialize_leibniz,
-                               serialize_leibniz_placeholder,
                                sink_labelled_patterns)
 
 
@@ -172,7 +171,12 @@ def test_placeholder_encoding_round_trip():
     assert len(rows) == 27
     body = parse_lines(text, str)
     for (L, c), line in zip(rows, body):
-        assert serialize_leibniz_placeholder(L, c) == " ".join(line.split())
+        # the line is the graph of L's wedges, then (t1, t2), (m + w, t3)
+        t1, t2, t3 = L.jac_targets[0]
+        hole = L.sink_count + L.wedge_count
+        g, c2 = parse_graph_line(line)
+        assert g.targets == L.wedge_targets + ((t1, t2), (hole, t3)) and c2 == c
+        assert serialize_graph(g, c) == " ".join(line.split())
 
 
 def test_placeholder_line_is_a_graph_line_with_a_jacobiator():

@@ -71,6 +71,23 @@ def test_solver_infeasible_after_elimination():
     assert not solve(sys).feasible
 
 
+def test_integer_entries_give_exact_fractions():
+    """int entries are read as Fraction: in floats 1 - (1/49) * 49 is not 0,
+    which would give the two equal columns below rank 2."""
+    def exact(vec):
+        return all(type(v) is Fraction for v in vec.values())
+
+    space = solve(LinearSystem([0, 1], [{0: 2}, {0: 4, 1: 3}], {0: 3, 1: 1}))
+    assert space.particular == {0: Fraction(5, 6), 1: Fraction(1, 3)}
+    assert exact(space.particular) and exact(minimize_support(space))
+    space = solve(LinearSystem([0, 1], [{0: 49, 1: 1}, {0: 49, 1: 1}], {0: 98, 1: 2}))
+    assert space.pivot_cols == [0] and space.nullspace == [{0: -1, 1: 1}]
+    assert all(exact(vec) for vec in [space.particular] + space.nullspace)
+    x = minimize_support(space)
+    assert x == {1: 2} and exact(x)
+    assert head_spans_tail(space, 1)
+
+
 @pytest.mark.parametrize("last, spanned", [({0: 1, 1: -2, 2: 3}, True), ({2: 1}, False)])
 def test_head_spans_tail(last, spanned):
     # head: two columns spanning rows 0 and 1; tail: a copy of the first

@@ -10,8 +10,9 @@ from tetraflow.ops import (GAMMA1, GAMMA2_PRIME, WEDGE, alternation,
                            jacobiator_sum, lhs_trivector, one_vector_graphs,
                            orbit_sum, schouten_bracket, skew_coordinates,
                            skew_symmetrize, tetra_flow, wedge_sum)
-from tetraflow.poisson import (eval_graph_sum, random_bivector,
-                               schouten_components, flow)
+from tetraflow.poisson import (PolyMultivector, eval_graph, eval_graph_sum, flow,
+                               random_bivector, schouten_components,
+                               sparse_random_bivector)
 
 from nf_reference import brute_orbit_normal_form
 
@@ -119,26 +120,55 @@ def test_graded_antisymmetry_2_1_and_1_1():
     assert schouten_bracket(X, Y, 1, 1) == schouten_bracket(Y, X, 1, 1).scaled(-1)
 
 
-def test_bracket_component_oracle_2_1():
-    rng = random.Random(31)
-    X = GraphSum.single(KontsevichGraph(1, 1, ((1, 0),)), 1)
-    bx = schouten_bracket(wedge_sum(), X, 2, 1)
-    for _ in range(3):
-        R = random_bivector(3, 2, rng)
-        xv = eval_graph_sum(X, R).to_multivector(1)
-        assert eval_graph_sum(bx, R).to_multivector(2) == schouten_components(R, xv)
+def random_alternated_graph(arity, rng):
+    """The alternation of a random graph on ``arity`` sinks of in-degree 1
+    and at most 3 internal vertices, redrawn until it is nonzero."""
+    while True:
+        n = rng.randint((arity + 1) // 2, 3)
+        flat = [rng.randrange(arity, arity + n) for _ in range(2 * n)]
+        for sink, slot in enumerate(rng.sample(range(2 * n), arity)):
+            flat[slot] = sink
+        g = KontsevichGraph(arity, n, tuple(zip(flat[::2], flat[1::2])))
+        s = alternation(GraphSum.single(g), arity)
+        if s:
+            return s
 
 
-def test_bracket_component_oracle_1_1():
-    rng = random.Random(32)
-    Sa = GraphSum.single(KontsevichGraph(1, 2, ((1, 2), (2, 0))), 1)
-    Sb = GraphSum.single(KontsevichGraph(1, 2, ((2, 0), (1, 2))), 1)
-    b = schouten_bracket(Sa, Sb, 1, 1)
-    for _ in range(3):
-        R = random_bivector(3, 2, rng)
-        xv = eval_graph_sum(Sa, R).to_multivector(1)
-        yv = eval_graph_sum(Sb, R).to_multivector(1)
-        assert eval_graph_sum(b, R).to_multivector(1) == schouten_components(xv, yv)
+def alternated_multivector(lam, R, m):
+    """The m-vector that alternation(lam) evaluates to on R, from the
+    evaluations of lam's graphs alone: a key of distinct sink indices adds
+    its polynomial, with the sign of their order, to their component, and
+    a key with a repeated index cancels in the alternation."""
+    out = PolyMultivector(R.dim, m)
+    for g, c in lam.graphs():
+        for key, p in eval_graph(g, R).terms.items():
+            idx = tuple(i for i, in key)
+            if len(set(idx)) == m:
+                out.add_component(idx, p.scaled(c))
+    return out
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)],
+                         ids=str)
+def test_bracket_component_oracle(a, b):
+    """The graph bracket of random skew a- and b-vector graph sums evaluates
+    to the oracle's component bracket of their evaluations.  The bi-vector
+    has dimension at least a + b - 1, so the bracket need not vanish, and at
+    least one bracket per arity pair is nonzero.  The bracket is evaluated
+    through its orbit coordinates, one graph per sink-permutation orbit."""
+    rng = random.Random(100 * a + b)
+    d = max(3, a + b - 1)
+    nonzero = 0
+    for _ in range(2):
+        A, B = random_alternated_graph(a, rng), random_alternated_graph(b, rng)
+        R = random_bivector(3, 2, rng) if d == 3 else sparse_random_bivector(d, 2, rng)
+        lam = skew_coordinates(schouten_bracket(A, B, a, b))
+        got = alternated_multivector(lam, R, a + b - 1)
+        av = eval_graph_sum(A, R).to_multivector(a)
+        bv = eval_graph_sum(B, R).to_multivector(b)
+        assert got == schouten_components(av, bv)
+        nonzero += not got.is_zero()
+    assert nonzero
 
 
 def test_collect_reconstructs(lhs39):
@@ -155,7 +185,10 @@ def test_collect_reconstructs(lhs39):
 def test_skew_coordinates_alternate_back(lhs39):
     lam = skew_coordinates(lhs39)
     assert len(lam) == 9 and alternation(lam, 3) == lhs39
-    assert lam == orbit_sum(lhs39).scaled(Fraction(1, 6))
+    assert lam == orbit_sum(lhs39.graphs()).scaled(Fraction(1, 6))
+    # weight-1 terms, as a column feeds them, come out as Fraction
+    ones = orbit_sum((g, 1) for g, _ in lhs39.graphs())
+    assert ones and all(type(c) is Fraction for c in ones.terms.values())
     flow = tetra_flow(1, 6)
     assert alternation(skew_coordinates(flow), 2) == flow
     assert skew_coordinates(GraphSum()) == GraphSum()
