@@ -13,8 +13,10 @@ elimination picks sparse pivots (fewest-entries column, then shortest row)
 with deterministic tie-breaks, which keeps fill-in manageable on the
 factorization systems while staying reproducible.  One Gauss-Jordan pass
 back over the pivots then writes every pivot column in the free columns,
-giving the particular solution and the null space at once; the bilinear
-run-through reads its span question off that null space.
+giving the particular solution and the null space at once.  Each
+run-through eliminates its system once and reads every follow-up question
+off that solution space: ``restrict`` asks which solutions vanish on a set
+of columns, and whether the other columns span them.
 """
 
 from __future__ import annotations
@@ -164,68 +166,56 @@ def solve(sys: LinearSystem) -> SolutionSpace:
                          pivot_cols=[c for _, c in pivots], free_cols=free_cols)
 
 
-def head_spans_tail(space: SolutionSpace, head: int) -> bool:
-    """Do the columns before ``head`` span every column of a feasible system?
+def restrict(space: SolutionSpace, cols) -> SolutionSpace:
+    """The null-space coefficients t that make particular + sum_k t_k null_k
+    vanish on ``cols``, one row per column of ``cols``.
 
-    Iff the null space projected onto the columns from ``head`` on has full
-    rank: column k is spanned iff a null vector is 1 at k, 0 on the rest.
+    Feasible iff some solution of the feasible system ``space`` is zero on
+    ``cols``.  When feasible, its rank is ``len(cols)`` iff the other columns
+    span every column of ``cols``: column c is spanned iff a null vector is 1
+    at c and 0 on the rest of ``cols``.  Spanning implies feasibility.
     """
-    ntail = len(space.pivot_cols) + len(space.free_cols) - head
-    projected = [{j - head: v for j, v in vec.items() if j >= head}
+    index = {c: i for i, c in enumerate(cols)}
+    projected = [{index[j]: v for j, v in vec.items() if j in index}
                  for vec in space.nullspace]
-    return len(solve(LinearSystem(list(range(ntail)), projected, {})).pivot_cols) == ntail
+    rhs = {index[j]: -v for j, v in space.particular.items() if j in index}
+    return solve(LinearSystem(list(cols), projected, rhs))
 
 
-def minimize_support(space: SolutionSpace, order=None) -> dict[int, Fraction]:
+def minimize_support(space: SolutionSpace) -> dict[int, Fraction]:
     """Greedy small-support solution: force coordinates to zero while feasible.
 
-    Scans columns in a deterministic order; forcing x_c = 0 is feasible
-    whenever the affine solution space meets that hyperplane, in which case
-    the space is projected and the scan continues.
+    Scans columns in increasing order; forcing x_c = 0 is feasible whenever
+    the affine solution space meets that hyperplane, in which case the space
+    is projected and the scan continues.
     """
     if not space.feasible or space.particular is None:
         raise GraphError("cannot minimize support of an infeasible space")
-    p = dict(space.particular)
-    basis = [dict(b) for b in space.nullspace]
-    cols: set[int] = set(p)
-    for b in basis:
-        cols.update(b)
-    scan = order if order is not None else sorted(cols)
-    for c in scan:
-        pc = p.get(c, Fraction(0))
-        carrier = None
-        for b in basis:
-            if b.get(c):
-                carrier = b
-                break
-        if carrier is None:
-            continue  # essential (pc != 0) or already identically zero
-        bc = carrier[c]
-        if pc:
-            f = pc / bc
-            for j, v in carrier.items():
-                new = p.get(j, Fraction(0)) - f * v
-                if new:
-                    p[j] = new
-                else:
-                    p.pop(j, None)
-        basis.remove(carrier)
-        projected = []
-        for b in basis:
-            vc = b.get(c)
-            if vc:
-                f = vc / bc
-                nb = {}
-                for j in set(b) | set(carrier):
-                    v = b.get(j, Fraction(0)) - f * carrier.get(j, Fraction(0))
-                    if v:
-                        nb[j] = v
-                if nb:
-                    projected.append(nb)
+
+    def minus(u: dict, f: Fraction, v: dict) -> dict:
+        """u - f*v, without zero entries."""
+        out = dict(u)
+        for j, w in v.items():
+            new = out.get(j, 0) - f * w
+            if new:
+                out[j] = new
             else:
-                projected.append(b)
-        basis = projected
-    return p
+                out.pop(j, None)
+        return out
+
+    p = space.particular
+    basis = space.nullspace
+    for c in sorted(set(p).union(*basis)):
+        k = next((k for k, b in enumerate(basis) if b.get(c)), None)
+        if k is None:
+            continue  # essential (p[c] != 0) or already identically zero
+        carrier = basis[k]
+        bc = carrier[c]
+        if p.get(c):
+            p = minus(p, p[c] / bc, carrier)
+        basis = [minus(b, b[c] / bc, carrier) if b.get(c) else b
+                 for b in basis[:k] + basis[k + 1:]]
+    return dict(p)
 
 
 def verify_factorization(solution: list[tuple[LeibnizGraph, Fraction]],
@@ -329,8 +319,11 @@ def nontriviality_check(tadpoles: bool = True) -> NontrivialityReport:
               if (col := schouten_bracket(wedge, GraphSum.single(g, 1), 2, 1))]
     n_cols = [col for col, _ in build_columns(generate_bivector_leibniz(tadpoles=tadpoles))]
     combined = solve(assemble(target, x_cols + n_cols))
-    # a subset of the columns cannot reach a target that all of them miss
-    xonly_feasible = combined.feasible and solve(assemble(target, x_cols)).feasible
+    # the 1-vector columns alone reach the target iff a solution is zero on
+    # the Leibniz columns, and none can be when all the columns miss it
+    nx = len(x_cols)
+    xonly_feasible = (combined.feasible
+                      and restrict(combined, range(nx, nx + len(n_cols))).feasible)
     return NontrivialityReport(len(x_cols), len(n_cols),
                                combined.feasible, xonly_feasible,
                                combined.witness_row)
@@ -361,11 +354,13 @@ def quadratic_part_check(tadpoles: bool = True) -> QuadraticReport:
     linear family and no coordinate is pinned on the raw affine solution
     space.  The meaningful content is checked instead: the quadratic columns
     add nothing (each is linearly realizable), the target admits no purely
-    quadratic realization, and support minimization of the combined system,
-    offered the quadratic coordinates first, still eliminates all of them.
-    Whether the quadratic columns all lie in the linear span is read off
-    the combined system's null space by ``head_spans_tail``, so the linear
-    columns are not eliminated a second time.
+    quadratic realization, and some solution of the combined system has no
+    quadratic coordinate.  The combined system is eliminated once; every
+    answer is a ``restrict`` of its solution space.  A solution zero on the
+    quadratic columns exists iff support minimization offered the quadratic
+    coordinates first would eliminate all of them; the linear columns span
+    the quadratic ones iff that restriction has full rank; and a solution
+    zero on the linear columns is a purely quadratic realization.
     """
     target = skew_coordinates(lhs_table())
     lin_cols = [col for col, _ in build_columns(generate_ansatz_linear(tadpoles=tadpoles))]
@@ -374,9 +369,7 @@ def quadratic_part_check(tadpoles: bool = True) -> QuadraticReport:
     space = solve(assemble(target, lin_cols + quad_cols))
     if not space.feasible:
         return QuadraticReport(nlin, nquad, False, False, False, False)
-    order = list(range(nlin, nlin + nquad)) + list(range(nlin))
-    x = minimize_support(space, order=order)
-    min_quad_zero = all(j < nlin for j in x)
-    quad_only = solve(assemble(target, quad_cols))
-    return QuadraticReport(nlin, nquad, True, min_quad_zero,
-                           quad_only.feasible, head_spans_tail(space, nlin))
+    quad_zero = restrict(space, range(nlin, nlin + nquad))
+    return QuadraticReport(nlin, nquad, True, quad_zero.feasible,
+                           restrict(space, range(nlin)).feasible,
+                           quad_zero.feasible and len(quad_zero.pivot_cols) == nquad)

@@ -32,6 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations, product
+from math import lcm
 from operator import itemgetter, or_
 import random
 
@@ -573,9 +574,17 @@ def _getter(idx: list[int]):
 
 
 def eval_graph_sum(s: GraphSum, P: PolyMultivector) -> PolyOperator:
+    """The operator of a graph sum.  The sum is scaled by the lcm of its
+    coefficient denominators, so each graph's operator is merged in with an
+    integer weight, and each coefficient polynomial is divided by that lcm
+    once at the end."""
+    terms = list(s.graphs())
+    scale = lcm(*(c.denominator for _, c in terms))
     out = PolyOperator(P.dim)
-    for g, c in s.graphs():
-        out.add_op(eval_graph(g, P), c)
+    for g, c in terms:
+        out.add_op(eval_graph(g, P), c * scale)
+    if scale > 1:
+        out.terms = {k: p.scaled(Fraction(1, scale)) for k, p in out.terms.items()}
     return out
 
 
@@ -936,16 +945,19 @@ def factorization_identity_check(P: PolyMultivector) -> bool:
     Kontsevich expansion of the reference Leibniz-graph solution (labelled
     terms, no graph-level reduction) and compares the two polydifferential
     operators exactly.  The identity holds whether or not P is Poisson.
+    Both sides are taken PRESENTATION_SCALE times, the scale of the printed
+    solution table, so the raw terms carry its integer coefficients.
     """
     from .leibniz import expand_terms
     from .ops import lhs_trivector
     from .reference import PRESENTATION_SCALE, solution_rows_printed
 
-    lhs_op = eval_graph_sum(lhs_trivector(Fraction(1, 4), Fraction(3, 2)), P)
+    lhs = lhs_trivector(Fraction(1, 4), Fraction(3, 2)).scaled(PRESENTATION_SCALE)
+    lhs_op = eval_graph_sum(lhs, P)
     rhs_op = PolyOperator(P.dim)
     for L, c in solution_rows_printed():
         for g in expand_terms(L):
-            rhs_op.add_op(eval_graph(g, P), Fraction(c, PRESENTATION_SCALE))
+            rhs_op.add_op(eval_graph(g, P), c)
     return lhs_op == rhs_op
 
 

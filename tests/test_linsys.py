@@ -3,19 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from tetraflow import reference
+from tetraflow import linsys, reference
 from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph
 from tetraflow.leibniz import (LeibnizGraph, expand, generate_ansatz_linear,
                                generate_ansatz_quadratic, generate_bivector_leibniz)
-from tetraflow.linsys import (LinearSystem, assemble, build_columns, head_spans_tail,
-                              minimize_support, solve, solve_factorization,
-                              verify_factorization)
+from tetraflow.linsys import (LinearSystem, assemble, build_columns, minimize_support,
+                              restrict, solve, solve_factorization, verify_factorization)
 from tetraflow.ops import alternation, skew_coordinates
 
 
 def toy_system(columns, rhs):
-    nrows = max((max(col) + 1 for col in columns if col), default=len(rhs))
-    nrows = max(nrows, len(rhs))
+    nrows = 1 + max((i for col in columns + [rhs] for i in col), default=-1)
     return LinearSystem(
         row_keys=list(range(nrows)),
         columns=[{i: Fraction(v) for i, v in col.items()} for col in columns],
@@ -85,19 +83,118 @@ def test_integer_entries_give_exact_fractions():
     assert all(exact(vec) for vec in [space.particular] + space.nullspace)
     x = minimize_support(space)
     assert x == {1: 2} and exact(x)
-    assert head_spans_tail(space, 1)
+    tail = restrict(space, [1])
+    assert tail.feasible and len(tail.pivot_cols) == 1
 
 
 @pytest.mark.parametrize("last, spanned", [({0: 1, 1: -2, 2: 3}, True), ({2: 1}, False)])
-def test_head_spans_tail(last, spanned):
+def test_restrict_spans_tail(last, spanned):
     # head: two columns spanning rows 0 and 1; tail: a copy of the first
-    # column, then a column inside or outside that span
+    # column, then a column inside or outside that span; the target is the
+    # first column, so every restriction to tail columns is feasible
     sys = toy_system([{0: 1, 2: 3}, {1: 1}, {0: 2, 2: 6}, last], {0: 1, 2: 3})
     space = solve(sys)
     assert space.feasible
-    assert head_spans_tail(space, 2) is spanned
-    assert head_spans_tail(space, 3) is spanned
-    assert head_spans_tail(space, 4)
+    for head, full in ((2, spanned), (3, spanned), (4, True)):
+        tail = restrict(space, range(head, 4))
+        assert tail.feasible
+        assert (len(tail.pivot_cols) == 4 - head) is full
+
+
+def greedy_tail_first(space, order):
+    """Support minimization scanning the columns in ``order``; with the
+    tail first, it removes the whole tail iff some solution is zero on it."""
+    p = dict(space.particular)
+    basis = [dict(b) for b in space.nullspace]
+    for c in order:
+        pc = p.get(c, Fraction(0))
+        carrier = next((b for b in basis if b.get(c)), None)
+        if carrier is None:
+            continue
+        bc = carrier[c]
+        if pc:
+            f = pc / bc
+            for j, v in carrier.items():
+                new = p.get(j, Fraction(0)) - f * v
+                if new:
+                    p[j] = new
+                else:
+                    p.pop(j, None)
+        basis.remove(carrier)
+        projected = []
+        for b in basis:
+            vc = b.get(c)
+            if vc:
+                f = vc / bc
+                nb = {}
+                for j in set(b) | set(carrier):
+                    v = b.get(j, Fraction(0)) - f * carrier.get(j, Fraction(0))
+                    if v:
+                        nb[j] = v
+                if nb:
+                    projected.append(nb)
+            else:
+                projected.append(b)
+        basis = projected
+    return p
+
+
+def projected_rank_is_full(space, head):
+    """The null space projected onto the columns from ``head`` on has full
+    rank, i.e. the columns before ``head`` span every later column."""
+    ncols = len(space.pivot_cols) + len(space.free_cols)
+    projected = [{j - head: v for j, v in vec.items() if j >= head} for vec in space.nullspace]
+    sub = solve(LinearSystem(list(range(ncols - head)), projected, {}))
+    return len(sub.pivot_cols) == ncols - head
+
+
+def test_restrict_matches_separate_questions():
+    """On random feasible systems split into head and tail columns, the three
+    restriction answers equal the questions asked separately: a solution zero
+    on the tail iff the tail-first greedy removes the whole tail, a full-rank
+    tail restriction iff the head spans the tail, and a solution zero on the
+    head iff the tail columns alone solve the system."""
+    rng = random.Random(12)
+    seen = {}
+    for _ in range(2000):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
+        columns = [{i: v for i in range(nrows) if (v := rng.randint(-2, 2))}
+                   for _ in range(ncols)]
+        rhs = {}
+        for j in rng.sample(range(ncols), rng.randint(0, ncols)):
+            c = rng.randint(-2, 2)
+            for i, a in columns[j].items():
+                rhs[i] = rhs.get(i, 0) + c * a
+        rhs = {i: v for i, v in rhs.items() if v}
+        sys = LinearSystem(list(range(nrows)), columns, rhs)
+        space = solve(sys)
+        assert space.feasible
+        h = rng.randint(0, ncols)
+        head, tail = list(range(h)), list(range(h, ncols))
+        zero_tail = restrict(space, tail)
+        greedy = greedy_tail_first(space, tail + head)
+        assert not residual(sys, greedy)
+        answers = (zero_tail.feasible,
+                   zero_tail.feasible and len(zero_tail.pivot_cols) == len(tail),
+                   restrict(space, head).feasible)
+        assert answers == (all(j < h for j in greedy),
+                           projected_rank_is_full(space, h),
+                           solve(LinearSystem(sys.row_keys, columns[h:], rhs)).feasible)
+        for k, answer in enumerate(answers):
+            seen[k, answer] = seen.get((k, answer), 0) + 1
+    assert len(seen) == 6 and min(seen.values()) >= 100, seen
+
+
+def test_each_run_through_assembles_once(monkeypatch):
+    """The follow-up questions of a run-through are restrictions of its one
+    solution space, so neither assembles a second system."""
+    calls = []
+    real = linsys.assemble
+    monkeypatch.setattr(linsys, "assemble", lambda *args: calls.append(1) or real(*args))
+    linsys.nontriviality_check()
+    assert len(calls) == 1
+    linsys.quadratic_part_check(tadpoles=False)
+    assert len(calls) == 2
 
 
 def test_minimize_support_duplicate_columns():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from tetraflow import reference
 from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph
@@ -120,11 +121,12 @@ def test_graded_antisymmetry_2_1_and_1_1():
     assert schouten_bracket(X, Y, 1, 1) == schouten_bracket(Y, X, 1, 1).scaled(-1)
 
 
-def random_alternated_graph(arity, rng):
+def random_alternated_graph(arity, rng, max_internal=3):
     """The alternation of a random graph on ``arity`` sinks of in-degree 1
-    and at most 3 internal vertices, redrawn until it is nonzero."""
+    and at most ``max_internal`` internal vertices, redrawn until it is
+    nonzero."""
     while True:
-        n = rng.randint((arity + 1) // 2, 3)
+        n = rng.randint((arity + 1) // 2, max_internal)
         flat = [rng.randrange(arity, arity + n) for _ in range(2 * n)]
         for sink, slot in enumerate(rng.sample(range(2 * n), arity)):
             flat[slot] = sink
@@ -169,6 +171,52 @@ def test_bracket_component_oracle(a, b):
         assert got == schouten_components(av, bv)
         nonzero += not got.is_zero()
     assert nonzero
+
+
+@st.composite
+def skew_sums(draw, arity, max_internal):
+    """Sums of 1-3 of ``random_alternated_graph(arity, rng, max_internal)``
+    with coefficients in {-2, -1, 1, 2}."""
+    rng = draw(st.randoms(use_true_random=False))
+    s = GraphSum()
+    for _ in range(draw(st.integers(1, 3))):
+        s.add_sum(random_alternated_graph(arity, rng, max_internal),
+                  draw(st.sampled_from([-2, -1, 1, 2])))
+    return s
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.data())
+def test_skew_coordinates_round_trip(data):
+    """A skew sum alternates back from its orbit coordinates; adding 1 to
+    one term's coefficient leaves it skew only when that graph alone is
+    skew, its alternation a single graph."""
+    m = data.draw(st.integers(2, 4))
+    s = data.draw(skew_sums(m, 3))
+    lam = skew_coordinates(s)
+    assert lam is not None and alternation(lam, m) == s
+    if s:
+        key = data.draw(st.sampled_from(sorted(s.terms)))
+        alone_skew = len(alternation(GraphSum({key: Fraction(1)}), m)) == 1
+        changed = s + GraphSum({key: Fraction(1)})
+        assert (skew_coordinates(changed) is None) is not alone_skew
+
+
+# no shrinking: it would re-bracket sums for minutes before reporting a failure
+@settings(max_examples=10, derandomize=True, deadline=None, phases=[Phase.generate])
+@given(*[skew_sums(1, 3).filter(bool)] * 3)
+def test_jacobi_identity_of_one_vectors(x, y, z):
+    """The cyclic sum of [[X, [[Y, Z]]]] vanishes on nonzero 1-vector sums."""
+    def br(a, b):
+        return schouten_bracket(a, b, 1, 1)
+    assert br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y)) == GraphSum()
+
+
+@settings(max_examples=3, derandomize=True, deadline=None, phases=[Phase.generate])
+@given(skew_sums(2, 2).filter(lambda a: len(a) > 1))
+def test_bivector_bracket_with_its_jacobiator_vanishes(a):
+    """[[A, [[A, A]]]] vanishes on skew bi-vector sums of more than one graph."""
+    assert schouten_bracket(a, schouten_bracket(a, a, 2, 2), 2, 3) == GraphSum()
 
 
 def test_collect_reconstructs(lhs39):
