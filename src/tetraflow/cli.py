@@ -13,12 +13,11 @@ from fractions import Fraction
 from . import reference
 from .graphs import (GraphError, format_graph_line, normal_form, parse_coeff, quote,
                      read_graph_lines, read_graph_sum)
-from .leibniz import (LINEAR_CLASS_ORDER, generate_ansatz_linear, generate_ansatz_quadratic,
-                      generate_linear_classes, read_leibniz_file, serialize_leibniz,
-                      sink_labelled_patterns)
-from .linsys import (assemble, build_columns, nontriviality_check, orbit_graph_count,
-                     quadratic_part_check, solve_factorization, verify_factorization)
-from .ops import collect_skew_orbits, lhs_trivector, skew_coordinates, tetra_flow
+from .leibniz import (generate_ansatz_linear, generate_ansatz_quadratic, read_leibniz_file,
+                      serialize_leibniz)
+from .linsys import (ansatz_counts, nontriviality_check, quadratic_part_check,
+                     solve_factorization, verify_factorization)
+from .ops import collect_skew_orbits, lhs_trivector, tetra_flow
 from .poisson import eval_graph_sum, jacobi_check, parse_poisson_file, ratio_scan
 
 
@@ -95,22 +94,15 @@ def cmd_gen_ansatz(args) -> int:
 
 
 def cmd_count(args) -> int:
-    tad = not args.no_tadpoles
-    classes = generate_linear_classes(tadpoles=tad)
-    total = 0
-    for name in LINEAR_CLASS_ORDER:
-        print(f"{name:12s} {len(classes[name])}")
-        total += len(classes[name])
-    print(f"{'total':12s} {total}")
-    print(f"{'quadratic':12s} {len(generate_ansatz_quadratic(tadpoles=tad))}")
-    patterns = generate_ansatz_linear(tadpoles=tad)
-    labelled = sink_labelled_patterns(patterns)
-    print(f"sink-labelled patterns across all assignments: {len(labelled)}"
+    counts = ansatz_counts(tadpoles=not args.no_tadpoles, rows=args.rows)
+    for name, size in counts.class_sizes.items():
+        print(f"{name:12s} {size}")
+    print(f"{'total':12s} {counts.total}")
+    print(f"{'quadratic':12s} {counts.quadratic}")
+    print(f"sink-labelled patterns across all assignments: {counts.sink_labelled}"
           " (reference run-through counted 28,202 unknown slots with repetitions)")
     if args.rows:
-        cols = build_columns(patterns)
-        system = assemble(skew_coordinates(reference.lhs_table()), [col for col, _ in cols])
-        print(f"assembled rows (admissible graph universe): {orbit_graph_count(system.row_keys)}"
+        print(f"assembled rows (admissible graph universe): {counts.graph_rows}"
               " (reference run-through: 7,025)")
     return 0
 
@@ -184,7 +176,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ratio_scan(args) -> int:
     P = _load_poisson(args.poisson)
-    if args.ratios:
+    if args.ratios is not None:
         ratios = [parse_ratio(t) for t in args.ratios.split(",")]
     else:
         ratios = [(1, k) for k in range(13)] + [(0, 1), (Fraction(1, 4), Fraction(3, 2))]

@@ -13,6 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import permutations
 
 
 class GraphError(ValueError):
@@ -56,11 +58,9 @@ class KontsevichGraph:
 
     def permute_sinks(self, sigma: tuple[int, ...]) -> "KontsevichGraph":
         """Relabel sink s as sigma[s]; internal labels are untouched."""
-        m = self.sink_count
-        relabel = lambda v: sigma[v] if v < m else v
-        return KontsevichGraph(
-            m, self.internal_count,
-            tuple((relabel(a), relabel(b)) for a, b in self.targets))
+        m, n = self.sink_count, self.internal_count
+        new = sink_relabelling(sigma, m + n)
+        return KontsevichGraph(m, n, tuple((new[a], new[b]) for a, b in self.targets))
 
 
 def perm_sign(sigma) -> int:
@@ -71,6 +71,29 @@ def perm_sign(sigma) -> int:
             if sigma[x] > sigma[y]:
                 sign = -sign
     return sign
+
+
+def sink_relabelling(sigma: tuple[int, ...], size: int) -> tuple[int, ...]:
+    """The new label of each of ``size`` vertices when sink s becomes
+    sigma[s] and every other label stays: the one rule behind the
+    ``permute_sinks`` of Kontsevich and Leibniz graphs."""
+    return tuple(sigma) + tuple(range(len(sigma), size))
+
+
+@cache
+def _signed_permutations(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    return tuple((perm_sign(sigma), sigma) for sigma in permutations(range(m)))
+
+
+def sink_images(x):
+    """(sign of sigma, ``x.permute_sinks(sigma)``) for every permutation
+    sigma of the sinks of ``x``, a Kontsevich or a Leibniz graph, in
+    ``itertools.permutations`` order: the signed sink action that alternation,
+    the flattening of alternated patterns and the sink-labelled pattern
+    count all sum over.  The signed permutations are made once per sink
+    count."""
+    for sign, sigma in _signed_permutations(x.sink_count):
+        yield sign, x.permute_sinks(sigma)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from itertools import combinations, permutations, product
 
 from .graphs import (GraphError, GraphSum, KontsevichGraph, brief, check_size,
                      format_coeff, parse_coeff, parse_graph_line,
-                     parse_lines, perm_sign, quote)
+                     parse_lines, perm_sign, quote, sink_images, sink_relabelling)
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,10 @@ class LeibnizGraph:
     def permute_sinks(self, sigma: tuple[int, ...]) -> "LeibnizGraph":
         """Relabel sink s as sigma[s]; wedge and Jacobiator labels are untouched."""
         m = self.sink_count
-        relabel = lambda v: sigma[v] if v < m else v
+        new = sink_relabelling(sigma, m + self.wedge_count + self.jac_count)
         return LeibnizGraph(
-            m, tuple((relabel(a), relabel(b)) for a, b in self.wedge_targets),
-            tuple(tuple(relabel(t) for t in trip) for trip in self.jac_targets))
+            m, tuple((new[a], new[b]) for a, b in self.wedge_targets),
+            tuple(tuple(new[t] for t in trip) for trip in self.jac_targets))
 
 
 def expand_terms(L: LeibnizGraph) -> list[KontsevichGraph]:
@@ -165,6 +165,27 @@ def leibniz_normal_form(L: LeibnizGraph) -> tuple[tuple, int]:
                 zero = True
     sign = 0 if zero else (1 if best_parity == 0 else -1)
     return (m,) + best, sign
+
+
+def flatten_alternated(chosen: list[tuple[LeibnizGraph, Fraction]]
+                       ) -> list[tuple[LeibnizGraph, Fraction]]:
+    """Expand alternated patterns into plain signed Leibniz graphs.
+
+    The result verifies against the same target via plain expansion; merged
+    by canonical form so symmetric patterns do not repeat.
+    """
+    acc: dict[tuple, Fraction] = {}
+    for L, c in chosen:
+        for sigma_sign, Ls in sink_images(L):
+            enc, sign = leibniz_normal_form(Ls)
+            if sign == 0:
+                continue
+            new = acc.get(enc, Fraction(0)) + c * sigma_sign * sign
+            if new:
+                acc[enc] = new
+            else:
+                acc.pop(enc, None)
+    return [(LeibnizGraph(enc[0], enc[1], enc[2]), v) for enc, v in sorted(acc.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +352,9 @@ def generate_bivector_leibniz(tadpoles: bool = True) -> list[LeibnizGraph]:
 def sink_labelled_patterns(patterns: list[LeibnizGraph]) -> set:
     """Distinct patterns over every sink permutation of each of ``patterns``,
     each wedge pair and Jacobiator triple taken as an unordered set."""
-    out = set()
-    for L in patterns:
-        for sigma in permutations(range(L.sink_count)):
-            Ls = L.permute_sinks(sigma)
-            out.add((tuple(tuple(sorted(p)) for p in Ls.wedge_targets),
-                     tuple(tuple(sorted(t)) for t in Ls.jac_targets)))
-    return out
+    return {(tuple(tuple(sorted(p)) for p in Ls.wedge_targets),
+             tuple(tuple(sorted(t)) for t in Ls.jac_targets))
+            for L in patterns for _, Ls in sink_images(L)}
 
 
 def read_leibniz_file(text: str, placeholder: bool = False) -> list[tuple[LeibnizGraph, Fraction]]:

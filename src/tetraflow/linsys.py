@@ -23,11 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 
-from .graphs import GraphError, GraphSum, perm_sign
-from .leibniz import (LeibnizGraph, expand_combination, expand_terms, generate_ansatz_linear,
-                      generate_ansatz_quadratic, generate_bivector_leibniz, leibniz_normal_form)
+from .graphs import GraphError, GraphSum
+from .leibniz import (LINEAR_CLASS_ORDER, LeibnizGraph, expand_combination, expand_terms,
+                      flatten_alternated, generate_ansatz_linear, generate_ansatz_quadratic,
+                      generate_bivector_leibniz, generate_linear_classes,
+                      sink_labelled_patterns)
 from .ops import (alternation, one_vector_graphs, orbit_sum, schouten_bracket,
                   skew_coordinates, tetra_flow, wedge_sum)
 from .reference import lhs_table
@@ -240,12 +241,6 @@ def build_columns(patterns: list[LeibnizGraph]) -> list[tuple[GraphSum, LeibnizG
     return out
 
 
-def orbit_graph_count(row_keys) -> int:
-    """The graph normal forms that orbit rows stand for: each orbit's size,
-    summed; the row count of the same system written over graphs."""
-    return sum(len(alternation(GraphSum({key: Fraction(1)}), key[0])) for key in row_keys)
-
-
 @dataclass
 class FactorizationResult:
     feasible: bool
@@ -276,25 +271,37 @@ def solve_factorization(target: GraphSum, patterns: list[LeibnizGraph],
     return FactorizationResult(True, space, len(chosen), flatten_alternated(chosen))
 
 
-def flatten_alternated(chosen: list[tuple[LeibnizGraph, Fraction]]
-                       ) -> list[tuple[LeibnizGraph, Fraction]]:
-    """Expand alternated patterns into plain signed Leibniz graphs.
+@dataclass
+class AnsatzCounts:
+    class_sizes: dict[str, int]  # linear patterns per class, in LINEAR_CLASS_ORDER
+    total: int                   # linear patterns
+    distinct: int                # distinct linear pattern keys
+    quadratic: int               # bilinear patterns
+    sink_labelled: int           # ``sink_labelled_patterns`` of the linear ansatz
+    orbit_rows: int | None = None  # rows of the default system, one per orbit
+    graph_rows: int | None = None  # graph normal forms those orbits hold
 
-    The result verifies against the same target via plain expansion; merged
-    by canonical form so symmetric patterns do not repeat.
-    """
-    acc: dict[tuple, Fraction] = {}
-    for L, c in chosen:
-        for sigma in permutations(range(L.sink_count)):
-            enc, sign = leibniz_normal_form(L.permute_sinks(sigma))
-            if sign == 0:
-                continue
-            new = acc.get(enc, Fraction(0)) + c * perm_sign(sigma) * sign
-            if new:
-                acc[enc] = new
-            else:
-                acc.pop(enc, None)
-    return [(LeibnizGraph(enc[0], enc[1], enc[2]), v) for enc, v in sorted(acc.items())]
+
+def ansatz_counts(tadpoles: bool = True, rows: bool = False) -> AnsatzCounts:
+    """The counts of the linear and bilinear ansatz that ``tetraflow count``
+    reports.  With ``rows``, also the rows of the default factorization
+    system (the reference tri-vector over the linear columns): one per
+    signed sink-permutation orbit, and the graph normal forms they stand
+    for, each orbit's size summed, which is the row count of the same
+    system written over graphs."""
+    classes = generate_linear_classes(tadpoles)
+    patterns = [L for name in LINEAR_CLASS_ORDER for L in classes[name]]
+    counts = AnsatzCounts({name: len(classes[name]) for name in LINEAR_CLASS_ORDER},
+                          len(patterns), len({L.key for L in patterns}),
+                          len(generate_ansatz_quadratic(tadpoles)),
+                          len(sink_labelled_patterns(patterns)))
+    if rows:
+        cols = [col for col, _ in build_columns(patterns)]
+        keys = assemble(skew_coordinates(lhs_table()), cols).row_keys
+        counts.orbit_rows = len(keys)
+        counts.graph_rows = sum(len(alternation(GraphSum({key: Fraction(1)}), key[0]))
+                                for key in keys)
+    return counts
 
 
 # ---------------------------------------------------------------------------

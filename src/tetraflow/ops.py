@@ -11,18 +11,18 @@ The bracket of a k-vector with an l-vector is the signed sum over all
 This single normalization reproduces the reference table of 39 tri-vector
 graphs bit-exactly and, independently, agrees with the oracle's one
 component bracket ``poisson.schouten_components``, taken with the same
-argument order, at arities (2,2), (2,1) and (1,1) with no residual
-constant (see tests).
+argument order, at every arity pair (a, b) with a, b in {1, 2, 3} and no
+residual constant (see tests).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import factorial
 
 from .graphs import (GraphError, GraphSum, KontsevichGraph, graph_from_encoding,
-                     normal_form, orbit_normal_form, perm_sign)
+                     normal_form, orbit_normal_form, sink_images)
 from .leibniz import LeibnizGraph, expand
 from .reference import PRESENTATION_SCALE
 
@@ -83,11 +83,9 @@ def alternation(s: GraphSum, m: int) -> GraphSum:
     if any(sig[0] != m for sig in sigs):
         raise GraphError(f"mixed sink counts {sigs}, expected {m}")
     out = GraphSum()
-    perms = list(permutations(range(m)))
     for (mm, nn, enc), c in s.terms.items():
-        g = graph_from_encoding(mm, nn, enc)
-        for sigma in perms:
-            out.add_graph(g.permute_sinks(sigma), c * perm_sign(sigma))
+        for sign, g in sink_images(graph_from_encoding(mm, nn, enc)):
+            out.add_graph(g, c * sign)
     return out
 
 

@@ -13,14 +13,12 @@ from nf_reference import brute_orbit_normal_form
 from tetraflow import reference
 from tetraflow.cli import main as cli_main
 from tetraflow.graphs import GraphSum, KontsevichGraph, normal_form
-from tetraflow.leibniz import (LINEAR_CLASS_ORDER, expand, expand_terms,
-                               generate_linear_classes, sink_labelled_patterns)
-from tetraflow.linsys import (assemble, nontriviality_check, orbit_graph_count,
-                              quadratic_part_check, solve_factorization,
-                              verify_factorization)
+from tetraflow.leibniz import expand, expand_terms
+from tetraflow.linsys import (ansatz_counts, nontriviality_check, quadratic_part_check,
+                              solve_factorization, verify_factorization)
 from tetraflow.ops import (GAMMA1, alternation, collect_skew_orbits,
                            lhs_trivector, one_vector_graphs, schouten_bracket,
-                           skew_coordinates, skew_symmetrize, tetra_flow, wedge_sum)
+                           skew_symmetrize, tetra_flow, wedge_sum)
 from tetraflow.poisson import (reference_structure, eval_graph, eval_graph_sum,
                                factorization_identity_check, flow, gamma1,
                                gamma2, jacobi_check, random_bivector,
@@ -110,22 +108,18 @@ def test_criterion_3_solver_reproduction(tmp_path, lhs39, ansatz, columns):
                   f"{len(result.flattened)} graphs verify", t0, 600)
 
 
-def test_criterion_4_ansatz_counting(columns, lhs39):
+def test_criterion_4_ansatz_counting():
     t0 = time.time()
-    classes = generate_linear_classes()
-    sizes = [len(classes[name]) for name in LINEAR_CLASS_ORDER]
-    total = sum(sizes)
-    ok = sizes == [216, 432, 108, 288, 24, 64] and total == 1132
-    ok = ok and len({L.key for name in LINEAR_CLASS_ORDER for L in classes[name]}) == 1132
+    counts = ansatz_counts(rows=True)
+    sizes = list(counts.class_sizes.values())
+    ok = sizes == [216, 432, 108, 288, 24, 64] and counts.total == 1132
+    ok = ok and counts.distinct == 1132
 
     # soft counts, reported against the run-through's 28,202 and 7,025; the
     # system has one row per orbit, and its orbits hold the graph rows
-    labelled = sink_labelled_patterns([L for name in LINEAR_CLASS_ORDER for L in classes[name]])
-    system = assemble(skew_coordinates(lhs39), [col for col, _ in columns])
-    orbits = system.shape[0]
-    rows = orbit_graph_count(system.row_keys)
-    detail = (f"1132 = 216+432+108+288+24+64; sink-labelled slots {len(labelled)}"
-              f" (vs 28,202), admissible rows {rows} graphs in {orbits} orbits (vs 7,025)")
+    detail = (f"1132 = 216+432+108+288+24+64; sink-labelled slots {counts.sink_labelled}"
+              f" (vs 28,202), admissible rows {counts.graph_rows} graphs in"
+              f" {counts.orbit_rows} orbits (vs 7,025)")
     finish(4, ok, detail, t0, 60)
 
 

@@ -179,6 +179,15 @@ def test_ratio_scan_command(tmp_path, capsys):
     assert "1:1 nonzero" in out
 
 
+def test_ratio_scan_empty_list_is_usage_error(tmp_path, capsys):
+    # an empty --ratios is malformed input, not a request for the default scan
+    p = tmp_path / "p.txt"
+    p.write_text("3\n1 2 x1^2*x2\n1 3 -x1*(x1*x3 + 1)\n2 3 x1*x2*x3\n")
+    assert run(["ratio-scan", "--poisson", str(p), "--ratios", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: malformed ratio ")
+
+
 def test_eval_reference_on_poisson(tmp_path, capsys):
     p = tmp_path / "p.txt"
     p.write_text("3\n1 2 x1^2*x2\n1 3 -x1*(x1*x3 + 1)\n2 3 x1*x2*x3\n")

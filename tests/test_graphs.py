@@ -8,8 +8,9 @@ from tetraflow import reference
 from tetraflow.graphs import (_NF_CACHE, MAX_INTERNAL, MAX_SINKS, GraphError,
                               GraphSum, KontsevichGraph, graph_from_encoding, normal_form,
                               orbit_normal_form, parse_graph_line, parse_lines,
-                              read_graph_lines, read_graph_sum, serialize_graph)
-from tetraflow.leibniz import (expand, expand_terms, generate_ansatz_linear,
+                              read_graph_lines, read_graph_sum, serialize_graph,
+                              sink_images)
+from tetraflow.leibniz import (LeibnizGraph, expand, expand_terms, generate_ansatz_linear,
                                generate_ansatz_quadratic, generate_bivector_leibniz)
 from tetraflow.ops import alternation
 
@@ -157,6 +158,22 @@ def test_orbit_normal_form_sign_carries_the_alternation():
                 == alternation(GraphSum.single(rep), 3).scaled(nf.sign))
     assert forms[0].encoding == forms[1].encoding
     assert forms[0].sign == -forms[1].sign != 0 and forms[2].sign == 0
+
+
+def test_sink_images_sign_and_permute_both_graph_kinds():
+    """Every sink permutation in ``itertools.permutations`` order, with its
+    sign, applied by the graph's own ``permute_sinks``."""
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    signs = [1, -1, -1, 1, 1, -1]
+    g = KontsevichGraph(3, 5, ((4, 2), (0, 1), (4, 6), (4, 7), (4, 5)))
+    L = LeibnizGraph(3, ((0, 4), (1, 5), (2, 3)), ((3, 4, 5),))
+    for x in (g, L):
+        assert list(sink_images(x)) == [(s, x.permute_sinks(p)) for s, p in zip(signs, perms)]
+    assert [h for _, h in sink_images(g)][3].targets == ((4, 0), (1, 2), (4, 6), (4, 7), (4, 5))
+    assert [h for _, h in sink_images(L)][3] == LeibnizGraph(
+        3, ((1, 4), (2, 5), (0, 3)), ((3, 4, 5),))
+    assert list(sink_images(KontsevichGraph(0, 1, ((0, 0),)))) == [
+        (1, KontsevichGraph(0, 1, ((0, 0),)))]
 
 
 @st.composite

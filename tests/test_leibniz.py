@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from tetraflow import reference
-from tetraflow.graphs import (MAX_INTERNAL, MAX_SINKS, GraphError, normal_form,
+from tetraflow.graphs import (MAX_INTERNAL, MAX_SINKS, GraphError, GraphSum, normal_form,
                               parse_graph_line, parse_lines, serialize_graph)
 from tetraflow.leibniz import (LINEAR_CLASS_ORDER, LeibnizGraph, expand,
-                               expand_combination, expand_terms,
+                               expand_combination, expand_terms, flatten_alternated,
                                generate_ansatz_linear,
                                generate_ansatz_quadratic,
                                generate_bivector_leibniz,
@@ -16,6 +16,7 @@ from tetraflow.leibniz import (LINEAR_CLASS_ORDER, LeibnizGraph, expand,
                                parse_leibniz_line, parse_leibniz_placeholder_line,
                                read_leibniz_file, serialize_leibniz,
                                sink_labelled_patterns)
+from tetraflow.ops import alternation
 
 
 def tripod():
@@ -143,6 +144,18 @@ def test_sink_labelled_pattern_counts():
     assert len(sink_labelled_patterns([L])) == 6
     assert len(sink_labelled_patterns(generate_ansatz_linear())) == 4020
     assert len(sink_labelled_patterns(generate_ansatz_linear(tadpoles=False))) == 1026
+
+
+def test_flatten_alternated_expands_to_the_alternated_columns():
+    """The flattened Leibniz graphs expand to the alternation of the chosen
+    patterns' expansions; opposite coefficients of one pattern cancel."""
+    pats = generate_ansatz_linear()[::97]
+    chosen = [(L, Fraction(k + 1, 2)) for k, L in enumerate(pats)]
+    want = GraphSum()
+    for L, c in chosen:
+        want.add_sum(alternation(expand(L), 3), c)
+    assert want and expand_combination(flatten_alternated(chosen)) == want
+    assert flatten_alternated([(tripod(), 1), (tripod(), -1)]) == []
 
 
 def test_quadratic_family():

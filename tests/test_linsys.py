@@ -7,8 +7,9 @@ from tetraflow import linsys, reference
 from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph
 from tetraflow.leibniz import (LeibnizGraph, expand, generate_ansatz_linear,
                                generate_ansatz_quadratic, generate_bivector_leibniz)
-from tetraflow.linsys import (LinearSystem, assemble, build_columns, minimize_support,
-                              restrict, solve, solve_factorization, verify_factorization)
+from tetraflow.linsys import (LinearSystem, ansatz_counts, assemble, build_columns,
+                              minimize_support, restrict, solve, solve_factorization,
+                              verify_factorization)
 from tetraflow.ops import alternation, skew_coordinates
 
 
@@ -304,3 +305,14 @@ def test_quadratic_sanity_inversion():
     assert sp.feasible
     x = minimize_support(sp)
     assert x == {0: Fraction(1)}
+
+
+def test_ansatz_counts_without_tadpoles():
+    counts = ansatz_counts(tadpoles=False, rows=True)
+    assert list(counts.class_sizes.values()) == [27, 81, 27, 81, 9, 27]
+    assert counts.total == counts.distinct == 252 and counts.quadratic == 3
+    assert counts.sink_labelled == 1026
+    assert (counts.orbit_rows, counts.graph_rows) == (330, 1554)
+    plain = ansatz_counts(tadpoles=False)
+    assert plain.orbit_rows is plain.graph_rows is None
+    assert plain.sink_labelled == 1026

@@ -150,26 +150,33 @@ def alternated_multivector(lam, R, m):
     return out
 
 
+def bracket_matches_oracle(A, B, a, b, rng):
+    """Assert that the graph bracket of the skew a- and b-vector sums A and B
+    evaluates to the oracle's component bracket of their evaluations, on a
+    random bi-vector of dimension d = max(3, a + b - 1), dense at d = 3 and
+    sparse above, so that the bracket need not vanish.  The bracket is
+    evaluated through its orbit coordinates, one graph per sink-permutation
+    orbit.  Returns whether it is nonzero."""
+    d = max(3, a + b - 1)
+    R = random_bivector(3, 2, rng) if d == 3 else sparse_random_bivector(d, 2, rng)
+    lam = skew_coordinates(schouten_bracket(A, B, a, b))
+    got = alternated_multivector(lam, R, a + b - 1)
+    av = eval_graph_sum(A, R).to_multivector(a)
+    bv = eval_graph_sum(B, R).to_multivector(b)
+    assert got == schouten_components(av, bv)
+    return not got.is_zero()
+
+
 @pytest.mark.parametrize("a, b", [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)],
                          ids=str)
 def test_bracket_component_oracle(a, b):
-    """The graph bracket of random skew a- and b-vector graph sums evaluates
-    to the oracle's component bracket of their evaluations.  The bi-vector
-    has dimension at least a + b - 1, so the bracket need not vanish, and at
-    least one bracket per arity pair is nonzero.  The bracket is evaluated
-    through its orbit coordinates, one graph per sink-permutation orbit."""
+    """``bracket_matches_oracle`` on two seeded pairs of alternated random
+    graphs; at least one bracket per arity pair is nonzero."""
     rng = random.Random(100 * a + b)
-    d = max(3, a + b - 1)
     nonzero = 0
     for _ in range(2):
         A, B = random_alternated_graph(a, rng), random_alternated_graph(b, rng)
-        R = random_bivector(3, 2, rng) if d == 3 else sparse_random_bivector(d, 2, rng)
-        lam = skew_coordinates(schouten_bracket(A, B, a, b))
-        got = alternated_multivector(lam, R, a + b - 1)
-        av = eval_graph_sum(A, R).to_multivector(a)
-        bv = eval_graph_sum(B, R).to_multivector(b)
-        assert got == schouten_components(av, bv)
-        nonzero += not got.is_zero()
+        nonzero += bracket_matches_oracle(A, B, a, b, rng)
     assert nonzero
 
 
@@ -200,6 +207,25 @@ def test_skew_coordinates_round_trip(data):
         alone_skew = len(alternation(GraphSum({key: Fraction(1)}), m)) == 1
         changed = s + GraphSum({key: Fraction(1)})
         assert (skew_coordinates(changed) is None) is not alone_skew
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)
+                                  if a + b < 6], ids=str)
+def test_bracket_component_oracle_on_drawn_sums(a, b):
+    """``bracket_matches_oracle`` on Hypothesis-drawn skew sums A and B; at
+    least one drawn bracket per arity pair is nonzero.  (3, 3), a sparse
+    d = 5 bracket, takes about 20 s on a shared 2-core host and is left to
+    the seeded test."""
+    nonzero = []
+
+    # no shrinking: it would re-bracket sums for minutes before reporting a failure
+    @settings(max_examples=5, derandomize=True, deadline=None, phases=[Phase.generate])
+    @given(skew_sums(a, 3), skew_sums(b, 3), st.randoms(use_true_random=False))
+    def check(A, B, rng):
+        nonzero.append(bracket_matches_oracle(A, B, a, b, rng))
+
+    check()
+    assert any(nonzero)
 
 
 # no shrinking: it would re-bracket sums for minutes before reporting a failure
