@@ -75,8 +75,8 @@ def cmd_lhs(args) -> int:
         if not s:
             _write_text(args.outfile, "")
             return 0
-        lines = ["# skew orbit representatives; the sum equals"
-                 " sum of (c/4) * alternation(representative)"]
+        lines = ["# skew orbit representatives; the sum equals sum of"
+                 f" (c/{reference.PRESENTATION_SCALE}) * alternation(representative)"]
         for key, c in collect_skew_orbits(s, 3):
             lines.append(format_graph_line(*key, c))
         _write_text(args.outfile, "\n".join(lines) + "\n")

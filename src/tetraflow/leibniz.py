@@ -136,28 +136,21 @@ def leibniz_normal_form(L: LeibnizGraph) -> tuple[tuple, int]:
     zero = False
     for rho in permutations(range(j)):
         for pi in permutations(range(w)):
-            def relabel(v: int) -> int:
-                if v < m:
-                    return v
-                if v < m + w:
-                    return m + pi[v - m]
-                return m + w + rho[v - m - w]
-
+            relabel = (*range(m), *(m + p for p in pi), *(m + w + r for r in rho))
             parity = 0
             new_wedges: list[tuple[int, int]] = [(0, 0)] * w
             for k in range(w):
                 a, b = L.wedge_targets[k]
-                a, b = relabel(a), relabel(b)
+                a, b = relabel[a], relabel[b]
                 if a > b:
                     a, b = b, a
                     parity ^= 1
                 new_wedges[pi[k]] = (a, b)
             new_jacs: list[tuple[int, int, int]] = [(0, 0, 0)] * j
             for i in range(j):
-                trip = sorted(relabel(t) for t in L.jac_targets[i])
-                orig = [relabel(t) for t in L.jac_targets[i]]
-                parity ^= perm_sign(orig) < 0
-                new_jacs[rho[i]] = tuple(trip)
+                trip = [relabel[t] for t in L.jac_targets[i]]
+                parity ^= perm_sign(trip) < 0
+                new_jacs[rho[i]] = tuple(sorted(trip))
             enc = (tuple(new_wedges), tuple(new_jacs))
             if best is None or enc < best:
                 best, best_parity, zero = enc, parity, False

@@ -299,8 +299,8 @@ def ansatz_counts(tadpoles: bool = True, rows: bool = False) -> AnsatzCounts:
         cols = [col for col, _ in build_columns(patterns)]
         keys = assemble(skew_coordinates(lhs_table()), cols).row_keys
         counts.orbit_rows = len(keys)
-        counts.graph_rows = sum(len(alternation(GraphSum({key: Fraction(1)}), key[0]))
-                                for key in keys)
+        # alternations of distinct orbits have disjoint supports
+        counts.graph_rows = len(alternation(GraphSum(dict.fromkeys(keys, Fraction(1))), 3))
     return counts
 
 
