@@ -373,9 +373,11 @@ def quote(text: str) -> str:
 # Sizes a text line may ask for.  normal_form follows every tied branch, so
 # n internal vertices on one target pair cost n! (0.4 s at n = 8 and 3 s at
 # n = 9 on a shared 2-core host); a Leibniz line expands to up to 3 * 4^w
-# labelled graphs of w + 2j internal vertices; a solve column puts each
-# labelled term of that expansion in orbit form once, one search that also
-# hands out the sink labels.  A line of 6 sinks and 6 wedges solves in
+# labelled graphs of w + 2j internal vertices; the solve columns take one
+# expansion per Leibniz class, one orbit search per labelled term of that
+# expansion, a search that also hands out the sink labels (the reuse is
+# exact: expand is equivariant under the Leibniz symmetries, and a class of
+# sign 0 expands to 0).  A line of 6 sinks and 6 wedges solves in
 # 0.2-0.3 s, or in 3.4-3.7 s when every wedge edge lands on the Jacobiator:
 # 192 of its 12288 terms have no double edge, and each ties on every branch.
 MAX_SINKS = 6

@@ -107,8 +107,8 @@ def test_normal_form_matches_brute_force_on_random_graphs():
 
 def test_orbit_normal_form_matches_brute_force_on_ansatz_terms():
     """Every distinct labelled term of the expansion of every linear,
-    quadratic and bi-vector pattern: the graphs the solve columns put in
-    orbit form."""
+    quadratic and bi-vector pattern: every graph the solve columns put in
+    orbit form, and more, as they expand one pattern per Leibniz class."""
     terms = {}
     for patterns in (generate_ansatz_linear(), generate_ansatz_quadratic(),
                      generate_bivector_leibniz()):

@@ -1,16 +1,18 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from tetraflow import linsys, reference
-from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph
-from tetraflow.leibniz import (LeibnizGraph, expand, generate_ansatz_linear,
-                               generate_ansatz_quadratic, generate_bivector_leibniz)
+from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph, check_size
+from tetraflow.leibniz import (LeibnizGraph, expand, expand_terms, generate_ansatz_linear,
+                               generate_ansatz_quadratic, generate_bivector_leibniz,
+                               leibniz_normal_form)
 from tetraflow.linsys import (LinearSystem, ansatz_counts, assemble, build_columns,
                               minimize_support, restrict, solve, solve_factorization,
                               verify_factorization)
-from tetraflow.ops import alternation, skew_coordinates
+from tetraflow.ops import alternation, orbit_sum, skew_coordinates
 
 
 def toy_system(columns, rhs):
@@ -268,6 +270,108 @@ def test_orbit_columns_alternate_back_to_the_graph_columns(family):
         if graph_column:
             assert alternation(cols.pop(L), L.sink_count) == graph_column, L
     assert not cols
+
+
+@pytest.mark.parametrize("family, tadpoles, digest, ncols, expansions", [
+    (generate_ansatz_linear, True, "8a6d6419fa84401e", 1106, 687),
+    (generate_ansatz_linear, False, "c905118955524d9b", 239, 175),
+    (generate_ansatz_quadratic, True, "5e73c7e116751013", 7, 8),
+    (generate_ansatz_quadratic, False, "77f2c54bf79df937", 3, 3),
+    (generate_bivector_leibniz, True, "66ecf948385d55fa", 27, 27),
+    (generate_bivector_leibniz, False, "5053a2e10224cd3d", 5, 5),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_columns_are_pinned(family, tadpoles, digest, ncols, expansions, monkeypatch):
+    """Every column and its pattern, in column order, hash to the digest of
+    the per-pattern expansion, from one expansion per Leibniz class of
+    nonzero sign."""
+    calls = []
+    monkeypatch.setattr(linsys, "expand_terms",
+                        lambda L: calls.append(L) or expand_terms(L))
+    cols = build_columns(family(tadpoles=tadpoles))
+    h = hashlib.sha256()
+    for col, L in cols:
+        h.update(repr((L.key, sorted(col.terms.items()))).encode())
+    assert (h.hexdigest()[:16], len(cols), len(calls)) == (digest, ncols, expansions)
+
+
+def leibniz_image(L, pi, rho):
+    """L with wedge k relabelled m + pi[k] and Jacobiator i relabelled
+    m + w + rho[i]: a wedge relabelling, or with two Jacobiators and rho
+    (1, 0) their interchange, which leaves the operator unchanged."""
+    m, w = L.sink_count, L.wedge_count
+    new = (*range(m), *(m + p for p in pi), *(m + w + r for r in rho))
+    wedges, jacs = [None] * w, [None] * L.jac_count
+    for k, (a, b) in enumerate(L.wedge_targets):
+        wedges[pi[k]] = (new[a], new[b])
+    for i, trip in enumerate(L.jac_targets):
+        jacs[rho[i]] = tuple(new[t] for t in trip)
+    return LeibnizGraph(m, tuple(wedges), tuple(jacs))
+
+
+def random_leibniz(rng):
+    """A Leibniz graph of 2-4 sinks, 1-2 Jacobiators and at least one
+    wedge, expanding to at most 6 internal vertices (within ``check_size``),
+    every target drawn at random: double edges, tadpoles, sinks of any
+    in-degree and edges between Jacobiators all occur."""
+    m, j = rng.randint(2, 4), rng.randint(1, 2)
+    w = rng.randint(1, 6 - 2 * j)
+    size = m + w + j
+    wedges = tuple((rng.randrange(size), rng.randrange(size)) for _ in range(w))
+    jacs = tuple(tuple(rng.sample([t for t in range(size) if t != m + w + i], 3))
+                 for i in range(j))
+    check_size(m, w + 2 * j)
+    return LeibnizGraph(m, wedges, jacs)
+
+
+def random_leibniz_move(L, rng):
+    """L under one random Leibniz symmetry: a wedge relabelling, an edge
+    swap at one wedge (sign -1), a permutation of one Jacobiator's targets
+    (its sign), or the interchange of the Jacobiators."""
+    w, j = L.wedge_count, L.jac_count
+    move = rng.choice(["relabel", "swap", "jacobiator"] + ["interchange"] * (j == 2))
+    if move == "relabel":
+        return leibniz_image(L, rng.sample(range(w), w), range(j))
+    if move == "interchange":
+        return leibniz_image(L, range(w), (1, 0))
+    if move == "swap":
+        k = rng.randrange(w)
+        wedges = list(L.wedge_targets)
+        wedges[k] = wedges[k][::-1]
+        return LeibnizGraph(L.sink_count, tuple(wedges), L.jac_targets)
+    i = rng.randrange(j)
+    jacs = list(L.jac_targets)
+    jacs[i] = tuple(rng.sample(jacs[i], 3))
+    return LeibnizGraph(L.sink_count, L.wedge_targets, tuple(jacs))
+
+
+def test_class_reuse_matches_the_per_pattern_columns():
+    """On seeded random pattern lists with repeats and copies under the
+    Leibniz symmetries, ``build_columns`` keeps exactly the patterns whose
+    own expansion has a nonzero orbit sum, each with that orbit sum as its
+    column.  The draws reach a reused column of the opposite sign, a class
+    of sign 0, and a nonzero sign with an empty column."""
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(30):
+        patterns = []
+        for _ in range(rng.randint(1, 3)):
+            L = random_leibniz(rng)
+            patterns.append(L)
+            for _ in range(rng.randint(0, 4)):
+                L = rng.choice([L, random_leibniz_move(L, rng)])
+                patterns.append(L)
+        rng.shuffle(patterns)
+        per_pattern = [(col, L) for L in patterns
+                       if (col := orbit_sum((g, 1) for g in expand_terms(L)))]
+        assert build_columns(patterns) == per_pattern
+        signs = {}
+        for L in patterns:
+            enc, sign = leibniz_normal_form(L)
+            if signs.setdefault(enc, sign) != sign:
+                seen.add("opposite sign")
+            seen.add("sign 0" if not sign else
+                     "nonzero" if any(L is P for _, P in per_pattern) else "empty")
+    assert seen == {"opposite sign", "sign 0", "nonzero", "empty"}
 
 
 def test_solver_reproduction_shares_columns(lhs39, ansatz, columns):

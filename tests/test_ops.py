@@ -140,9 +140,11 @@ def alternated_multivector(lam, R, m):
     """The m-vector that alternation(lam) evaluates to on R, from the
     evaluations of lam's graphs alone: a key of distinct sink indices adds
     its polynomial, with the sign of their order, to their component, and
-    a key with a repeated index cancels in the alternation."""
+    a key with a repeated index cancels in the alternation.  Every graph
+    must be a multivector term, one edge on each sink."""
     out = PolyMultivector(R.dim, m)
     for g, c in lam.graphs():
+        assert g.is_multivector_term(), g
         for key, p in eval_graph(g, R).terms.items():
             idx = tuple(i for i, in key)
             if len(set(idx)) == m:
