@@ -114,25 +114,13 @@ def normal_form(g: KontsevichGraph) -> NormalForm:
     over the n! * 2^n group; each left/right swap used contributes a factor
     -1 to the sign and relabellings contribute nothing.  The sign is 0 when
     the minimum is reached with both parities, i.e. the graph equals minus
-    itself (double edges, the wedge standing on two equal wedges, ...).
-
-    The minimum is found by an exact branch-and-bound search rather than by
-    walking the group.  The new labels m, m+1, ... are given out one at a
-    time, the vertex labelled m+d supplying the d-th pair, so each partial
-    labelling fixes a prefix of the sequence up to its unlabelled targets.
-    Bounding every unlabelled vertex by the next free label (sinks and
-    labelled vertices keep their labels, each pair sorted) gives a
-    componentwise lower bound of that prefix; a branch is cut only when the
-    bound is strictly greater than the best sequence's prefix.  Branches
-    that tie still reach their leaves, so every labelling attaining the
-    minimum is seen and the sign-0 rule is exact.  Candidates for the next
-    label are tried in the order of their own bounded pair, which finds a
-    near-minimal leaf first; swap parities are counted at leaves only.
+    itself (double edges, the wedge standing on two equal wedges, ...); a
+    double edge returns the empty encoding at once.
     """
     key = g.key
     nf = _NF_CACHE.get(key)
     if nf is None:
-        nf = _NF_CACHE[key] = _least_labelling(g, False)
+        nf = _NF_CACHE[key] = _graph_labelling(g, False)
     return nf
 
 
@@ -145,41 +133,57 @@ def orbit_normal_form(g: KontsevichGraph) -> NormalForm:
     that ``alternation(g) = sign * alternation(representative)``.  The sign
     is 0 when that alternation vanishes: the minimum is reached with both
     total parities, or two sinks receive no edge (swapping them changes
-    nothing).  The search of ``normal_form`` runs once, with the sinks as
-    labels too: an unlabelled sink is bounded by the next free sink label,
-    and sinks are labelled in the order they first appear in the sequence,
-    both orders being tried when one pair meets two new sinks.  Any other
-    order gives a larger sequence for the same internal labelling, so the
-    minimum and every labelling attaining it are still seen.  Uncached: the
-    labelled expansion terms it is given are nearly all distinct.
+    nothing).  Uncached: the labelled expansion terms it is given are
+    nearly all distinct.
     """
-    return _least_labelling(g, True)
+    return _graph_labelling(g, True)
 
 
-def _least_labelling(g: KontsevichGraph, sinks: bool) -> NormalForm:
-    """The search of ``normal_form``; with ``sinks`` it relabels the sinks too
-    (``orbit_normal_form``)."""
-    m, n, targets = g.sink_count, g.internal_count, g.targets
-    for a, b in targets:
-        if a == b:
-            return NormalForm(m, n, (), 0)
+def _graph_labelling(g: KontsevichGraph, sinks: bool) -> NormalForm:
+    m, n = g.sink_count, g.internal_count
+    if any(a == b for a, b in g.targets):
+        return NormalForm(m, n, (), 0)
+    return NormalForm(m, n, *_least_labelling(m, g.targets, sinks))
+
+
+def _least_labelling(m: int, targets: tuple, sinks: bool) -> tuple[tuple[int, ...], int]:
+    """(least flattened sequence, sign) of the vertices m, m+1, ... with the
+    target tuples ``targets``, pairs before triples (a Kontsevich graph, or
+    a Leibniz graph's wedges, then its Jacobiators), over relabellings among
+    the vertices of one arity and, with ``sinks``, of the sinks; each tuple
+    is sorted, with the sort parity as its sign.
+
+    An exact branch-and-bound search.  Labels are given out one at a time,
+    pairs first, the vertex labelled m+d supplying the d-th tuple.  Bounding
+    every unlabelled vertex by the next free label of its arity (a triple by
+    m+w while the w pairs are labelled) and every unlabelled sink by the
+    next free sink label gives a componentwise lower bound of the prefix a
+    partial labelling fixes; a branch is cut only when that bound is
+    strictly greater than the best sequence's prefix.  Ties reach their
+    leaves, so every labelling attaining the minimum is seen and the sign-0
+    rule is exact.  Sinks are labelled in the order they first appear,
+    every order being tried among the new sinks one tuple meets: any other
+    order gives a larger sequence.
+    """
+    n = len(targets)
+    w = sum(len(t) == 2 for t in targets)
     # lab[v]: the new label of vertex v, or for an unlabelled vertex the
     # smallest label it can still receive
-    lab = ([0] * m if sinks else list(range(m))) + [m] * n
+    lab = ([0] * m if sinks else list(range(m))) + [m] * w + [m + w] * (n - w)
     fresh = list(range(m)) if sinks else []  # unlabelled sinks
-    order: list[int] = []  # order[d] = internal index of the vertex labelled m+d
+    order: list[int] = []  # order[d] = index of the vertex labelled m+d
     best: list[int] | None = None
     best_parity = 0
     zero = False
 
-    def label_sinks(new: list[int]) -> None:
+    def label_sinks(new) -> None:
         for v in new:
             lab[v] = m - len(fresh)
             fresh.remove(v)
         for v in fresh:
             lab[v] = m - len(fresh)
 
-    def unlabel_sinks(new: list[int]) -> None:
+    def unlabel_sinks(new) -> None:
         fresh.extend(new)
         for v in fresh:
             lab[v] = m - len(fresh)
@@ -191,12 +195,17 @@ def _least_labelling(g: KontsevichGraph, sinks: bool) -> NormalForm:
             seq: list[int] = []
             parity = 0
             for k in order:
-                a, b = targets[k]
-                a, b = lab[a], lab[b]
-                if a > b:
-                    a, b = b, a
-                    parity ^= 1
-                seq += (a, b)
+                t = targets[k]
+                if len(t) == 2:
+                    a, b = lab[t[0]], lab[t[1]]
+                    if a > b:
+                        a, b = b, a
+                        parity ^= 1
+                    seq += (a, b)
+                else:
+                    trip = [lab[v] for v in t]
+                    parity ^= perm_sign(trip) < 0
+                    seq += sorted(trip)
             if sinks and len(fresh) < 2:
                 # a lone sink no edge reaches holds its bound, the last label;
                 # with two or more the sign is 0 (below)
@@ -213,20 +222,24 @@ def _least_labelling(g: KontsevichGraph, sinks: bool) -> NormalForm:
         candidates = []
         for k in todo:
             lab[m + k] = label
-            a, b = targets[k]
-            a, b = lab[a], lab[b]
-            candidates.append(((a, b) if a < b else (b, a), k))
+            t = targets[k]
+            if len(t) == 2:
+                a, b = lab[t[0]], lab[t[1]]
+                candidates.append(((a, b) if a < b else (b, a), k))
+            else:
+                candidates.append((sorted([lab[v] for v in t]), k))
             lab[m + k] = later
         candidates.sort()
         for _, k in candidates:
             lab[m + k] = label
             order.append(k)
-            new = [v for v in targets[k] if v in fresh] if fresh else ()
-            for first in (new, new[::-1]) if len(new) == 2 else (new,):
+            new = [v for v in dict.fromkeys(targets[k]) if v in fresh] if fresh else ()
+            for first in permutations(new) if len(new) > 1 else (new,):
                 if new:
                     label_sinks(first)
                 if best is None or not _prefix_exceeds(order, targets, lab, best):
-                    descend([j for j in todo if j != k])
+                    # the triples m+w.. follow the last pair
+                    descend([j for j in todo if j != k] or list(range(d + 1, n)))
                 if new:
                     unlabel_sinks(first)
             order.pop()
@@ -234,26 +247,32 @@ def _least_labelling(g: KontsevichGraph, sinks: bool) -> NormalForm:
         for k in todo:
             lab[m + k] = label
 
-    descend(list(range(n)))
+    descend(list(range(w or n)))
     assert best is not None
-    if sinks and m - len({t for pair in targets for t in pair if t < m}) >= 2:
+    if sinks and m - len({t for tup in targets for t in tup if t < m}) >= 2:
         zero = True
-    return NormalForm(m, n, tuple(best), 0 if zero else (1 if best_parity == 0 else -1))
+    return tuple(best), 0 if zero else (1 if best_parity == 0 else -1)
 
 
 def _prefix_exceeds(order, targets, lab, best) -> bool:
     """Whether the bounded prefix of ``order`` is lexicographically above ``best``."""
     pos = 0
     for k in order:
-        a, b = targets[k]
-        a, b = lab[a], lab[b]
-        if a > b:
-            a, b = b, a
-        if a != best[pos]:
-            return a > best[pos]
-        if b != best[pos + 1]:
-            return b > best[pos + 1]
-        pos += 2
+        t = targets[k]
+        if len(t) == 2:
+            a, b = lab[t[0]], lab[t[1]]
+            if a > b:
+                a, b = b, a
+            if a != best[pos]:
+                return a > best[pos]
+            if b != best[pos + 1]:
+                return b > best[pos + 1]
+            pos += 2
+        else:
+            for a in sorted([lab[v] for v in t]):
+                if a != best[pos]:
+                    return a > best[pos]
+                pos += 1
     return False
 
 
@@ -373,13 +392,11 @@ def quote(text: str) -> str:
 # Sizes a text line may ask for.  normal_form follows every tied branch, so
 # n internal vertices on one target pair cost n! (0.4 s at n = 8 and 3 s at
 # n = 9 on a shared 2-core host); a Leibniz line expands to up to 3 * 4^w
-# labelled graphs of w + 2j internal vertices; the solve columns take one
-# expansion per Leibniz class, one orbit search per labelled term of that
-# expansion, a search that also hands out the sink labels (the reuse is
-# exact: expand is equivariant under the Leibniz symmetries, and a class of
-# sign 0 expands to 0).  A line of 6 sinks and 6 wedges solves in
-# 0.2-0.3 s, or in 3.4-3.7 s when every wedge edge lands on the Jacobiator:
-# 192 of its 12288 terms have no double edge, and each ties on every branch.
+# labelled graphs of w + 2j internal vertices, and the solve columns take
+# one expansion per Leibniz sink orbit of nonzero sign, one orbit search
+# per labelled term.  Lines of 6 sinks and 6 wedges solve in 0.2-0.4 s; the
+# one with every wedge edge on the Jacobiator is of sign 0 (three sinks
+# receive no edge), so its 12288 terms are not searched.
 MAX_SINKS = 6
 MAX_INTERNAL = 8
 

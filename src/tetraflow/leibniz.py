@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
-from .graphs import (GraphError, GraphSum, KontsevichGraph, brief, check_size,
-                     format_coeff, parse_coeff, parse_graph_line,
-                     parse_lines, perm_sign, quote, sink_images, sink_relabelling)
+from .graphs import (GraphError, GraphSum, KontsevichGraph, _least_labelling, brief,
+                     check_size, format_coeff, parse_coeff, parse_graph_line,
+                     parse_lines, quote, sink_images, sink_relabelling)
 
 
 @dataclass(frozen=True)
@@ -124,40 +124,28 @@ def expand_combination(terms) -> GraphSum:
 # canonical form
 
 def leibniz_normal_form(L: LeibnizGraph) -> tuple[tuple, int]:
-    """Canonical encoding and sign of a Leibniz graph.
+    """Canonical encoding ``(m, wedge_pairs, jac_triples)`` and sign of a
+    Leibniz graph: the least over wedge relabellings, signed per-wedge
+    swaps, signed permutations of each Jacobiator's targets, and
+    (sign-free) interchange of the Jacobiator copies, found by the search
+    of ``graphs.normal_form``.  The sign is 0 for self-antisymmetric
+    patterns; a wedge with a double edge does not force it."""
+    return _leibniz_labelling(L, False)
 
-    Minimizes over wedge relabellings, signed per-wedge swaps, signed
-    permutations of each Jacobiator's targets, and (sign-free) interchange
-    of the Jacobiator copies; sign 0 for self-antisymmetric patterns.
-    """
-    m, w, j = L.sink_count, L.wedge_count, L.jac_count
-    best = None
-    best_parity = 0
-    zero = False
-    for rho in permutations(range(j)):
-        for pi in permutations(range(w)):
-            relabel = (*range(m), *(m + p for p in pi), *(m + w + r for r in rho))
-            parity = 0
-            new_wedges: list[tuple[int, int]] = [(0, 0)] * w
-            for k in range(w):
-                a, b = L.wedge_targets[k]
-                a, b = relabel[a], relabel[b]
-                if a > b:
-                    a, b = b, a
-                    parity ^= 1
-                new_wedges[pi[k]] = (a, b)
-            new_jacs: list[tuple[int, int, int]] = [(0, 0, 0)] * j
-            for i in range(j):
-                trip = [relabel[t] for t in L.jac_targets[i]]
-                parity ^= perm_sign(trip) < 0
-                new_jacs[rho[i]] = tuple(sorted(trip))
-            enc = (tuple(new_wedges), tuple(new_jacs))
-            if best is None or enc < best:
-                best, best_parity, zero = enc, parity, False
-            elif enc == best and parity != best_parity:
-                zero = True
-    sign = 0 if zero else (1 if best_parity == 0 else -1)
-    return (m,) + best, sign
+
+def leibniz_orbit_normal_form(L: LeibnizGraph) -> tuple[tuple, int]:
+    """``leibniz_normal_form`` minimized over the m! sink permutations as
+    well, the key of the signed sink-permutation orbit of ``L``, with the
+    sign rule of ``graphs.orbit_normal_form``: the alternated expansion of
+    ``L`` is the sign times that of the representative."""
+    return _leibniz_labelling(L, True)
+
+
+def _leibniz_labelling(L: LeibnizGraph, sinks: bool) -> tuple[tuple, int]:
+    enc, sign = _least_labelling(L.sink_count, L.wedge_targets + L.jac_targets, sinks)
+    w = 2 * L.wedge_count
+    return (L.sink_count, tuple(zip(enc[:w:2], enc[1:w:2])),
+            tuple(zip(enc[w::3], enc[w + 1::3], enc[w + 2::3]))), sign
 
 
 def flatten_alternated(chosen: list[tuple[LeibnizGraph, Fraction]]

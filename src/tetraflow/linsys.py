@@ -2,25 +2,22 @@
 
 Rows are keyed by the keys of the sums put in, columns by ansatz patterns;
 all arithmetic is in Fraction, so feasibility and residuals are exact.  The
-factorization systems are written in orbit coordinates: a skew sum S is
-the sum of lambda_o * alternation(rep_o) over signed sink-permutation
-orbits o (``ops.orbit_sum``, ``ops.skew_coordinates``), so each row is one
-orbit representative, and the columns take one expansion per Leibniz class
-(patterns equal under ``leibniz_normal_form``), one orbit search per
-labelled term of that expansion.  The reuse is exact: ``expand`` is
-equivariant under the Leibniz symmetries, so a pattern's column is
-sign(pattern) * sign(first) times the column of its class's first pattern,
-and a class of sign 0 expands to 0.  The map from skew
-sums to lambda is linear and injective, so every solution space in column
-coordinates, and with it every result, is the one the graph rows give.  The
-elimination picks sparse pivots (fewest-entries column, then shortest row)
-with deterministic tie-breaks, which keeps fill-in manageable on the
-factorization systems while staying reproducible.  One Gauss-Jordan pass
-back over the pivots then writes every pivot column in the free columns,
-giving the particular solution and the null space at once.  Each
-run-through eliminates its system once and reads every follow-up question
-off that solution space: ``restrict`` asks which solutions vanish on a set
-of columns, and whether the other columns span them.
+factorization systems are written in orbit coordinates: a skew sum S is the
+sum of lambda_o * alternation(rep_o) over signed sink-permutation orbits o
+(``ops.orbit_sum``, ``ops.skew_coordinates``), so each row is one orbit
+representative, and the columns take one expansion per Leibniz sink orbit
+(``leibniz_orbit_normal_form``), one orbit search per labelled term of it.
+The map from skew sums to lambda is linear and injective, so every solution
+space in column coordinates, and with it every result, is the one the graph
+rows give.  The elimination picks sparse pivots (fewest-entries column,
+then shortest row) with deterministic tie-breaks, which keeps fill-in
+manageable on the factorization systems while staying reproducible.  One
+Gauss-Jordan pass back over the pivots then writes every pivot column in
+the free columns, giving the particular solution and the null space at
+once.  Each run-through eliminates its system once and reads every
+follow-up question off that solution space: ``restrict`` asks which
+solutions vanish on a set of columns, and whether the other columns span
+them.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from .graphs import GraphError, GraphSum
 from .leibniz import (LINEAR_CLASS_ORDER, LeibnizGraph, expand_combination, expand_terms,
                       flatten_alternated, generate_ansatz_linear, generate_ansatz_quadratic,
                       generate_bivector_leibniz, generate_linear_classes,
-                      leibniz_normal_form, sink_labelled_patterns)
+                      leibniz_orbit_normal_form, sink_labelled_patterns)
 from .ops import (alternation, one_vector_graphs, orbit_sum, schouten_bracket,
                   skew_coordinates, tetra_flow, wedge_sum)
 from .reference import lhs_table
@@ -237,20 +234,18 @@ def build_columns(patterns: list[LeibnizGraph]) -> list[tuple[GraphSum, LeibnizG
     """(column, pattern) for every pattern whose alternated expansion is
     nonzero, the column being that alternation in orbit coordinates.
 
-    One expansion per Leibniz class, one orbit search per labelled term of
-    that expansion: only the first pattern of each ``leibniz_normal_form``
-    class is expanded, each labelled term put in orbit form once, unreduced,
-    and every other pattern L of the class takes that column times
-    sign(L) * sign(first).  The reuse is exact: ``expand`` is equivariant
-    under the Leibniz symmetries (wedge relabellings, edge swaps, Jacobiator
-    target permutations and interchange), and the orbit coordinates of a
-    skew sum are unique.  A class of sign 0 equals minus itself, so it
-    expands to 0 and is dropped unexpanded.  Patterns of one class and one
-    sign share one column object, which callers only read."""
+    Only the first pattern of each ``leibniz_orbit_normal_form`` orbit is
+    expanded, each labelled term put in orbit form once, unreduced; every
+    other pattern L of the orbit takes that column times sign(L) *
+    sign(first).  The reuse is exact: the alternated expansion is
+    equivariant under the Leibniz symmetries and the sink permutations, and
+    the orbit coordinates of a skew sum are unique.  An orbit of sign 0
+    alternates to 0 and is dropped unexpanded.  Patterns of one orbit and
+    one sign share one column object, which callers only read."""
     first: dict[tuple, tuple[GraphSum, int]] = {}  # class -> its first column and sign
     out = []
     for L in patterns:
-        enc, sign = leibniz_normal_form(L)
+        enc, sign = leibniz_orbit_normal_form(L)
         if not sign:
             continue
         if enc not in first:

@@ -1,15 +1,19 @@
-"""Brute-force references for ``graphs.normal_form`` and ``orbit_normal_form``.
+"""Brute-force references for the canonical forms of both graph kinds:
+``graphs.normal_form`` and ``orbit_normal_form``, ``leibniz.leibniz_normal_form``
+and ``leibniz_orbit_normal_form``.
 
-Walks all n! relabellings of the internal vertices (swaps are implied by
-sorting each pair) and keeps the lexicographically smallest flattened
-sequence, with the sign-0 rule for a minimum reached with both swap
-parities.  The library's pruned search must agree with it exactly, and its
-orbit form with the minimum of this one over the sink permutations.
+Each walks every relabelling of the internal vertices (swaps and target
+permutations are implied by sorting each tuple) and keeps the
+lexicographically smallest sequence, with the sign-0 rule for a minimum
+reached with both parities.  The library's pruned search must agree with it
+exactly, and its orbit form with the minimum of this one over the sink
+permutations.
 """
 
 from itertools import permutations
 
-from tetraflow.graphs import KontsevichGraph, NormalForm, perm_sign
+from tetraflow.graphs import KontsevichGraph, NormalForm, perm_sign, sink_images
+from tetraflow.leibniz import LeibnizGraph
 
 
 def brute_normal_form(g: KontsevichGraph) -> NormalForm:
@@ -59,3 +63,54 @@ def brute_orbit_normal_form(g: KontsevichGraph) -> NormalForm:
         if nf.encoding == best:
             signs.add(nf.sign * perm_sign(sigma))
     return NormalForm(m, g.internal_count, best, signs.pop() if signs in ({1}, {-1}) else 0)
+
+
+def brute_leibniz_normal_form(L: LeibnizGraph) -> tuple[tuple, int]:
+    """Canonical encoding and sign of a Leibniz graph.
+
+    Minimizes over wedge relabellings, signed per-wedge swaps, signed
+    permutations of each Jacobiator's targets, and (sign-free) interchange
+    of the Jacobiator copies; sign 0 for self-antisymmetric patterns.
+    """
+    m, w, j = L.sink_count, L.wedge_count, L.jac_count
+    best = None
+    best_parity = 0
+    zero = False
+    for rho in permutations(range(j)):
+        for pi in permutations(range(w)):
+            relabel = (*range(m), *(m + p for p in pi), *(m + w + r for r in rho))
+            parity = 0
+            new_wedges: list[tuple[int, int]] = [(0, 0)] * w
+            for k in range(w):
+                a, b = L.wedge_targets[k]
+                a, b = relabel[a], relabel[b]
+                if a > b:
+                    a, b = b, a
+                    parity ^= 1
+                new_wedges[pi[k]] = (a, b)
+            new_jacs: list[tuple[int, int, int]] = [(0, 0, 0)] * j
+            for i in range(j):
+                trip = [relabel[t] for t in L.jac_targets[i]]
+                parity ^= perm_sign(trip) < 0
+                new_jacs[rho[i]] = tuple(sorted(trip))
+            enc = (tuple(new_wedges), tuple(new_jacs))
+            if best is None or enc < best:
+                best, best_parity, zero = enc, parity, False
+            elif enc == best and parity != best_parity:
+                zero = True
+    sign = 0 if zero else (1 if best_parity == 0 else -1)
+    return (m,) + best, sign
+
+
+def brute_leibniz_orbit_normal_form(L: LeibnizGraph) -> tuple[tuple, int]:
+    """``brute_leibniz_normal_form`` minimized over every sink image of
+    ``L``, with the sign rule of ``brute_orbit_normal_form``."""
+    best = None
+    signs = set()
+    for sigma_sign, image in sink_images(L):
+        enc, sign = brute_leibniz_normal_form(image)
+        if best is None or enc < best:
+            best, signs = enc, set()
+        if enc == best:
+            signs.add(sign * sigma_sign)
+    return best, signs.pop() if signs in ({1}, {-1}) else 0

@@ -235,12 +235,15 @@ def test_solve_target_outside_the_skew_columns(tmp_path, capsys, content, code, 
 
 def test_solve_ansatz_of_six_sinks_is_fast(tmp_path, capsys):
     """Each expanded term of a 6-sink pattern is put in orbit form once,
-    not summed over the 720 sink permutations (7.3-8.8 s that way).  On the
-    second line every wedge edge lands on the Jacobiator: 192 of its 12288
-    labelled terms have no double edge, and the orbit search of each ties
-    on every branch (3.4-3.7 s on a shared 2-core host)."""
+    not summed over the 720 sink permutations (7.3-8.8 s that way).  The
+    first line expands to 768 labelled terms.  The other two have sink
+    orbits of sign 0 (swapping sinks 3 and 4, with the wedges on them, is
+    an odd symmetry), so they are not expanded; on the last, every wedge
+    edge lands on the Jacobiator, and searching its 12288 terms took
+    3.4-3.7 s on a shared 2-core host."""
     ansatz = tmp_path / "ansatz.txt"
-    for line, bound in (("6 6 3 12 4 12 5 12 10 12 11 12 9 12 | 0 1 2 1", 3),
+    for line, bound in (("6 6 2 0 12 12 12 12 12 12 3 4 12 12 | 10 1 5 1", 3),
+                        ("6 6 3 12 4 12 5 12 10 12 11 12 9 12 | 0 1 2 1", 3),
                         ("6 6 12 12 12 12 12 12 12 12 12 12 12 12 | 0 1 2 1", 10)):
         ansatz.write_text(line + "\n")
         start = time.perf_counter()

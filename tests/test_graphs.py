@@ -108,7 +108,7 @@ def test_normal_form_matches_brute_force_on_random_graphs():
 def test_orbit_normal_form_matches_brute_force_on_ansatz_terms():
     """Every distinct labelled term of the expansion of every linear,
     quadratic and bi-vector pattern: every graph the solve columns put in
-    orbit form, and more, as they expand one pattern per Leibniz class."""
+    orbit form, and more, as they expand one pattern per Leibniz sink orbit."""
     terms = {}
     for patterns in (generate_ansatz_linear(), generate_ansatz_quadratic(),
                      generate_bivector_leibniz()):

@@ -4,19 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from tetraflow import reference
+from tetraflow import graphs, reference
 from tetraflow.graphs import (MAX_INTERNAL, MAX_SINKS, GraphError, GraphSum, normal_form,
-                              parse_graph_line, parse_lines, serialize_graph)
+                              parse_graph_line, parse_lines, serialize_graph, sink_images)
 from tetraflow.leibniz import (LINEAR_CLASS_ORDER, LeibnizGraph, expand,
                                expand_combination, expand_terms, flatten_alternated,
                                generate_ansatz_linear,
                                generate_ansatz_quadratic,
                                generate_bivector_leibniz,
                                generate_linear_classes, leibniz_normal_form,
-                               parse_leibniz_line, parse_leibniz_placeholder_line,
+                               leibniz_orbit_normal_form, parse_leibniz_line,
+                               parse_leibniz_placeholder_line,
                                read_leibniz_file, serialize_leibniz,
                                sink_labelled_patterns)
 from tetraflow.ops import alternation
+
+from nf_reference import brute_leibniz_normal_form, brute_leibniz_orbit_normal_form
+from test_linsys import random_leibniz
 
 
 def tripod():
@@ -108,6 +112,54 @@ def test_leibniz_normal_form_wedge_relabel_invariance():
         assert e1 == e2
         if s1:
             assert s2 == s1 * (-1) ** flips
+
+
+def test_leibniz_forms_match_brute_force_on_every_sink_image_of_the_ansatz(monkeypatch):
+    """Both search forms on every sink image of every linear, quadratic and
+    bi-vector pattern, with tadpoles and without.  Together they compare at
+    most 93,350 bounded prefixes with the best sequence: an unlabelled
+    Jacobiator is bounded by the first Jacobiator label while the wedges are
+    labelled, and a weaker bound (the next wedge label) takes 133,490."""
+    images = [image for tadpoles in (True, False)
+              for family in (generate_ansatz_linear, generate_ansatz_quadratic,
+                             generate_bivector_leibniz)
+              for L in family(tadpoles=tadpoles) for _, image in sink_images(L)]
+    assert len(images) == 8434
+    prefixes, prefix_exceeds = [], graphs._prefix_exceeds
+    monkeypatch.setattr(graphs, "_prefix_exceeds",
+                        lambda *args: prefixes.append(1) or prefix_exceeds(*args))
+    for image in images:
+        assert leibniz_normal_form(image) == brute_leibniz_normal_form(image), image
+        assert leibniz_orbit_normal_form(image) == brute_leibniz_orbit_normal_form(image), image
+    assert len(prefixes) <= 93_350
+
+
+def test_leibniz_forms_match_brute_force_on_random_graphs():
+    """Both search forms on seeded random Leibniz graphs.  A wedge with a
+    double edge keeps the brute force's sign, which need not be 0, and in
+    orbit form a double edge on an unlabelled sink labels that sink once."""
+    on_one_sink = LeibnizGraph(3, ((1, 1), (0, 3)), ((2, 3, 4),))
+    assert leibniz_orbit_normal_form(on_one_sink) == brute_leibniz_orbit_normal_form(on_one_sink)
+    rng = random.Random(16)
+    seen = Counter()
+    for _ in range(10_000):
+        L = random_leibniz(rng)
+        nf = leibniz_normal_form(L)
+        orbit = leibniz_orbit_normal_form(L)
+        assert nf == brute_leibniz_normal_form(L), L
+        assert orbit == brute_leibniz_orbit_normal_form(L), L
+        m, w = L.sink_count, L.wedge_count
+        targeted = {t for tup in L.wedge_targets + L.jac_targets for t in tup}
+        seen["sign 0"] += nf[1] == 0
+        seen["orbit sign 0"] += orbit[1] == 0
+        seen["tadpole"] += any(m + k in pair for k, pair in enumerate(L.wedge_targets))
+        seen["Jacobiators joined"] += (L.jac_count == 2 and m + w + 1 in L.jac_targets[0]
+                                       and m + w in L.jac_targets[1])
+        seen["untargeted sink"] += not set(range(m)) <= targeted
+        seen["double edge, sign not 0"] += nf[1] != 0 and any(
+            a == b for a, b in L.wedge_targets)
+        seen["double edge on a sink"] += any(a == b < m for a, b in L.wedge_targets)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_linear_class_sizes():

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from tetraflow import linsys, reference
-from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph, check_size
+from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph, check_size, sink_images
 from tetraflow.leibniz import (LeibnizGraph, expand, expand_terms, generate_ansatz_linear,
                                generate_ansatz_quadratic, generate_bivector_leibniz,
-                               leibniz_normal_form)
+                               leibniz_normal_form, leibniz_orbit_normal_form)
 from tetraflow.linsys import (LinearSystem, ansatz_counts, assemble, build_columns,
                               minimize_support, restrict, solve, solve_factorization,
                               verify_factorization)
@@ -273,17 +273,17 @@ def test_orbit_columns_alternate_back_to_the_graph_columns(family):
 
 
 @pytest.mark.parametrize("family, tadpoles, digest, ncols, expansions", [
-    (generate_ansatz_linear, True, "8a6d6419fa84401e", 1106, 687),
-    (generate_ansatz_linear, False, "c905118955524d9b", 239, 175),
-    (generate_ansatz_quadratic, True, "5e73c7e116751013", 7, 8),
+    (generate_ansatz_linear, True, "8a6d6419fa84401e", 1106, 495),
+    (generate_ansatz_linear, False, "c905118955524d9b", 239, 113),
+    (generate_ansatz_quadratic, True, "5e73c7e116751013", 7, 7),
     (generate_ansatz_quadratic, False, "77f2c54bf79df937", 3, 3),
-    (generate_bivector_leibniz, True, "66ecf948385d55fa", 27, 27),
-    (generate_bivector_leibniz, False, "5053a2e10224cd3d", 5, 5),
+    (generate_bivector_leibniz, True, "66ecf948385d55fa", 27, 18),
+    (generate_bivector_leibniz, False, "5053a2e10224cd3d", 5, 3),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_columns_are_pinned(family, tadpoles, digest, ncols, expansions, monkeypatch):
     """Every column and its pattern, in column order, hash to the digest of
-    the per-pattern expansion, from one expansion per Leibniz class of
-    nonzero sign."""
+    the per-pattern expansion, from one expansion per Leibniz sink orbit
+    of nonzero sign."""
     calls = []
     monkeypatch.setattr(linsys, "expand_terms",
                         lambda L: calls.append(L) or expand_terms(L))
@@ -326,9 +326,13 @@ def random_leibniz(rng):
 def random_leibniz_move(L, rng):
     """L under one random Leibniz symmetry: a wedge relabelling, an edge
     swap at one wedge (sign -1), a permutation of one Jacobiator's targets
-    (its sign), or the interchange of the Jacobiators."""
+    (its sign), the interchange of the Jacobiators, or a permutation of the
+    sinks (its sign on the alternated expansion)."""
     w, j = L.wedge_count, L.jac_count
-    move = rng.choice(["relabel", "swap", "jacobiator"] + ["interchange"] * (j == 2))
+    move = rng.choice(["relabel", "swap", "jacobiator", "sinks"]
+                      + ["interchange"] * (j == 2))
+    if move == "sinks":
+        return rng.choice(list(sink_images(L)))[1]
     if move == "relabel":
         return leibniz_image(L, rng.sample(range(w), w), range(j))
     if move == "interchange":
@@ -346,10 +350,12 @@ def random_leibniz_move(L, rng):
 
 def test_class_reuse_matches_the_per_pattern_columns():
     """On seeded random pattern lists with repeats and copies under the
-    Leibniz symmetries, ``build_columns`` keeps exactly the patterns whose
-    own expansion has a nonzero orbit sum, each with that orbit sum as its
-    column.  The draws reach a reused column of the opposite sign, a class
-    of sign 0, and a nonzero sign with an empty column."""
+    Leibniz symmetries and sink permutations, ``build_columns`` keeps
+    exactly the patterns whose own expansion has a nonzero orbit sum, each
+    with that orbit sum as its column.  The draws reach a reused column of
+    the opposite sign, one reused across distinct sink images of opposite
+    sign, a sink orbit of sign 0, and a nonzero sign with an empty
+    column."""
     rng = random.Random(15)
     seen = set()
     for _ in range(30):
@@ -366,12 +372,15 @@ def test_class_reuse_matches_the_per_pattern_columns():
         assert build_columns(patterns) == per_pattern
         signs = {}
         for L in patterns:
-            enc, sign = leibniz_normal_form(L)
-            if signs.setdefault(enc, sign) != sign:
+            enc, sign = leibniz_orbit_normal_form(L)
+            if signs.setdefault(enc, (sign, L))[0] != sign:
                 seen.add("opposite sign")
+                if leibniz_normal_form(L)[0] != leibniz_normal_form(signs[enc][1])[0]:
+                    seen.add("opposite sign across sink images")
             seen.add("sign 0" if not sign else
                      "nonzero" if any(L is P for _, P in per_pattern) else "empty")
-    assert seen == {"opposite sign", "sign 0", "nonzero", "empty"}
+    assert seen == {"opposite sign", "opposite sign across sink images", "sign 0",
+                    "nonzero", "empty"}
 
 
 def test_solver_reproduction_shares_columns(lhs39, ansatz, columns):
