@@ -37,6 +37,11 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
+def _write_lines(path: str, lines: list[str]) -> None:
+    """Write ``lines``, each ended by a newline."""
+    _write_text(path, "".join(line + "\n" for line in lines))
+
+
 def parse_ratio(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -52,7 +57,7 @@ def cmd_normalize(args) -> int:
         if nf.sign:
             lines.append(format_graph_line(nf.sink_count, nf.internal_count,
                                            nf.encoding, c * nf.sign))
-    _write_text(args.outfile, "\n".join(lines) + ("\n" if lines else ""))
+    _write_lines(args.outfile, lines)
     return 0
 
 
@@ -79,7 +84,7 @@ def cmd_lhs(args) -> int:
                  f" (c/{reference.PRESENTATION_SCALE}) * alternation(representative)"]
         for key, c in collect_skew_orbits(s, 3):
             lines.append(format_graph_line(*key, c))
-        _write_text(args.outfile, "\n".join(lines) + "\n")
+        _write_lines(args.outfile, lines)
     else:
         _write_text(args.outfile, s.serialize())
     return 0
@@ -88,8 +93,7 @@ def cmd_lhs(args) -> int:
 def cmd_gen_ansatz(args) -> int:
     gen = generate_ansatz_quadratic if args.quadratic else generate_ansatz_linear
     pats = gen(tadpoles=not args.no_tadpoles)
-    lines = [serialize_leibniz(L, 1) for L in pats]
-    _write_text(args.outfile, "\n".join(lines) + ("\n" if lines else ""))
+    _write_lines(args.outfile, [serialize_leibniz(L, 1) for L in pats])
     return 0
 
 
@@ -119,8 +123,7 @@ def cmd_solve(args) -> int:
         return 1
     print(f"feasible: support {result.support} of {len(patterns)} patterns;"
           f" {len(result.flattened)} Leibniz graphs after expanding sink permutations")
-    lines = [serialize_leibniz(L, c) for L, c in result.flattened]
-    _write_text(args.outfile, "\n".join(lines) + ("\n" if lines else ""))
+    _write_lines(args.outfile, [serialize_leibniz(L, c) for L, c in result.flattened])
     return 0
 
 
@@ -297,10 +300,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

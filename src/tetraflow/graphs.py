@@ -276,6 +276,20 @@ def _prefix_exceeds(order, targets, lab, best) -> bool:
     return False
 
 
+def add_term(terms: dict, key, c) -> None:
+    """Add ``c`` to ``terms[key]``, dropping the key when the sum is 0.
+
+    The one add-and-drop rule of the sparse sums on the graph side (graph
+    sums, orbit sums, flattened patterns, solution vectors): none stores a
+    zero, so two sums are equal iff their dicts are.
+    """
+    new = terms.get(key, 0) + c
+    if new:
+        terms[key] = new
+    else:
+        terms.pop(key, None)
+
+
 def graph_from_encoding(m: int, n: int, encoding: tuple[int, ...]) -> KontsevichGraph:
     pairs = tuple((encoding[2 * k], encoding[2 * k + 1]) for k in range(n))
     return KontsevichGraph(m, n, pairs)
@@ -299,25 +313,16 @@ class GraphSum:
         if not c:
             return
         nf = normal_form(g)
-        if nf.sign == 0:
-            return
-        key = (nf.sink_count, nf.internal_count, nf.encoding)
-        new = self.terms.get(key, Fraction(0)) + Fraction(c) * nf.sign
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
+        if nf.sign:
+            add_term(self.terms, (nf.sink_count, nf.internal_count, nf.encoding),
+                     Fraction(c) * nf.sign)
 
     def add_sum(self, other: "GraphSum", scale: Fraction | int = 1) -> None:
         if not scale:
             return
         scale = Fraction(scale)
         for key, c in other.terms.items():
-            new = self.terms.get(key, Fraction(0)) + c * scale
-            if new:
-                self.terms[key] = new
-            else:
-                self.terms.pop(key, None)
+            add_term(self.terms, key, c * scale)
 
     def __add__(self, other: "GraphSum") -> "GraphSum":
         out = GraphSum(dict(self.terms))
@@ -428,26 +433,29 @@ def parse_coeff(tok: str) -> Fraction:
         raise GraphError(f"malformed rational {quote(tok)}") from exc
 
 
+def parse_ints(toks: list[str], what: str, line: str) -> list[int]:
+    """The tokens ``toks`` of ``line`` as integers, else GraphError ``bad
+    <what> in <line>``: the one integer reader of graph and Leibniz lines,
+    for their ``m n`` or ``m w`` prefix and for their targets."""
+    try:
+        return [int(t) for t in toks]
+    except ValueError as exc:  # not an integer, or more digits than int() converts
+        raise GraphError(f"bad {what} in {quote(line)}") from exc
+
+
 def parse_graph_line(line: str) -> tuple[KontsevichGraph, Fraction]:
     """Parse one ``m n t1 ... t_{2n} coeff`` line into a labelled graph."""
     toks = line.split()
     if len(toks) < 3:
         raise GraphError(f"wrong token count in {quote(line)}")
-    try:
-        m, n = int(toks[0]), int(toks[1])
-    except ValueError as exc:
-        raise GraphError(f"bad prefix in {quote(line)}") from exc
+    m, n = parse_ints(toks[:2], "prefix", line)
     if len(toks) != 2 + 2 * n + 1:
         raise GraphError(f"wrong token count in {quote(line)}: "
                          f"expected {brief(2 + 2*n + 1)} tokens")
     check_size(m, n)
-    try:
-        flat = [int(t) for t in toks[2:2 + 2 * n]]
-    except ValueError as exc:
-        raise GraphError(f"bad target in {quote(line)}") from exc
+    encoding = parse_ints(toks[2:-1], "target", line)
     coeff = parse_coeff(toks[-1])
-    pairs = tuple((flat[2 * k], flat[2 * k + 1]) for k in range(n))
-    return KontsevichGraph(m, n, pairs), coeff
+    return graph_from_encoding(m, n, encoding), coeff
 
 
 def format_graph_line(m: int, n: int, encoding, c: Fraction) -> str:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .graphs import (GraphError, GraphSum, KontsevichGraph, _least_labelling, brief,
-                     check_size, format_coeff, parse_coeff, parse_graph_line,
-                     parse_lines, quote, sink_images, sink_relabelling)
+from .graphs import (GraphError, GraphSum, KontsevichGraph, _least_labelling, add_term,
+                     brief, check_size, format_coeff, parse_coeff, parse_graph_line,
+                     parse_ints, parse_lines, quote, sink_images, sink_relabelling)
 
 
 @dataclass(frozen=True)
@@ -159,13 +159,8 @@ def flatten_alternated(chosen: list[tuple[LeibnizGraph, Fraction]]
     for L, c in chosen:
         for sigma_sign, Ls in sink_images(L):
             enc, sign = leibniz_normal_form(Ls)
-            if sign == 0:
-                continue
-            new = acc.get(enc, Fraction(0)) + c * sigma_sign * sign
-            if new:
-                acc[enc] = new
-            else:
-                acc.pop(enc, None)
+            if sign:
+                add_term(acc, enc, c * sigma_sign * sign)
     return [(LeibnizGraph(enc[0], enc[1], enc[2]), v) for enc, v in sorted(acc.items())]
 
 
@@ -183,26 +178,16 @@ def serialize_leibniz(L: LeibnizGraph, c: Fraction | int) -> str:
     return " ".join(parts)
 
 
-def _parse_targets(toks: list[str], line: str) -> list[int]:
-    try:
-        return [int(t) for t in toks]
-    except ValueError as exc:
-        raise GraphError(f"bad target in {quote(line)}") from exc
-
-
 def parse_leibniz_line(line: str) -> tuple[LeibnizGraph, Fraction]:
     toks = line.split()
     if len(toks) < 4 or "|" not in toks:
         raise GraphError(f"bad Leibniz graph line {quote(line)}")
-    try:
-        m, w = int(toks[0]), int(toks[1])
-    except ValueError as exc:
-        raise GraphError(f"bad prefix in {quote(line)}") from exc
+    m, w = parse_ints(toks[:2], "prefix", line)
     rest = toks[2:]
     bar = rest.index("|")
     if bar != 2 * w:
         raise GraphError(f"expected {brief(2 * w)} wedge targets in {quote(line)}")
-    wedge_flat = _parse_targets(rest[:bar], line)
+    wedge_flat = parse_ints(rest[:bar], "target", line)
     wedges = tuple((wedge_flat[2 * k], wedge_flat[2 * k + 1]) for k in range(w))
     if rest[-1] == "|":
         raise GraphError(f"missing coefficient in {quote(line)}")
@@ -218,7 +203,7 @@ def parse_leibniz_line(line: str) -> tuple[LeibnizGraph, Fraction]:
     for grp in groups:
         if len(grp) != 3:
             raise GraphError(f"expected 3 Jacobiator targets in {quote(line)}")
-        jacs.append(tuple(_parse_targets(grp, line)))
+        jacs.append(tuple(parse_ints(grp, "target", line)))
     check_size(m, w + 2 * len(jacs))
     return LeibnizGraph(m, wedges, tuple(jacs)), coeff
 

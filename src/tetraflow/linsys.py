@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import GraphError, GraphSum
+from .graphs import GraphError, GraphSum, add_term
 from .leibniz import (LINEAR_CLASS_ORDER, LeibnizGraph, expand_combination, expand_terms,
                       flatten_alternated, generate_ansatz_linear, generate_ansatz_quadratic,
                       generate_bivector_leibniz, generate_linear_classes,
@@ -198,11 +198,7 @@ def minimize_support(space: SolutionSpace) -> dict[int, Fraction]:
         """u - f*v, without zero entries."""
         out = dict(u)
         for j, w in v.items():
-            new = out.get(j, 0) - f * w
-            if new:
-                out[j] = new
-            else:
-                out.pop(j, None)
+            add_term(out, j, -f * w)
         return out
 
     p = space.particular

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 
-from .graphs import (GraphError, GraphSum, KontsevichGraph, graph_from_encoding,
+from .graphs import (GraphError, GraphSum, KontsevichGraph, add_term, graph_from_encoding,
                      normal_form, orbit_normal_form, sink_images)
 from .leibniz import LeibnizGraph, expand
 from .reference import PRESENTATION_SCALE
@@ -109,9 +109,8 @@ def orbit_sum(terms) -> GraphSum:
     for g, c in terms:
         nf = orbit_normal_form(g)
         if nf.sign:
-            rep = (nf.sink_count, nf.internal_count, nf.encoding)
-            out[rep] = out.get(rep, 0) + c * nf.sign
-    return GraphSum({k: Fraction(v) for k, v in out.items() if v})
+            add_term(out, (nf.sink_count, nf.internal_count, nf.encoding), c * nf.sign)
+    return GraphSum({k: Fraction(v) for k, v in out.items()})
 
 
 def skew_coordinates(s: GraphSum) -> GraphSum | None:
@@ -204,10 +203,9 @@ def one_vector_graphs(internal: int = 3, tadpoles: bool = True) -> list[Kontsevi
     for pairs in product(pair_sets, repeat=internal):
         if not tadpoles and any(m + k in p for k, p in enumerate(pairs)):
             continue
-        indeg0 = sum(1 for p in pairs for t in p if t == 0)
-        if indeg0 != 1:
+        g = KontsevichGraph(m, internal, pairs)
+        if not g.is_multivector_term():
             continue
-        g = KontsevichGraph(m, internal, tuple(pairs))
         nf = normal_form(g)
         if nf.sign != 0 and nf.encoding not in seen:
             seen[nf.encoding] = graph_from_encoding(m, internal, nf.encoding)

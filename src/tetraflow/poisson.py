@@ -36,7 +36,7 @@ from math import lcm
 from operator import itemgetter, or_
 import random
 
-from .graphs import GraphError, GraphSum, KontsevichGraph, parse_lines, quote
+from .graphs import GraphError, GraphSum, KontsevichGraph, format_coeff, parse_lines, quote
 
 
 # Exponent packing (Kronecker substitution, as in Monagan & Pearce's sparse
@@ -125,24 +125,22 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
-        get = out.get
-        for e, c in other.terms.items():
-            new = get(e, 0) + c
-            if new:
-                out[e] = new
-            else:
-                out.pop(e, None)
+        _merge(out, other.terms)
         return Polynomial._packed(self.dim, out)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._packed(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        out = dict(self.terms)
+        _merge(out, other.terms, -1)
+        return Polynomial._packed(self.dim, out)
 
-    def __mul__(self, other) -> "Polynomial":
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """The product of two polynomials; ``scaled`` is the one product
+        with a scalar, so ``p * 2`` and ``2 * p`` raise TypeError."""
         if not isinstance(other, Polynomial):
-            return self.scaled(other)
+            return NotImplemented
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
@@ -163,8 +161,6 @@ class Polynomial:
             for e in [e for e, c in out.items() if not c]:
                 del out[e]
         return Polynomial._packed(self.dim, out)
-
-    __rmul__ = __mul__
 
     def scaled(self, c) -> "Polynomial":
         c = _num(c)
@@ -203,9 +199,9 @@ class Polynomial:
             mono = "*".join(f"x{i+1}^{k}" if k > 1 else f"x{i+1}"
                             for i, k in enumerate(e) if k)
             if mono:
-                body = mono if abs(c) == 1 else f"{_fmt(abs(c))}*{mono}"
+                body = mono if abs(c) == 1 else f"{format_coeff(abs(c))}*{mono}"
             else:
-                body = _fmt(abs(c))
+                body = format_coeff(abs(c))
             parts.append(("-" if c < 0 else "+", body))
         sign0, body0 = parts[0]
         text = ("-" if sign0 == "-" else "") + body0
@@ -216,7 +212,9 @@ class Polynomial:
 
 def _merge(terms: dict, other: dict, scale=1) -> None:
     """Add ``scale`` times the monomials ``other`` to ``terms``, in place,
-    dropping the coefficients that cancel."""
+    dropping the coefficients that cancel: the oracle's one add-and-drop
+    rule, kept apart from ``graphs.add_term`` so that the oracle takes no
+    arithmetic from graph code."""
     get = terms.get
     for e, c in other.items():
         new = get(e, 0) + c * scale
@@ -232,10 +230,6 @@ def _num(c):
         return c
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
-
-
-def _fmt(c) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 class PolyMultivector:
@@ -430,6 +424,12 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
     polynomial once; a pair with a vanishing factor drops out.  The final
     states are keyed by the sink positions alone, and each enters the
     operator through one ``PolyOperator.add``.
+
+    The one early return is for a vanishing operator: some internal vertex
+    receives more edges than the degree of P, so its factor, differentiated
+    that many times, is 0.  On the zero bi-vector (degree -1) that is every
+    graph with an internal vertex.  A graph without internal vertices is
+    the product operator, 1 on the empty multi-indices, on every P.
     """
     if P.arity != 2:
         raise GraphError("eval_graph expects a bi-vector")
@@ -446,8 +446,6 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
         return op
 
     signed = _signed_pairs(P)
-    if not signed:
-        return op
 
     # the edges of internal vertex k sit at positions 2k (left) and 2k + 1
     # (right); incoming[v] lists the positions of v's incoming edges

@@ -139,8 +139,6 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
         return PolyOperator(d)
 
     pairs = [pair for pair, p in comps.items() if not p.is_zero()]
-    if not pairs:
-        return PolyOperator(d)
 
     incoming: list[list[tuple[int, int]]] = [[] for _ in range(m + n)]
     for k, (a, b) in enumerate(g.targets):

@@ -160,6 +160,7 @@ def test_criterion_6_oracle_equivalence():
     finish(6, ok, "graph evaluation equals both generator formulas, d in {2,3,4}", t0, 300)
 
 
+@pytest.mark.slow
 def test_criterion_7_operator_identity():
     t0 = time.time()
     rng = random.Random(46107)

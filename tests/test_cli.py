@@ -208,6 +208,19 @@ def test_eval_prints_components(tmp_path, capsys):
     assert "2;1 -x1^2*x2" in out
 
 
+def test_eval_of_a_graph_without_vertices_is_the_product_on_every_structure(tmp_path, capsys):
+    p = tmp_path / "p.txt"
+    g = tmp_path / "g.txt"
+    outputs = []
+    for graph, structure in (("2 0 1", "3\n"), ("2 0 1", "3\n1 2 x1\n"), ("2 1 0 1 1", "3\n")):
+        g.write_text(graph + "\n")
+        p.write_text(structure)
+        assert run(["eval", "--graphs", str(g), "--poisson", str(p)]) == 0
+        outputs.append(capsys.readouterr())
+    assert [out for out, _ in outputs] == ["; 1\n", "; 1\n", "0\n"]
+    assert [err for _, err in outputs] == ["", "", ""]
+
+
 def test_solve_unbalanced_ratio_infeasible(tmp_path):
     lhs = tmp_path / "lhs11.txt"
     assert run(["lhs", "--ratio", "1:1", str(lhs)]) == 0

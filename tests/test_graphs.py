@@ -80,6 +80,7 @@ def test_normal_form_idempotent_on_reference_rows():
         assert nf2.encoding == nf.encoding and nf2.sign == 1
 
 
+@pytest.mark.slow
 def test_normal_form_matches_brute_force_on_ansatz_graphs():
     _NF_CACHE.clear()
     for L in generate_ansatz_linear():
@@ -91,6 +92,7 @@ def test_normal_form_matches_brute_force_on_ansatz_graphs():
     assert any(nf.sign == 0 and nf.encoding for nf in computed.values())
 
 
+@pytest.mark.slow
 def test_normal_form_matches_brute_force_on_random_graphs():
     rng = random.Random(1608)
     self_antisymmetric = 0
@@ -105,6 +107,7 @@ def test_normal_form_matches_brute_force_on_random_graphs():
     assert self_antisymmetric > 0
 
 
+@pytest.mark.slow
 def test_orbit_normal_form_matches_brute_force_on_ansatz_terms():
     """Every distinct labelled term of the expansion of every linear,
     quadratic and bi-vector pattern: every graph the solve columns put in
@@ -125,6 +128,7 @@ def test_orbit_normal_form_matches_brute_force_on_ansatz_terms():
     assert vanishing > 0
 
 
+@pytest.mark.slow
 def test_orbit_normal_form_matches_brute_force_on_random_graphs():
     rng = random.Random(1610)
     seen = {"sign 0": 0, "untargeted sink": 0, "two untargeted sinks": 0,

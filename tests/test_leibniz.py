@@ -114,6 +114,7 @@ def test_leibniz_normal_form_wedge_relabel_invariance():
             assert s2 == s1 * (-1) ** flips
 
 
+@pytest.mark.slow
 def test_leibniz_forms_match_brute_force_on_every_sink_image_of_the_ansatz(monkeypatch):
     """Both search forms on every sink image of every linear, quadratic and
     bi-vector pattern, with tadpoles and without.  Together they compare at
@@ -134,6 +135,7 @@ def test_leibniz_forms_match_brute_force_on_every_sink_image_of_the_ansatz(monke
     assert len(prefixes) <= 93_350
 
 
+@pytest.mark.slow
 def test_leibniz_forms_match_brute_force_on_random_graphs():
     """Both search forms on seeded random Leibniz graphs.  A wedge with a
     double edge keeps the brute force's sign, which need not be 0, and in

@@ -9,7 +9,7 @@ import oracle_reference as ref
 from tetraflow import reference
 from tetraflow.graphs import GraphSum, KontsevichGraph
 from tetraflow.ops import GAMMA1, tetra_flow
-from tetraflow.poisson import (MAX_EXPONENT, Polynomial, PolyOperator, eval_graph,
+from tetraflow.poisson import (MAX_EXPONENT, Polynomial, PolyMultivector, PolyOperator, eval_graph,
                                eval_graph_sum, jacobi_check, random_bivector,
                                sparse_random_bivector)
 
@@ -93,6 +93,7 @@ ZERO_SUMS = {("d=2", "tetra_flow(0, 1)"), ("d=2", "lhs39"), ("d=3 degree 2", "GA
              *(("d=3 degree 1", sum_name) for sum_name in GRAPH_SUMS)}
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("name, sum_name", CASES)
 def test_eval_graph_matches_tuple_walker(name, sum_name):
     P, s = BIVECTORS[name], GRAPH_SUMS[sum_name]
@@ -154,6 +155,18 @@ def relabelled(g: KontsevichGraph, rng) -> tuple[KontsevichGraph, int]:
     return KontsevichGraph(m, n, tuple(targets)), sign
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_contraction_matches_tuple_walker_without_vertices(m):
+    """A graph without internal vertices is the product operator, 1 on the
+    empty multi-indices, on the zero bi-vector as on every other."""
+    g = KontsevichGraph(m, 0, ())
+    for P in (PolyMultivector(3, 2), BIVECTORS["d=3"]):
+        want = ref.eval_graph(g, P)
+        assert want.terms == {((),) * m: Polynomial.const(3, 1)}
+        assert eval_graph(g, P) == want
+
+
+@pytest.mark.slow
 def test_contraction_matches_tuple_walker_on_random_graphs():
     rng = random.Random(9090)
     seen = {"self-loop": 0, "double edge": 0, "cycle": 0, "n = 0": 0, "m = 0": 0,

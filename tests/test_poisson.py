@@ -29,6 +29,15 @@ def test_polynomial_arithmetic():
     assert P3("(x1 + x2)^2") == P3("x1^2 + 2*x1*x2 + x2^2")
 
 
+@pytest.mark.parametrize("product", [lambda p: p * 2, lambda p: 2 * p,
+                                     lambda p: p * Fraction(1, 2)],
+                         ids=["p * 2", "2 * p", "p * 1/2"])
+def test_scalar_product_is_scaled_only(product):
+    with pytest.raises(TypeError):
+        product(P3("x1 + 1"))
+    assert P3("x1 + 1").scaled(2) == P3("2*x1 + 2")
+
+
 def test_polynomial_parse_errors():
     for bad in ("x0", "x4", "x", "x1 + x*x2", "x1 +", "1/0", "x1 & x2", "((x1)",
                 "x1^\u00b2", "x\u00b2", "\u00b2", "x1^\u0663",
@@ -160,6 +169,16 @@ def test_eval_wedge_gives_bracket_operator(reference_P):
 
 def test_eval_double_edge_zero(reference_P):
     assert eval_graph(KontsevichGraph(2, 1, ((0, 0),)), reference_P).is_zero()
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_graph_without_vertices_is_the_product_on_every_structure(m, reference_P):
+    """Also on the zero bi-vector, where every graph with a vertex vanishes."""
+    g, zero = KontsevichGraph(m, 0, ()), PolyMultivector(3, 2)
+    product = eval_graph(g, reference_P)
+    assert product.terms == {((),) * m: Polynomial.const(3, 1)}
+    assert eval_graph(g, zero) == product
+    assert eval_graph(WEDGE, zero).is_zero()
 
 
 def test_eval_after_set_component_sees_new_component():
