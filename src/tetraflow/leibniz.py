@@ -251,7 +251,6 @@ _LINEAR_CLASSES = (
     ("jac0-pair", (0, 1), (2,), (), ()),
     ("jac0-split", (0,), (1,), (2,), ()),
 )
-LINEAR_CLASS_ORDER = tuple(name for name, *_ in _LINEAR_CLASSES)
 
 
 def generate_linear_classes(tadpoles: bool = True) -> dict[str, list[LeibnizGraph]]:
@@ -259,7 +258,8 @@ def generate_linear_classes(tadpoles: bool = True) -> dict[str, list[LeibnizGrap
 
     Patterns are enumerated per structural class with a fixed canonical
     assignment of sinks to the vertices standing on them; the sink
-    permutations are restored downstream by skew-symmetrization.
+    permutations are restored downstream by skew-symmetrization.  The
+    classes come in the order of ``_LINEAR_CLASSES``.
     """
     wedges, jac = (3, 4, 5), 6
     classes: dict[str, list[LeibnizGraph]] = {}
@@ -272,8 +272,7 @@ def generate_linear_classes(tadpoles: bool = True) -> dict[str, list[LeibnizGrap
 
 
 def generate_ansatz_linear(tadpoles: bool = True) -> list[LeibnizGraph]:
-    classes = generate_linear_classes(tadpoles)
-    return [L for name in LINEAR_CLASS_ORDER for L in classes[name]]
+    return [L for Ls in generate_linear_classes(tadpoles).values() for L in Ls]
 
 
 def generate_ansatz_quadratic(tadpoles: bool = True) -> list[LeibnizGraph]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import GraphError, GraphSum, add_term
-from .leibniz import (LINEAR_CLASS_ORDER, LeibnizGraph, expand_combination, expand_terms,
+from .leibniz import (LeibnizGraph, expand_combination, expand_terms,
                       flatten_alternated, generate_ansatz_linear, generate_ansatz_quadratic,
                       generate_bivector_leibniz, generate_linear_classes,
                       leibniz_orbit_normal_form, sink_labelled_patterns)
@@ -284,7 +284,7 @@ def solve_factorization(target: GraphSum, patterns: list[LeibnizGraph],
 
 @dataclass
 class AnsatzCounts:
-    class_sizes: dict[str, int]  # linear patterns per class, in LINEAR_CLASS_ORDER
+    class_sizes: dict[str, int]  # linear patterns per class, in generation order
     total: int                   # linear patterns
     distinct: int                # distinct linear pattern keys
     quadratic: int               # bilinear patterns
@@ -301,8 +301,8 @@ def ansatz_counts(tadpoles: bool = True, rows: bool = False) -> AnsatzCounts:
     for, each orbit's size summed, which is the row count of the same
     system written over graphs."""
     classes = generate_linear_classes(tadpoles)
-    patterns = [L for name in LINEAR_CLASS_ORDER for L in classes[name]]
-    counts = AnsatzCounts({name: len(classes[name]) for name in LINEAR_CLASS_ORDER},
+    patterns = generate_ansatz_linear(tadpoles)
+    counts = AnsatzCounts({name: len(Ls) for name, Ls in classes.items()},
                           len(patterns), len({L.key for L in patterns}),
                           len(generate_ansatz_quadratic(tadpoles)),
                           len(sink_labelled_patterns(patterns)))

@@ -224,6 +224,24 @@ def _merge(terms: dict, other: dict, scale=1) -> None:
             del terms[e]
 
 
+def _add_poly(terms: dict, key, p: Polynomial, scale=1) -> None:
+    """Add ``scale * p`` to ``terms[key]``, in place: the oracle's one store
+    for polynomial sums, multivector components and operator coefficients.
+    The first add of a key stores a copy, because ``p`` may be shared; later
+    ones ``_merge`` into it (from a copy when ``p`` is that polynomial
+    itself), and a sum that cancels is dropped."""
+    if not scale:
+        return
+    mine = terms.get(key)
+    if mine is None:
+        if p.terms:
+            terms[key] = p.scaled(scale)
+        return
+    _merge(mine.terms, dict(p.terms) if p is mine else p.terms, scale)
+    if not mine.terms:
+        del terms[key]
+
+
 def _num(c):
     """Normalize a coefficient: plain int when integral, Fraction otherwise."""
     if isinstance(c, int):
@@ -237,57 +255,60 @@ class PolyMultivector:
 
     Components are stored on strictly increasing index tuples; access with a
     permuted tuple picks up the permutation sign, repeated indices give 0.
+    Every component enters through ``add_component`` and so through the
+    store ``_add_poly``: a multivector never holds a zero component, and it
+    owns the polynomials it stores and changes them in place.
     """
 
     __slots__ = ("dim", "arity", "comps", "_dcache")
 
-    def __init__(self, dim: int, arity: int, comps: dict | None = None):
+    def __init__(self, dim: int, arity: int):
         self.dim = dim
         self.arity = arity
-        self.comps: dict[tuple[int, ...], Polynomial] = comps or {}
+        self.comps: dict[tuple[int, ...], Polynomial] = {}
         self._dcache: dict | None = None
 
     def component(self, idx: tuple[int, ...]) -> Polynomial:
-        if len(set(idx)) != len(idx):
-            return Polynomial.zero(self.dim)
-        order, sign = _sort_sign(idx)
+        """A copy of the component ``idx``, which later adds leave alone."""
+        order, sign = _sort_sign(idx)  # a repeated index is never a stored key
         p = self.comps.get(order)
         if p is None:
             return Polynomial.zero(self.dim)
-        return p if sign == 1 else -p
+        return p.scaled(sign)
 
-    def set_component(self, idx: tuple[int, ...], p: Polynomial) -> None:
+    def add_component(self, idx: tuple[int, ...], p: Polynomial, scale=1) -> None:
+        """Add ``scale * p`` to the component ``idx``, in place, with the sign
+        of the permutation that sorts ``idx``."""
         order, sign = _sort_sign(idx)
         if sign == 0:
             raise GraphError("repeated index in multivector component")
         self._dcache = None  # derivatives of the old components are stale
-        if p.is_zero():
-            self.comps.pop(order, None)
-        else:
-            self.comps[order] = p if sign == 1 else -p
+        _add_poly(self.comps, order, p, scale * sign)
 
-    def add_component(self, idx: tuple[int, ...], p: Polynomial) -> None:
-        self.set_component(idx, self.component(idx) + p)
+    def set_component(self, idx: tuple[int, ...], p: Polynomial) -> None:
+        # a repeated index is never stored, so add_component raises for it
+        self.comps.pop(tuple(sorted(idx)), None)
+        self.add_component(idx, p)
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.comps.values())
+        return not self.comps
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMultivector):
             return NotImplemented
-        if (self.dim, self.arity) != (other.dim, other.arity):
-            return False
-        keys = set(self.comps) | set(other.comps)
-        return all(self.component(k) == other.component(k) for k in keys)
+        return ((self.dim, self.arity) == (other.dim, other.arity)
+                and self.comps == other.comps)
 
     def scaled(self, c) -> "PolyMultivector":
-        return PolyMultivector(self.dim, self.arity,
-                               {k: p.scaled(c) for k, p in self.comps.items() if c})
+        out = PolyMultivector(self.dim, self.arity)
+        for k, p in self.comps.items():
+            _add_poly(out.comps, k, p, c)
+        return out
 
     def __add__(self, other: "PolyMultivector") -> "PolyMultivector":
-        out = PolyMultivector(self.dim, self.arity, dict(self.comps))
+        out = self.scaled(1)
         for k, p in other.comps.items():
-            out.add_component(k, p)
+            _add_poly(out.comps, k, p)
         return out
 
     def __sub__(self, other: "PolyMultivector") -> "PolyMultivector":
@@ -327,21 +348,9 @@ class PolyOperator:
         self.terms: dict[tuple[tuple[int, ...], ...], Polynomial] = {}
 
     def add(self, key: tuple[tuple[int, ...], ...], p: Polynomial, scale=1) -> None:
-        """Add ``scale * p`` to the coefficient of ``key``, in place.
-
-        The first ``add`` of a key stores a copy, because ``p`` may be shared
-        (a partial product or a cached derivative); later ones merge into it.
-        """
-        if not scale:
-            return
-        mine = self.terms.get(key)
-        if mine is None:
-            if p.terms:
-                self.terms[key] = p.scaled(scale)
-            return
-        _merge(mine.terms, p.terms, scale)
-        if not mine.terms:
-            del self.terms[key]
+        """Add ``scale * p`` to the coefficient of ``key``, in place, through
+        the store ``_add_poly``: ``p`` is copied, never changed."""
+        _add_poly(self.terms, key, p, scale)
 
     def add_op(self, other: "PolyOperator", scale=1) -> None:
         scale = _num(scale)
@@ -357,36 +366,34 @@ class PolyOperator:
     def to_multivector(self, arity: int | None = None) -> PolyMultivector:
         """Extract the multivector of a differential-order (1,...,1) operator.
 
-        Raises if the operator is not totally antisymmetric in its arguments
-        or has a key with other than ``arity`` arguments.
+        Reads the keys of increasing indices into the store ``_add_poly``
+        through ``add_component``, which copies them.  Raises on a key that
+        is not first order per argument, has other than ``arity`` arguments
+        or a repeated index, and unless the operator is the full
+        antisymmetric expansion of what was read.
         """
-        raw: dict[tuple[int, ...], Polynomial] = {}
+        if arity is None:
+            if not self.terms:
+                raise GraphError("empty operator has no definite arity")
+            arity = len(next(iter(self.terms)))
+        out = PolyMultivector(self.dim, arity)
         for key, p in self.terms.items():
             if any(len(mi) != 1 for mi in key):
                 raise GraphError(f"operator key {key} is not first order per argument")
-            if arity is None:
-                arity = len(key)
-            elif len(key) != arity:
+            if len(key) != arity:
                 raise GraphError(f"operator key {key} has {len(key)} arguments, expected {arity}")
-            raw[tuple(mi[0] for mi in key)] = p
-        if arity is None:
-            raise GraphError("empty operator has no definite arity")
-        out = PolyMultivector(self.dim, arity)
-        seen = set()
-        for idx, p in raw.items():
+            idx = tuple(mi[0] for mi in key)
             order, sign = _sort_sign(idx)
             if sign == 0:
                 raise GraphError("repeated-index component is nonzero")
-            if order in seen:
-                continue
-            seen.add(order)
-            ref = p.scaled(sign)  # a copy: p belongs to this operator
-            for perm_idx in permutations(order):
-                _, s2 = _sort_sign(perm_idx)
-                got = raw.get(perm_idx, Polynomial.zero(self.dim))
-                if got != (ref if s2 == 1 else -ref):
-                    raise GraphError("operator is not totally antisymmetric")
-            out.comps[order] = ref
+            if order == idx:
+                out.add_component(idx, p)
+        expansion = {}
+        for order, p in out.comps.items():
+            for idx in permutations(order):
+                expansion[tuple((i,) for i in idx)] = p if _sort_sign(idx)[1] == 1 else -p
+        if expansion != self.terms:
+            raise GraphError("operator is not totally antisymmetric")
         return out
 
 
@@ -400,9 +407,8 @@ def _signed_pairs(P: PolyMultivector) -> dict[tuple[int, int], Polynomial]:
     P is nonzero, so the oracle never scans the d(d-1) pairs of R^d."""
     signed = {}
     for (i, j), p in P.comps.items():
-        if p:
-            signed[i, j] = p
-            signed[j, i] = -p
+        signed[i, j] = p
+        signed[j, i] = -p
     return dict(sorted(signed.items()))
 
 
@@ -592,11 +598,9 @@ def eval_graph_sum(s: GraphSum, P: PolyMultivector) -> PolyOperator:
 
 def gamma1(P: PolyMultivector) -> PolyMultivector:
     """First tetrahedral generator, computed from its index formula."""
-    d = P.dim
-    out = PolyMultivector(d, 2)
+    out = PolyMultivector(P.dim, 2)
     signed = _signed_pairs(P)
     for (i, j), pij in sorted(P.comps.items()):
-        total = Polynomial.zero(d)
         for k, kp in signed:
             t1 = pij.diff(k)
             if t1.is_zero():
@@ -609,21 +613,20 @@ def gamma1(P: PolyMultivector) -> PolyMultivector:
                     t3 = t2.diff(mm)
                     if t3.is_zero():
                         continue
-                    term = (t3 * signed[k, kp].diff(lp)
-                            * signed[l, lp].diff(mp)
-                            * signed[mm, mp].diff(kp))
-                    if not term.is_zero():
-                        total = total + term
-        if not total.is_zero():
-            out.set_component((i, j), total)
+                    out.add_component((i, j), t3 * signed[k, kp].diff(lp)
+                                      * signed[l, lp].diff(mp)
+                                      * signed[mm, mp].diff(kp))
     return out
 
 
 def gamma2(P: PolyMultivector) -> PolyMultivector:
     """Second tetrahedral generator, the antisymmetrization
-    (1/2)(M^{ij} - M^{ji}) of its index formula M."""
+    (1/2)(M^{ij} - M^{ji}) of its index formula M: each term of M^{ij} goes
+    into the store ``_add_poly`` at (i, j) with the sign of that index
+    order, and the sum is halved once at the end, so that the adds stay
+    integer where P is."""
     signed = _signed_pairs(P)
-    M: dict[tuple[int, int], Polynomial] = {}
+    out = PolyMultivector(P.dim, 2)
     for (i, j), pij in signed.items():
         for (k, mm), pkm in signed.items():
             if mm == i:  # the antisymmetrization never reads M^{ii}
@@ -642,15 +645,9 @@ def gamma2(P: PolyMultivector) -> PolyMultivector:
                     s2 = s1.diff(lp)
                     if s2.is_zero():
                         continue
-                    term = (t2 * s2 * signed[kp, l].diff(mp)
-                            * signed[mp, lp].diff(j))
-                    if not term.is_zero():
-                        M[i, mm] = M[i, mm] + term if (i, mm) in M else term
-    out = PolyMultivector(P.dim, 2)
-    half = Fraction(1, 2)
-    for idx, m in M.items():
-        out.add_component(idx, m.scaled(half))
-    return out
+                    out.add_component((i, mm), t2 * s2 * signed[kp, l].diff(mp)
+                                      * signed[mp, lp].diff(j))
+    return out.scaled(Fraction(1, 2))
 
 
 def flow(P: PolyMultivector, a, b) -> PolyMultivector:
@@ -664,20 +661,22 @@ def schouten_components(A: PolyMultivector, B: PolyMultivector) -> PolyMultivect
     the sign of the graph bracket ``ops.schouten_bracket``:
     [[A, B]] = -sum_s (dR A/d xi_s * d_s B
                        - (-1)^{(a-1)(b-1)} dR B/d xi_s * d_s A),
-    where dR/d xi_s is the right derivative.
+    where dR/d xi_s is the right derivative.  Both sums add their terms
+    straight into the result's store ``_add_poly``, which drops what
+    cancels, so the result never holds a zero component.
     """
     if A.dim != B.dim:
         raise GraphError("dimension mismatch")
-    acc: dict[tuple[int, ...], Polynomial] = {}
-    _add_right_derivative_terms(acc, A, B, -1)
-    _add_right_derivative_terms(acc, B, A, -1 if (A.arity - 1) * (B.arity - 1) % 2 else 1)
-    return PolyMultivector(A.dim, A.arity + B.arity - 1,
-                           {idx: p for idx, p in acc.items() if p})
+    out = PolyMultivector(A.dim, A.arity + B.arity - 1)
+    _add_right_derivative_terms(out, A, B, -1)
+    _add_right_derivative_terms(out, B, A, -1 if (A.arity - 1) * (B.arity - 1) % 2 else 1)
+    return out
 
 
-def _add_right_derivative_terms(acc: dict, A: PolyMultivector, B: PolyMultivector,
-                                c: int) -> None:
-    """Add c * sum_s dR A/d xi_s * d_s B to the components ``acc``."""
+def _add_right_derivative_terms(out: PolyMultivector, A: PolyMultivector,
+                                B: PolyMultivector, c: int) -> None:
+    """Add c * sum_s dR A/d xi_s * d_s B to ``out``; a term whose index
+    sets J and K overlap is 0 and is skipped."""
     dB: dict[int, list] = {}
     for I, p in A.comps.items():
         for pos, s in enumerate(I):
@@ -687,10 +686,8 @@ def _add_right_derivative_terms(acc: dict, A: PolyMultivector, B: PolyMultivecto
             # moving xi_s from position pos to the right end of xi_I
             cs = c if (len(I) - 1 - pos) % 2 == 0 else -c
             for K, dq in dB[s]:
-                order, sign = _sort_sign(J + K)
-                if sign:
-                    term = (p * dq).scaled(cs * sign)
-                    acc[order] = acc[order] + term if order in acc else term
+                if set(J).isdisjoint(K):
+                    out.add_component(J + K, p * dq, cs)
 
 
 def jacobian_bracket(f: Polynomial, g: Polynomial) -> PolyMultivector:

@@ -1,0 +1,83 @@
+"""The import rules of the package, read from its source with ``ast``.
+
+Modules import each other at the top of the module and without cycles.
+The one exception is ``poisson.factorization_identity_check``, whose three
+local imports mark the oracle's one crossing into graph code; apart from
+them, the oracle takes from ``graphs`` only the error type, the graph
+types, the coefficient format and the line and quote helpers, and so no
+arithmetic or normal form.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tetraflow"
+
+LOCAL_IMPORTS = {("poisson", "factorization_identity_check"):
+                 {"leibniz", "ops", "reference"}}
+POISSON_FROM_GRAPHS = {"GraphError", "GraphSum", "KontsevichGraph", "format_coeff",
+                       "parse_lines", "quote"}
+
+
+def package_imports():
+    """(module, enclosing function or None, imported module, names) for each
+    import of a package module in ``src/tetraflow``."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), str(path))
+
+        def visit(node, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, function or child.name)
+                    continue
+                if isinstance(child, ast.ImportFrom) and child.level:
+                    names = {alias.name for alias in child.names}
+                    if child.module:
+                        out.append((module, function, child.module, names))
+                    else:  # from . import reference
+                        out.extend((module, function, name, set()) for name in names)
+                elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                    targets = ([child.module] if isinstance(child, ast.ImportFrom)
+                               else [alias.name for alias in child.names])
+                    assert all(t.split(".")[0] != "tetraflow" for t in targets), (module, targets)
+                visit(child, function)
+
+        visit(tree, None)
+    return out
+
+
+def test_package_modules_import_at_the_top_except_the_identity_check():
+    local = {}
+    for module, function, target, _ in package_imports():
+        if function is not None:
+            local.setdefault((module, function), set()).add(target)
+    assert local == LOCAL_IMPORTS
+
+
+def test_poisson_takes_no_arithmetic_from_graph_code():
+    taken = {target: names for module, function, target, names in package_imports()
+             if module == "poisson" and function is None}
+    assert taken == {"graphs": POISSON_FROM_GRAPHS}
+
+
+def test_package_imports_have_no_cycle():
+    edges = {}
+    for module, _, target, _ in package_imports():
+        edges.setdefault(module, set()).add(target)
+    done, on_path = set(), []
+
+    def walk(module):
+        assert module not in on_path, " -> ".join(on_path[on_path.index(module):] + [module])
+        if module in done:
+            return
+        on_path.append(module)
+        for target in sorted(edges.get(module, ())):
+            walk(target)
+        on_path.pop()
+        done.add(module)
+
+    for module in sorted(edges):
+        walk(module)
+    assert {"__init__", "cli", "poisson"} <= done

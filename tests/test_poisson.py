@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph
 from tetraflow.ops import GAMMA1, WEDGE, tetra_flow, wedge_sum
-from tetraflow.poisson import (MAX_EXPONENT, W, Polynomial, PolyMultivector, eval_graph,
-                               eval_graph_sum, flow, gamma1, gamma2,
+from tetraflow.poisson import (MAX_EXPONENT, W, Polynomial, PolyMultivector, PolyOperator,
+                               eval_graph, eval_graph_sum, flow, gamma1, gamma2,
                                jacobi_check, jacobian_bracket,
                                parse_poisson_file, parse_polynomial,
                                random_bivector, ratio_scan,
@@ -290,12 +291,17 @@ def test_to_multivector_rejects_wrong_arity(reference_P):
     op = eval_graph(WEDGE, reference_P)
     assert op.to_multivector(2) == reference_P
     for arity in (1, 3):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="has 2 arguments, expected"):
             op.to_multivector(arity)
+    with pytest.raises(GraphError, match="empty operator has no definite arity"):
+        PolyOperator(3).to_multivector()
+    assert PolyOperator(3).to_multivector(2) == PolyMultivector(3, 2)
+    op.add(((0, 1), (2,)), P3("x1"))
+    with pytest.raises(GraphError, match="is not first order per argument"):
+        op.to_multivector(2)
 
 
 def test_operator_add_keeps_arguments_and_results_apart(reference_P):
-    from tetraflow.poisson import PolyOperator
     p, q = P3("x1 + 1"), P3("x1 - 1")
     op = PolyOperator(3)
     op.add(((0,),), p)
@@ -317,9 +323,138 @@ def test_operator_add_keeps_arguments_and_results_apart(reference_P):
     assert op.to_multivector(2) != reference_P
 
 
+STORE_SCALES = (1, -1, 2, Fraction(1, 2), 0)
+
+
+def _permutation_sign(idx):
+    return (-1) ** sum(a > b for a, b in combinations(idx, 2))
+
+
+def _ref_add(ref, key, p, scale):
+    """Add scale * p to the Fraction-dict reference ``ref[key]``."""
+    mono = ref.setdefault(key, {})
+    for e, c in p.exponent_terms().items():
+        mono[e] = mono.get(e, 0) + Fraction(c) * scale
+
+
+def _ref_nonzero(ref):
+    out = {key: {e: c for e, c in mono.items() if c} for key, mono in ref.items()}
+    return {key: mono for key, mono in out.items() if mono}
+
+
+def _stored(terms):
+    """The stored polynomials as exponent dicts; none may be empty."""
+    assert all(p.terms for p in terms.values())
+    return {key: p.exponent_terms() for key, p in terms.items()}
+
+
+def _snapshot(terms):
+    return {key: dict(p.terms) for key, p in terms.items()}
+
+
+def _store_draw(rng, dim, arity, pool):
+    """A multivector and its reference from a seeded sequence of signed adds."""
+    adds = [(tuple(rng.sample(range(dim), arity)), rng.choice(pool), rng.choice(STORE_SCALES))
+            for _ in range(rng.randint(0, 12))]
+    mv, ref = PolyMultivector(dim, arity), {}
+    for idx, p, c in adds:
+        mv.add_component(idx, p, c)
+        _ref_add(ref, tuple(sorted(idx)), p, c * _permutation_sign(idx))
+    assert _stored(mv.comps) == _ref_nonzero(ref)
+    shuffled = PolyMultivector(dim, arity)
+    for idx, p, c in rng.sample(adds, len(adds)):
+        shuffled.add_component(idx, p, c)
+    assert shuffled == mv and (mv == PolyMultivector(dim, arity)) == (not _ref_nonzero(ref))
+    return mv, ref
+
+
+def test_store_matches_a_fraction_dict_reference():
+    """Seeded adds with cancelling pairs and permuted indices, into
+    multivectors (``add_component``, ``set_component``, ``scaled``, ``+``,
+    ``-``) and into an operator (``add``, ``add_op``): no stored polynomial
+    is empty, the store agrees with a plain Fraction-dict reference, ``==``
+    does not depend on the order of the adds, and no argument or operand
+    polynomial changes."""
+    rng = random.Random(18)
+    for _ in range(60):
+        dim, arity = rng.choice(((3, 2), (3, 3), (4, 2), (4, 3)))
+        monomials = [tuple(rng.randrange(3) for _ in range(dim)) for _ in range(3)]
+        pool = []
+        for _ in range(4):
+            p = Polynomial(dim, {e: rng.choice((-2, -1, 1, Fraction(1, 2)))
+                                 for e in rng.sample(monomials, rng.randint(1, 3))})
+            pool += [p, -p]
+        pool_before = [dict(p.terms) for p in pool]
+
+        mv, ref = _store_draw(rng, dim, arity, pool)
+        for _ in range(3):
+            idx, p = tuple(rng.sample(range(dim), arity)), rng.choice(pool)
+            mv.set_component(idx, p)
+            ref[tuple(sorted(idx))] = {}
+            _ref_add(ref, tuple(sorted(idx)), p, _permutation_sign(idx))
+            assert _stored(mv.comps) == _ref_nonzero(ref)
+        with pytest.raises(GraphError, match="repeated index"):
+            mv.add_component((1,) * arity, pool[0])
+        with pytest.raises(GraphError, match="repeated index"):
+            mv.set_component((1,) * arity, pool[0])
+        other, other_ref = _store_draw(rng, dim, arity, pool)
+        operands = _snapshot(mv.comps), _snapshot(other.comps)
+        for c in STORE_SCALES:
+            scaled = {key: {e: v * c for e, v in mono.items()} for key, mono in ref.items()}
+            assert _stored(mv.scaled(c).comps) == _ref_nonzero(scaled)
+        for sign, result in ((1, mv + other), (-1, mv - other)):
+            total = {key: dict(mono) for key, mono in ref.items()}
+            for key, mono in other_ref.items():
+                row = total.setdefault(key, {})
+                for e, v in mono.items():
+                    row[e] = row.get(e, 0) + sign * v
+            assert _stored(result.comps) == _ref_nonzero(total)
+            for key in list(result.comps):  # the result shares no polynomial
+                result.add_component(key, pool[0])
+        assert (_snapshot(mv.comps), _snapshot(other.comps)) == operands
+        for key in list(mv.comps):  # a component read back is a copy
+            held = mv.component(key)
+            before = dict(held.terms)
+            mv.add_component(key, held, -1)
+            assert key not in mv.comps and held.terms == before
+        for key in list(other.comps):  # a stored polynomial added to itself
+            other.add_component(key, other.comps[key], -1)
+        assert other.is_zero()
+
+        keys = [((0,), (1,)), ((1,), (0,)), ((0, 0), ()), ((),)]
+        adds = [(rng.choice(keys), rng.choice(pool), rng.choice(STORE_SCALES))
+                for _ in range(rng.randint(0, 12))]
+        op, op_ref = PolyOperator(dim), {}
+        for key, p, c in adds:
+            op.add(key, p, c)
+            _ref_add(op_ref, key, p, c)
+        assert _stored(op.terms) == _ref_nonzero(op_ref)
+        shuffled = PolyOperator(dim)
+        for key, p, c in rng.sample(adds, len(adds)):
+            shuffled.add(key, p, c)
+        assert shuffled == op
+        twice = PolyOperator(dim)
+        twice.add_op(op, 2)
+        twice.add_op(op, -1)
+        assert twice == op and _stored(op.terms) == _ref_nonzero(op_ref)
+        for key in list(op.terms):
+            op.add(key, op.terms[key], 2)
+            op.add(key, op.terms[key], -1)
+        assert op.is_zero()
+        assert [p.terms for p in pool] == pool_before
+
+
 def test_to_multivector_rejects_asymmetric():
-    from tetraflow.poisson import PolyOperator
     op = PolyOperator(2)
     op.add(((0,), (1,)), Polynomial.const(2, 1))
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="operator is not totally antisymmetric"):
         op.to_multivector()
+    op.add(((1,), (0,)), Polynomial.const(2, -1))
+    assert op.to_multivector().lines() == ["1 2 1"]
+    op.add(((1,), (0,)), Polynomial.const(2, -1))
+    with pytest.raises(GraphError, match="operator is not totally antisymmetric"):
+        op.to_multivector()
+    op = PolyOperator(2)
+    op.add(((1,), (1,)), Polynomial.var(2, 0))
+    with pytest.raises(GraphError, match="repeated-index component is nonzero"):
+        op.to_multivector(2)
