@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import permutations, product
 
 
 class GraphError(ValueError):
@@ -276,6 +276,19 @@ def _prefix_exceeds(order, targets, lab, best) -> bool:
     return False
 
 
+def leibniz_rule(pairs, options: dict):
+    """The Leibniz rule: each target-pair tuple that sends every edge of
+    ``pairs`` whose target t is a key of ``options`` to one vertex of
+    ``options[t]``, each edge independently, in ``itertools.product`` order
+    over the edges (pair by pair, left before right).  An edge onto a product
+    of factors splits into one term per factor: onto the sink a graph is
+    inserted in (``ops.insert_terms``), or onto a Jacobiator's realization
+    (``leibniz.expand_terms``)."""
+    flat = [t for pair in pairs for t in pair]
+    for choice in product(*[options.get(t, (t,)) for t in flat]):
+        yield tuple(zip(choice[::2], choice[1::2]))
+
+
 def add_term(terms: dict, key, c) -> None:
     """Add ``c`` to ``terms[key]``, dropping the key when the sum is 0.
 
@@ -283,7 +296,7 @@ def add_term(terms: dict, key, c) -> None:
     sums, orbit sums, flattened patterns, solution vectors): none stores a
     zero, so two sums are equal iff their dicts are.
     """
-    new = terms.get(key, 0) + c
+    new = terms[key] + c if key in terms else c
     if new:
         terms[key] = new
     else:
@@ -310,12 +323,15 @@ class GraphSum:
         self.terms: dict[tuple[int, int, tuple[int, ...]], Fraction] = terms or {}
 
     def add_graph(self, g: KontsevichGraph, c: Fraction | int) -> None:
-        if not c:
-            return
-        nf = normal_form(g)
+        if c:
+            self.add_form(normal_form(g), c)
+
+    def add_form(self, nf: NormalForm, c: Fraction | int) -> None:
+        """Add ``c`` times the graph of the canonical form ``nf``: sign * c
+        at its key, nothing when the sign is 0."""
         if nf.sign:
             add_term(self.terms, (nf.sink_count, nf.internal_count, nf.encoding),
-                     Fraction(c) * nf.sign)
+                     Fraction(c * nf.sign))
 
     def add_sum(self, other: "GraphSum", scale: Fraction | int = 1) -> None:
         if not scale:
@@ -416,7 +432,8 @@ def check_size(m: int, n: int) -> None:
                          " internal vertices")
 
 
-_COEFF = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INT = re.compile(r"[+-]?[0-9]+")
+_COEFF = re.compile(_INT.pattern + r"(/[0-9]+)?")
 
 
 def parse_coeff(tok: str) -> Fraction:
@@ -435,12 +452,18 @@ def parse_coeff(tok: str) -> Fraction:
 
 def parse_ints(toks: list[str], what: str, line: str) -> list[int]:
     """The tokens ``toks`` of ``line`` as integers, else GraphError ``bad
-    <what> in <line>``: the one integer reader of graph and Leibniz lines,
-    for their ``m n`` or ``m w`` prefix and for their targets."""
-    try:
-        return [int(t) for t in toks]
-    except ValueError as exc:  # not an integer, or more digits than int() converts
-        raise GraphError(f"bad {what} in {quote(line)}") from exc
+    <what> in <line>``: the one reader of the integer fields of the text
+    formats, the prefixes and targets of graph and Leibniz lines and the
+    dimension and component indices of a structure file (a polynomial's
+    numbers are tokens of its own pattern).  An integer is an optional sign
+    and ASCII digits; ``int`` alone would also take underscores and the
+    digits of other scripts."""
+    if all(map(_INT.fullmatch, toks)):
+        try:
+            return [int(t) for t in toks]
+        except ValueError:  # more digits than int() converts
+            pass
+    raise GraphError(f"bad {what} in {quote(line)}")
 
 
 def parse_graph_line(line: str) -> tuple[KontsevichGraph, Fraction]:

@@ -17,8 +17,9 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .graphs import (GraphError, GraphSum, KontsevichGraph, _least_labelling, add_term,
-                     brief, check_size, format_coeff, parse_coeff, parse_graph_line,
-                     parse_ints, parse_lines, quote, sink_images, sink_relabelling)
+                     brief, check_size, format_coeff, leibniz_rule, parse_coeff,
+                     parse_graph_line, parse_ints, parse_lines, quote, sink_images,
+                     sink_relabelling)
 
 
 @dataclass(frozen=True)
@@ -76,30 +77,22 @@ def expand_terms(L: LeibnizGraph) -> list[KontsevichGraph]:
     """
     m, w, j = L.sink_count, L.wedge_count, L.jac_count
     n = w + 2 * j
-    low = [m + w + 2 * i for i in range(j)]
-    high = [m + w + 2 * i + 1 for i in range(j)]
 
-    # unresolved edges onto Jacobiator i carry the sentinel -(i+1)
+    # an edge onto Jacobiator i carries the sentinel -(i+1) until the
+    # Leibniz rule sends it to the low or the high realization vertex (the
+    # placeholder label m+w is also the low vertex of Jacobiator 0)
     def enc(v: int) -> int:
         return -(v - m - w + 1) if v >= m + w else v
 
+    options = {-(i + 1): (m + w + 2 * i, m + w + 2 * i + 1) for i in range(j)}
     out: list[KontsevichGraph] = []
     rotations = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     for rots in product(rotations, repeat=j):
-        pairs: list[list[int]] = [[enc(a), enc(b)] for a, b in L.wedge_targets]
-        for i in range(j):
+        pairs = [(enc(a), enc(b)) for a, b in L.wedge_targets]
+        for i, r in enumerate(rots):
             t = [enc(x) for x in L.jac_targets[i]]
-            r = rots[i]
-            pairs.append([t[r[0]], t[r[1]]])
-            pairs.append([low[i], t[r[2]]])
-        slots = [(k, s) for k, pair in enumerate(pairs) for s in (0, 1)
-                 if pair[s] < 0]
-        for choice in product((0, 1), repeat=len(slots)):
-            resolved = [list(p) for p in pairs]
-            for (k, s), up in zip(slots, choice):
-                i = -resolved[k][s] - 1
-                resolved[k][s] = high[i] if up else low[i]
-            out.append(KontsevichGraph(m, n, tuple(tuple(p) for p in resolved)))
+            pairs += [(t[r[0]], t[r[1]]), (m + w + 2 * i, t[r[2]])]
+        out += (KontsevichGraph(m, n, targets) for targets in leibniz_rule(pairs, options))
     return out
 
 

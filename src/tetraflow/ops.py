@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 
-from .graphs import (GraphError, GraphSum, KontsevichGraph, add_term, graph_from_encoding,
+from .graphs import (GraphError, GraphSum, KontsevichGraph, graph_from_encoding, leibniz_rule,
                      normal_form, orbit_normal_form, sink_images)
 from .leibniz import LeibnizGraph, expand
 from .reference import PRESENTATION_SCALE
@@ -66,16 +66,10 @@ def insert_terms(a: KontsevichGraph, i: int, b: KontsevichGraph):
             return v - mb + m + na
         return v + i
 
-    b_pairs = tuple((map_b(x), map_b(y)) for x, y in b.targets)
-    a_pairs = [(map_a(x), map_a(y)) for x, y in a.targets]
-    slots = [(k, s) for k, pair in enumerate(a_pairs) for s in (0, 1) if pair[s] == -1]
-    b_vertices = [map_b(v) for v in range(mb + nb)]
-
-    for assignment in product(b_vertices, repeat=len(slots)):
-        pairs = [list(p) for p in a_pairs]
-        for (k, s), tgt in zip(slots, assignment):
-            pairs[k][s] = tgt
-        yield KontsevichGraph(m, n, tuple(tuple(p) for p in pairs) + b_pairs)
+    pairs = [(map_a(x), map_a(y)) for x, y in a.targets]
+    pairs += [(map_b(x), map_b(y)) for x, y in b.targets]
+    for targets in leibniz_rule(pairs, {-1: [map_b(v) for v in range(mb + nb)]}):
+        yield KontsevichGraph(m, n, targets)
 
 
 def alternation(s: GraphSum, m: int) -> GraphSum:
@@ -105,12 +99,10 @@ def orbit_sum(terms) -> GraphSum:
     support.  The terms need not be reduced, and coefficients of any exact
     type come out as ``Fraction``.
     """
-    out: dict = {}
+    out = GraphSum()
     for g, c in terms:
-        nf = orbit_normal_form(g)
-        if nf.sign:
-            add_term(out, (nf.sink_count, nf.internal_count, nf.encoding), c * nf.sign)
-    return GraphSum({k: Fraction(v) for k, v in out.items()})
+        out.add_form(orbit_normal_form(g), c)
+    return out
 
 
 def skew_coordinates(s: GraphSum) -> GraphSum | None:

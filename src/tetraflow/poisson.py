@@ -35,8 +35,10 @@ from itertools import permutations, product
 from math import lcm
 from operator import itemgetter, or_
 import random
+import re
 
-from .graphs import GraphError, GraphSum, KontsevichGraph, format_coeff, parse_lines, quote
+from .graphs import (GraphError, GraphSum, KontsevichGraph, format_coeff, parse_ints,
+                     parse_lines, quote)
 
 
 # Exponent packing (Kronecker substitution, as in Monagan & Pearce's sparse
@@ -770,6 +772,11 @@ def sparse_random_bivector(d: int, max_degree: int, rng: random.Random) -> PolyM
 # this, so that a short line such as (x1+x2+x3)^200 or 2^99999999 fails fast.
 PARSE_MAX_PRODUCT = 10**5
 
+# The largest dimension a structure file may declare.  A monomial in x_d has
+# a key of W*d bits, so this bounds the key size: a two-line file using
+# x_1000000000 would otherwise ask for gigabytes.
+MAX_DIMENSION = 10_000
+
 
 def _parse_size(p: Polynomial) -> int:
     """Term count, with each coefficient counted by its 64-bit words."""
@@ -865,39 +872,24 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
     return p
 
 
+# A token: a variable, a number p or p/q (q may be empty, so that '3/' fails
+# as a bad token) or an operator; else whitespace, a bare x, or any other
+# character.
+_TOKEN = re.compile(r"(x[0-9]+|[0-9]+(?:/[0-9]*)?|[-+*^()])|\s+|(x)|(.)")
+
+
 def _tokenize(text: str) -> list[str]:
-    if not text.isascii():  # str.isdigit would accept digits like '²'
+    if not text.isascii():  # \s would also match non-ASCII spaces
         raise GraphError(f"non-ASCII character in polynomial {quote(text)}")
     toks = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*^()":
-            toks.append(ch)
-            i += 1
-        elif ch == "x":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise GraphError(f"bad variable at {quote(text[i:])}")
-            toks.append(text[i:j])
-            i = j
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == "/":
-                k = j + 1
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                j = k
-            toks.append(text[i:j])
-            i = j
-        else:
-            raise GraphError(f"bad character {ch!r} in polynomial")
+    for match in _TOKEN.finditer(text):
+        tok, bare_x, other = match.groups()
+        if tok:
+            toks.append(tok)
+        elif bare_x:
+            raise GraphError(f"bad variable at {quote(text[match.start():])}")
+        elif other:
+            raise GraphError(f"bad character {other!r} in polynomial")
     return toks
 
 
@@ -908,21 +900,17 @@ def parse_poisson_file(text: str) -> PolyMultivector:
     def parse(line: str) -> None:
         nonlocal P
         if P is None:
-            try:
-                d = int(line)
-            except ValueError as exc:
-                raise GraphError(f"bad dimension line {quote(line)}") from exc
+            d, = parse_ints([line], "dimension line", line)
             if d < 1:
                 raise GraphError(f"dimension {line[:40]} is not positive")
+            if d > MAX_DIMENSION:
+                raise GraphError(f"dimension {line[:40]} is above the limit of {MAX_DIMENSION}")
             P = PolyMultivector(d, 2)
             return
         parts = line.split(None, 2)
         if len(parts) != 3:
             raise GraphError(f"bad component line {quote(line)}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphError(f"bad component indices in {quote(line)}") from exc
+        i, j = parse_ints(parts[:2], "component indices", line)
         if not 1 <= i < j <= P.dim:
             raise GraphError(f"component indices {parts[0][:20]} {parts[1][:20]} out of range")
         P.add_component((i - 1, j - 1), parse_polynomial(parts[2], P.dim))

@@ -275,6 +275,9 @@ def test_missing_file_is_usage_error(tmp_path):
     ("3 5 0 x 1 4 2 5 0 1 6 2 1", ["--placeholder-encoding"]),
     ("3 0 | |", []),
     ("3 0 | 0 1 2 |", []),
+    ("3 3 0 3 1 4 2 5 | 3 4 0_5 1", []),
+    ("0_3 3 0 3 1 4 2 5 | 3 4 5 1", []),
+    ("3 5 0 3 1 4 2 5 0 1 6 0_2 1", ["--placeholder-encoding"]),
 ])
 def test_verify_non_integer_target_is_usage_error(tmp_path, capsys, line, flags):
     sol = tmp_path / "sol.txt"
@@ -288,7 +291,12 @@ def test_verify_non_integer_target_is_usage_error(tmp_path, capsys, line, flags)
     ("# comment\n-2\n", 2),
     ("0\n", 1),
     ("3\n\n1 2 " + "(" * 300 + "x1" + ")" * 300 + "\n", 3),
-], ids=["non-integer index", "negative dimension", "zero dimension", "deep nesting"])
+    ("9" * 40 + "\n1 2 x" + "9" * 40 + "\n", 1),
+    ("1000000000\n1 2 x1000000000*x1\n", 1),
+    ("0_3\n1 2 x1\n", 1),
+    ("3\n1 0_2 x1\n", 2),
+], ids=["non-integer index", "negative dimension", "zero dimension", "deep nesting",
+        "40-digit dimension", "dimension 10^9", "underscore dimension", "underscore index"])
 def test_malformed_poisson_file_is_usage_error(tmp_path, capsys, content, lineno):
     src = tmp_path / "p.txt"
     src.write_text(content)

@@ -37,6 +37,9 @@ def test_parse_wedge():
     "2 1 0 5 1",          # target out of range
     "2 1 0 1 1/x",        # malformed rational
     "2 1 0 1 1/0",        # malformed rational
+    "2 1 0 0_1 1",        # underscore in a target
+    "0_2 1 0 1 1",        # underscore in the prefix
+    "2 1 0 \u0661 1",     # a digit of another script
 ])
 def test_parse_errors(line):
     with pytest.raises(GraphError):

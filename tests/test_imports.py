@@ -4,8 +4,9 @@ Modules import each other at the top of the module and without cycles.
 The one exception is ``poisson.factorization_identity_check``, whose three
 local imports mark the oracle's one crossing into graph code; apart from
 them, the oracle takes from ``graphs`` only the error type, the graph
-types, the coefficient format and the line and quote helpers, and so no
-arithmetic or normal form.
+types, the coefficient format and the line, integer and quote helpers, and
+so no arithmetic or normal form.  Every name a module imports at its top is
+used in it, so a deleted copy leaves no stale import behind.
 """
 
 import ast
@@ -16,7 +17,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tetraflow"
 LOCAL_IMPORTS = {("poisson", "factorization_identity_check"):
                  {"leibniz", "ops", "reference"}}
 POISSON_FROM_GRAPHS = {"GraphError", "GraphSum", "KontsevichGraph", "format_coeff",
-                       "parse_lines", "quote"}
+                       "parse_ints", "parse_lines", "quote"}
 
 
 def package_imports():
@@ -81,3 +82,22 @@ def test_package_imports_have_no_cycle():
     for module in sorted(edges):
         walk(module)
     assert {"__init__", "cli", "poisson"} <= done
+
+
+def test_every_module_level_import_is_used():
+    """Each name bound by an import at the top of a module is read in it;
+    the re-exports of ``__init__`` and ``from __future__`` are exempt."""
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in tree.body:
+            if (isinstance(node, ast.Import)
+                    or isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - read:
+            unused[path.stem] = imported - read
+    assert unused == {}

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -318,3 +319,21 @@ def test_expansion_matches_reference_tables(lhs39):
     total = expand_combination(rows)
     assert total == lhs39.scaled(reference.PRESENTATION_SCALE)
     assert expand_combination(reference.solution_rows()) == lhs39
+
+
+def test_expand_terms_order_is_pinned():
+    """The ordered labelled terms of every linear, quadratic and bi-vector
+    pattern and of the 27 reference rows: the Leibniz rule gives each edge
+    onto a Jacobiator its two realization vertices in ``itertools.product``
+    order, the rotations of the Jacobiators varying slowest."""
+    patterns = (generate_ansatz_linear() + generate_ansatz_quadratic()
+                + generate_bivector_leibniz()
+                + [L for L, _ in reference.solution_rows_printed()])
+    h = hashlib.sha256()
+    count = 0
+    for L in patterns:
+        keys = [g.key for g in expand_terms(L)]
+        count += len(keys)
+        h.update(repr(keys).encode())
+    assert (len(patterns), count, h.hexdigest()) == (
+        1194, 10032, "b8f160c5ef22f89e5135a584b016021a07a7fcbd7d7ca25328912cf486d6a509")

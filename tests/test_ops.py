@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -47,6 +48,24 @@ def test_insert_leibniz_count_high_degree():
     # two edges into sink 0: (m_b + n_b)^2 terms
     a = KontsevichGraph(1, 2, ((0, 2), (0, 1)))
     assert len(list(insert_terms(a, 0, WEDGE))) == 9
+
+
+def test_insert_terms_order_is_pinned():
+    """The ordered labelled terms of every insertion of the wedge or GAMMA1
+    into a sink of the wedge, the tetrahedra or a 1-vector graph: each edge
+    onto the sink takes every vertex of the inserted graph in
+    ``itertools.product`` order."""
+    h = hashlib.sha256()
+    cases = count = 0
+    for a in [WEDGE, GAMMA1, GAMMA2_PRIME] + one_vector_graphs(3):
+        for b in (WEDGE, GAMMA1):
+            for i in range(a.sink_count):
+                keys = [g.key for g in insert_terms(a, i, b)]
+                cases += 1
+                count += len(keys)
+                h.update(repr(keys).encode())
+    assert (cases, count, h.hexdigest()) == (
+        42, 189, "6ec6942f23adf2562b1c5829304c85a08618431b3c8c61ac4c4ca47654e5a9e7")
 
 
 def test_skew_symmetrize_kills_symmetric_graph():

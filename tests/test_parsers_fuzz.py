@@ -78,7 +78,7 @@ def polynomial_text(draw):
 
 POLY_TEXT = st.one_of(FREE_NO_CARET, polynomial_text())
 
-DIMENSION_LINES = ["1", "2", "3", "4", "0", "-1", "three", "3.5", "1 2 x1"]
+DIMENSION_LINES = ["1", "2", "3", "4", "0", "-1", "three", "3.5", "1 2 x1", "9" * 40]
 INDICES = ["1", "2", "3", "4", "5", "0", "-1", "a", "\u0662", LONG]
 COMPONENT_LINE = st.builds(lambda i, j, p: f"{i} {j} {p}", st.sampled_from(INDICES),
                            st.sampled_from(INDICES), polynomial_text())

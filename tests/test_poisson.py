@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -45,6 +46,29 @@ def test_polynomial_parse_errors():
                 "(" * 300 + "x1" + ")" * 300, "-" * 2000 + "x1"):
         with pytest.raises(GraphError):
             parse_polynomial(bad, 3)
+
+
+def test_polynomial_parse_corpus_is_pinned():
+    """3000 seeded random strings of 1 to 8 characters over the tokenizer's
+    alphabet, with three kinds of whitespace and two refused characters:
+    the parsed polynomial of each (coefficients in hex, which has no digit
+    limit) or its error message."""
+    rng = random.Random(19)
+    alphabet = "x0123456789/+-*^() \t\x1c\x1f_."
+    h = hashlib.sha256()
+    parsed = 0
+    for _ in range(3000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
+        try:
+            p = parse_polynomial(text, 3)
+        except GraphError as exc:
+            out = "error: " + str(exc)
+        else:
+            parsed += 1
+            out = sorted((k, hex(c.numerator), hex(c.denominator)) for k, c in p.terms.items())
+        h.update(repr((text, out)).encode())
+    assert (parsed, h.hexdigest()) == (
+        490, "e58266c7330cc8e2d8868bc63387d8cb84ad88a84d170db7befe1c333ed7ad91")
 
 
 def test_polynomial_str_round_trip():
@@ -251,6 +275,10 @@ def test_poisson_file_parsing():
     ("3\n1 a x1\n", "line 2: bad component indices"),
     ("3\n# c\n1 2\n", "line 3: bad component line"),
     ("3\n2 1 x1\n", "line 2: component indices 2 1"),
+    ("0_3\n1 2 x1\n", "line 1: bad dimension line in"),
+    ("3\n1 0_2 x1\n", "line 2: bad component indices in"),
+    ("\u0663\n", "line 1: bad dimension line in"),
+    ("10001\n", "line 1: dimension 10001 is above the limit of 10000"),
     ("2\n1 2 x3\n", "line 2: variable x3"),
 ])
 def test_poisson_file_errors_name_the_line(text, message):
