@@ -11,8 +11,8 @@ import sys
 from fractions import Fraction
 
 from . import reference
-from .graphs import (GraphError, format_graph_line, normal_form, parse_coeff, quote,
-                     read_graph_lines, read_graph_sum)
+from .graphs import (GraphError, format_coeff, format_graph_line, normal_form, parse_coeff,
+                     quote, read_graph_lines, read_graph_sum)
 from .leibniz import (generate_ansatz_linear, generate_ansatz_quadratic, read_leibniz_file,
                       serialize_leibniz)
 from .linsys import (ansatz_counts, nontriviality_check, quadratic_part_check,
@@ -185,7 +185,7 @@ def cmd_ratio_scan(args) -> int:
         ratios = [(1, k) for k in range(13)] + [(0, 1), (Fraction(1, 4), Fraction(3, 2))]
     passing = []
     for a, b, ok in ratio_scan(P, ratios):
-        print(f"{a}:{b} {'vanishes' if ok else 'nonzero'}")
+        print(f"{format_coeff(a)}:{format_coeff(b)} {'vanishes' if ok else 'nonzero'}")
         if ok and (a, b) != (0, 0):
             passing.append((a, b))
     print(f"vanishing ratios: {len(passing)}")

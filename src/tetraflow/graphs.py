@@ -387,18 +387,25 @@ class GraphSum:
         return out
 
 
-def format_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+_PIECE = 4000  # digits; str() refuses integers of more than 4300
+_SPLIT = 10**_PIECE
+
+
+def format_coeff(c: Fraction | int) -> str:
+    """``p`` or ``p/q``, the forms ``parse_coeff`` reads, exact at any length:
+    an integer of more than ``_PIECE`` digits is written piece by piece."""
+    p, q = c.numerator, c.denominator
+    if q != 1:
+        return f"{format_coeff(p)}/{format_coeff(q)}"
+    if -_SPLIT < p < _SPLIT:
+        return str(p)
+    high, low = divmod(abs(p), _SPLIT)
+    return "-" * (p < 0) + format_coeff(high) + str(low).zfill(_PIECE)
 
 
 def brief(n: int) -> str:
-    """``n`` in decimal for an error message, cut to 20 digits and '...':
-    integers read from input may have thousands of digits, and ``str``
-    refuses more than 4300."""
-    head = abs(n)
-    while head >= 10**40:
-        head //= 10**20
-    text = str(head)
+    """``n`` in decimal for an error message, cut to 20 digits and '...'."""
+    text = format_coeff(abs(n))
     return "-" * (n < 0) + (text if len(text) <= 20 else text[:20] + "...")
 
 
@@ -453,11 +460,11 @@ def parse_coeff(tok: str) -> Fraction:
 def parse_ints(toks: list[str], what: str, line: str) -> list[int]:
     """The tokens ``toks`` of ``line`` as integers, else GraphError ``bad
     <what> in <line>``: the one reader of the integer fields of the text
-    formats, the prefixes and targets of graph and Leibniz lines and the
-    dimension and component indices of a structure file (a polynomial's
-    numbers are tokens of its own pattern).  An integer is an optional sign
-    and ASCII digits; ``int`` alone would also take underscores and the
-    digits of other scripts."""
+    formats, the prefixes and targets of graph and Leibniz lines, the
+    dimension and component indices of a structure file and a polynomial's
+    exponents and variable indices.  An integer is an optional sign and
+    ASCII digits; ``int`` alone would also take underscores and the digits
+    of other scripts."""
     if all(map(_INT.fullmatch, toks)):
         try:
             return [int(t) for t in toks]

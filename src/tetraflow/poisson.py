@@ -37,8 +37,8 @@ from operator import itemgetter, or_
 import random
 import re
 
-from .graphs import (GraphError, GraphSum, KontsevichGraph, format_coeff, parse_ints,
-                     parse_lines, quote)
+from .graphs import (GraphError, GraphSum, KontsevichGraph, brief, format_coeff, parse_coeff,
+                     parse_ints, parse_lines, quote)
 
 
 # Exponent packing (Kronecker substitution, as in Monagan & Pearce's sparse
@@ -785,26 +785,24 @@ def _parse_size(p: Polynomial) -> int:
 
 
 def parse_polynomial(text: str, dim: int) -> Polynomial:
-    """Parse ``+ - * ^`` expressions over rationals and variables x1..xd."""
+    """Parse ``+ - * ^`` expressions over rationals and variables x1..xd:
+    ``expr := term (('+'|'-') term)*``, ``term := signed ('*' signed)*``,
+    ``signed := ('+'|'-') signed | atom ('^' exponent)*``.  A sign applies
+    to the whole power after it, and ``^`` groups left."""
     toks = _tokenize(text)
-    pos = [0]
+    pos = 0
 
     def peek():
-        return toks[pos[0]] if pos[0] < len(toks) else None
+        return toks[pos] if pos < len(toks) else None
 
     def take():
+        nonlocal pos
         t = peek()
-        pos[0] += 1
+        pos += 1
         return t
 
     def parse_expr() -> Polynomial:
-        t = peek()
-        if t in ("+", "-"):
-            take()
-            p = parse_term()
-            p = p if t == "+" else -p
-        else:
-            p = parse_term()
+        p = parse_term()
         while peek() in ("+", "-"):
             op = take()
             q = parse_term()
@@ -817,20 +815,19 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
         return p * q
 
     def parse_term() -> Polynomial:
-        p = parse_factor()
+        p = parse_signed()
         while peek() == "*":
             take()
-            p = mul(p, parse_factor())
+            p = mul(p, parse_signed())
         return p
 
-    def parse_factor() -> Polynomial:
+    def parse_signed() -> Polynomial:
+        if peek() in ("+", "-"):
+            return parse_signed() if take() == "+" else -parse_signed()
         p = parse_atom()
         while peek() == "^":
             take()
-            try:  # a token is an integer iff it is a digit run; int() refuses too many digits
-                k = int(take())
-            except (TypeError, ValueError) as exc:
-                raise GraphError(f"expected integer exponent in {quote(text)}") from exc
+            k, = parse_ints([take() or ""], "exponent", text)
             out = Polynomial.const(dim, 1)
             for bit in bin(k)[2:]:  # square and multiply, leading bit first
                 out = mul(out, out)
@@ -848,20 +845,14 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
             if take() != ")":
                 raise GraphError(f"unbalanced parentheses in {quote(text)}")
             return p
-        if t == "-":
-            return -parse_atom()
         if t.startswith("x"):
-            try:
-                i = int(t[1:])
-            except ValueError as exc:  # more digits than int() converts
-                raise GraphError(f"variable index too large in {quote(text)}") from exc
+            i, = parse_ints([t[1:]], "variable", text)
             if not 1 <= i <= dim:
-                raise GraphError(f"variable {t[:40]} out of range for dimension {dim}")
+                raise GraphError(f"variable x{brief(i)} out of range for dimension {dim}")
             return Polynomial.var(dim, i - 1)
-        try:
-            return Polynomial.const(dim, _num(Fraction(t)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GraphError(f"bad token {quote(t)} in polynomial {quote(text)}") from exc
+        if t[0].isdigit():
+            return Polynomial.const(dim, _num(parse_coeff(t)))
+        raise GraphError(f"bad token {quote(t)} in polynomial {quote(text)}")
 
     try:
         p = parse_expr()
@@ -872,9 +863,9 @@ def parse_polynomial(text: str, dim: int) -> Polynomial:
     return p
 
 
-# A token: a variable, a number p or p/q (q may be empty, so that '3/' fails
-# as a bad token) or an operator; else whitespace, a bare x, or any other
-# character.
+# A token: a variable, a number p or p/q (q may be empty, so that '3/' reaches
+# parse_coeff and fails there as a malformed rational) or an operator; else
+# whitespace, a bare x, or any other character.
 _TOKEN = re.compile(r"(x[0-9]+|[0-9]+(?:/[0-9]*)?|[-+*^()])|\s+|(x)|(.)")
 
 
@@ -902,9 +893,9 @@ def parse_poisson_file(text: str) -> PolyMultivector:
         if P is None:
             d, = parse_ints([line], "dimension line", line)
             if d < 1:
-                raise GraphError(f"dimension {line[:40]} is not positive")
+                raise GraphError(f"dimension {brief(d)} is not positive")
             if d > MAX_DIMENSION:
-                raise GraphError(f"dimension {line[:40]} is above the limit of {MAX_DIMENSION}")
+                raise GraphError(f"dimension {brief(d)} is above the limit of {MAX_DIMENSION}")
             P = PolyMultivector(d, 2)
             return
         parts = line.split(None, 2)
@@ -912,7 +903,7 @@ def parse_poisson_file(text: str) -> PolyMultivector:
             raise GraphError(f"bad component line {quote(line)}")
         i, j = parse_ints(parts[:2], "component indices", line)
         if not 1 <= i < j <= P.dim:
-            raise GraphError(f"component indices {parts[0][:20]} {parts[1][:20]} out of range")
+            raise GraphError(f"component indices {brief(i)} {brief(j)} out of range")
         P.add_component((i - 1, j - 1), parse_polynomial(parts[2], P.dim))
 
     parse_lines(text, parse)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -394,6 +395,40 @@ def test_long_input_error_is_one_short_line(tmp_path, capsys, argv, content):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert len(err) <= 200, err[:300]
+
+
+def decimal(n):
+    """``n`` in decimal by ``str``, with the interpreter's digit limit lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# valid input whose output has more digits than str() converts
+NINES = 10**4300 - 1
+LONG_OUTPUTS = {
+    "reduce": (["reduce", "IN", "-"], f"2 1 0 1 {'9' * 4300}\n" * 2,
+               lambda: f"2 1 0 1 1{'9' * 4299}8\n"),
+    "lhs": (["lhs", "--ratio", f"{'9' * 4300}:1", "-"], "",
+            lambda: "".join(" ".join(map(str, (m, n, *enc))) + " " + decimal(c) + "\n"
+                            for (m, n, enc), c in lhs_trivector(NINES, 1).items())),
+    "eval": (["eval", "--graphs", "IN", "--poisson", "P"], "2 1 0 1 1\n",
+             lambda: f"1;2 {decimal(9**5000)}*x1\n2;1 -{decimal(9**5000)}*x1\n"),
+}
+
+
+@pytest.mark.parametrize("argv, content, expected", LONG_OUTPUTS.values(),
+                         ids=LONG_OUTPUTS.keys())
+def test_output_coefficients_are_exact_at_any_length(tmp_path, capsys, argv, content, expected):
+    src, structure = tmp_path / "in.txt", tmp_path / "p.txt"
+    src.write_text(content)
+    structure.write_text("2\n1 2 9^5000*x1\n")
+    argv = [{"IN": str(src), "P": str(structure)}.get(a, a) for a in argv]
+    assert run(argv) == 0
+    assert capsys.readouterr() == (expected(), "")
 
 
 # lines past the size limits: 10^50 sinks; ten internal vertices on one

@@ -4,9 +4,10 @@ Modules import each other at the top of the module and without cycles.
 The one exception is ``poisson.factorization_identity_check``, whose three
 local imports mark the oracle's one crossing into graph code; apart from
 them, the oracle takes from ``graphs`` only the error type, the graph
-types, the coefficient format and the line, integer and quote helpers, and
-so no arithmetic or normal form.  Every name a module imports at its top is
-used in it, so a deleted copy leaves no stale import behind.
+types and text helpers: the coefficient writer and reader, the line and
+integer readers and the integer and text quotes, and so no arithmetic or
+normal form.  Every name a module imports at its top is used in it, so a
+deleted copy leaves no stale import behind.
 """
 
 import ast
@@ -16,8 +17,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tetraflow"
 
 LOCAL_IMPORTS = {("poisson", "factorization_identity_check"):
                  {"leibniz", "ops", "reference"}}
-POISSON_FROM_GRAPHS = {"GraphError", "GraphSum", "KontsevichGraph", "format_coeff",
-                       "parse_ints", "parse_lines", "quote"}
+POISSON_FROM_GRAPHS = {"GraphError", "GraphSum", "KontsevichGraph", "brief", "format_coeff",
+                       "parse_coeff", "parse_ints", "parse_lines", "quote"}
 
 
 def package_imports():
@@ -101,3 +102,24 @@ def test_every_module_level_import_is_used():
         if imported - read:
             unused[path.stem] = imported - read
     assert unused == {}
+
+
+def test_the_one_int_call_is_in_parse_ints():
+    """``int`` alone would also take underscores and other scripts' digits,
+    so every integer of the text formats is read by ``graphs.parse_ints``,
+    and ``int`` is called nowhere else in the package."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+
+        def visit(node, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, child.name)
+                    continue
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                        and child.func.id == "int"):
+                    calls.append((path.stem, function))
+                visit(child, function)
+
+        visit(ast.parse(path.read_text(), str(path)), None)
+    assert calls == [("graphs", "parse_ints")]
