@@ -12,14 +12,14 @@ from .graphs import (GraphError, GraphSum, KontsevichGraph, NormalForm,
                      format_graph_line, normal_form, parse_graph_line,
                      parse_lines, read_graph_lines, read_graph_sum,
                      serialize_graph)
-from .ops import (GAMMA1, GAMMA2_PRIME, WEDGE, collect_skew_orbits,
-                  insert_terms, jacobiator_sum, lhs_trivector,
+from .ops import (GAMMA1, GAMMA2_PRIME, WEDGE, insert_terms, lhs_trivector,
                   one_vector_graphs, schouten_bracket, skew_symmetrize,
                   tetra_flow, wedge_sum)
 from .leibniz import (LeibnizGraph, expand, expand_combination, expand_terms,
                       generate_ansatz_linear, generate_ansatz_quadratic,
-                      leibniz_normal_form, parse_leibniz_line,
+                      jacobiator_sum, leibniz_normal_form, parse_leibniz_line,
                       serialize_leibniz)
+from .reference import collect_skew_orbits
 from .linsys import (LinearSystem, SolutionSpace, assemble, minimize_support,
                      nontriviality_check, quadratic_part_check, solve,
                      solve_factorization, verify_factorization)

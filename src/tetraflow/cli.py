@@ -17,7 +17,7 @@ from .leibniz import (generate_ansatz_linear, generate_ansatz_quadratic, read_le
                       serialize_leibniz)
 from .linsys import (ansatz_counts, nontriviality_check, quadratic_part_check,
                      solve_factorization, verify_factorization)
-from .ops import collect_skew_orbits, lhs_trivector, tetra_flow
+from .ops import lhs_trivector, tetra_flow
 from .poisson import eval_graph_sum, jacobi_check, parse_poisson_file, ratio_scan
 
 
@@ -82,7 +82,7 @@ def cmd_lhs(args) -> int:
             return 0
         lines = ["# skew orbit representatives; the sum equals sum of"
                  f" (c/{reference.PRESENTATION_SCALE}) * alternation(representative)"]
-        for key, c in collect_skew_orbits(s, 3):
+        for key, c in reference.collect_skew_orbits(s):
             lines.append(format_graph_line(*key, c))
         _write_lines(args.outfile, lines)
     else:

@@ -376,6 +376,13 @@ class GraphSum:
     def signatures(self) -> set[tuple[int, int]]:
         return {(m, n) for (m, n, _) in self.terms}
 
+    def sink_count(self) -> int:
+        """The sink count every term shares, 0 for the empty sum."""
+        counts = {m for m, _, _ in self.terms}
+        if len(counts) > 1:
+            raise GraphError(f"mixed sink counts {sorted(counts)}")
+        return counts.pop() if counts else 0
+
     def serialize(self) -> str:
         return "".join(format_graph_line(m, n, enc, c) + "\n"
                        for (m, n, enc), c in self.items())

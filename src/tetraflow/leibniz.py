@@ -113,6 +113,12 @@ def expand_combination(terms) -> GraphSum:
     return s
 
 
+def jacobiator_sum() -> GraphSum:
+    """The three-graph realization of [[P, P]]/2 on three sinks, expanded
+    from the bare Jacobiator so that ``expand_terms`` alone fixes it."""
+    return expand(LeibnizGraph(3, (), ((0, 1, 2),)))
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 

@@ -311,7 +311,7 @@ def ansatz_counts(tadpoles: bool = True, rows: bool = False) -> AnsatzCounts:
         keys = assemble(skew_coordinates(lhs_table()), cols).row_keys
         counts.orbit_rows = len(keys)
         # alternations of distinct orbits have disjoint supports
-        counts.graph_rows = len(alternation(GraphSum(dict.fromkeys(keys, Fraction(1))), 3))
+        counts.graph_rows = len(alternation(GraphSum(dict.fromkeys(keys, Fraction(1)))))
     return counts
 
 
@@ -334,7 +334,7 @@ def nontriviality_check(tadpoles: bool = True) -> NontrivialityReport:
     xs = one_vector_graphs(3, tadpoles=tadpoles)
     wedge = wedge_sum()
     x_cols = [skew_coordinates(col) for g in xs
-              if (col := schouten_bracket(wedge, GraphSum.single(g, 1), 2, 1))]
+              if (col := schouten_bracket(wedge, GraphSum.single(g, 1)))]
     n_cols = [col for col, _ in build_columns(generate_bivector_leibniz(tadpoles=tadpoles))]
     combined = solve(assemble(target, x_cols + n_cols))
     # the 1-vector columns alone reach the target iff a solution is zero on

@@ -1,5 +1,7 @@
-"""Graph operations: Leibniz insertion, Schouten bracket, skew-symmetrization,
-orbit coordinates, and the two tetrahedral flow generators.
+"""The algebra of Kontsevich graph sums, on ``graphs`` alone: Leibniz
+insertion, Schouten bracket, skew-symmetrization, orbit coordinates, and
+the two tetrahedral flow generators.  No operation takes a sink count or an
+arity: each reads it off the sum it is handed (``GraphSum.sink_count``).
 
 Sign conventions follow the interrupted sink enumeration: when one argument
 is plugged into sink ``j`` of the other, the inserted argument's own sinks
@@ -24,8 +26,6 @@ from math import factorial
 
 from .graphs import (GraphError, GraphSum, KontsevichGraph, graph_from_encoding, leibniz_rule,
                      normal_form, orbit_normal_form, sink_images)
-from .leibniz import LeibnizGraph, expand
-from .reference import PRESENTATION_SCALE
 
 # Oriented tetrahedra on four internal vertices (two sinks, labels 2..5).
 # GAMMA1 is skew in its sinks; GAMMA2_PRIME is not and enters the flow
@@ -72,11 +72,9 @@ def insert_terms(a: KontsevichGraph, i: int, b: KontsevichGraph):
         yield KontsevichGraph(m, n, targets)
 
 
-def alternation(s: GraphSum, m: int) -> GraphSum:
-    """Plain signed sum of ``s`` over the permutations of its m sinks (no 1/m!)."""
-    sigs = s.signatures()
-    if any(sig[0] != m for sig in sigs):
-        raise GraphError(f"mixed sink counts {sigs}, expected {m}")
+def alternation(s: GraphSum) -> GraphSum:
+    """Plain signed sum of each term of ``s`` over the permutations of its
+    sinks (no 1/m!)."""
     out = GraphSum()
     for (mm, nn, enc), c in s.terms.items():
         for sign, g in sink_images(graph_from_encoding(mm, nn, enc)):
@@ -84,9 +82,10 @@ def alternation(s: GraphSum, m: int) -> GraphSum:
     return out
 
 
-def skew_symmetrize(s: GraphSum, m: int) -> GraphSum:
+def skew_symmetrize(s: GraphSum) -> GraphSum:
     """(1/m!) sum over signed sink permutations; idempotent on skew sums."""
-    return alternation(s, m).scaled(Fraction(1, factorial(m)))
+    m = s.sink_count()
+    return alternation(s).scaled(Fraction(1, factorial(m)))
 
 
 def orbit_sum(terms) -> GraphSum:
@@ -114,44 +113,34 @@ def skew_coordinates(s: GraphSum) -> GraphSum | None:
     ``orbit_sum(s.graphs()) / m!``; the exact check that it alternates back
     to ``s`` decides whether ``s`` was skew.
     """
-    sinks = {m for m, _ in s.signatures()}
-    if len(sinks) > 1:
+    try:
+        m = s.sink_count()
+    except GraphError:
         return None
-    m = sinks.pop() if sinks else 0
     lam = orbit_sum(s.graphs()).scaled(Fraction(1, factorial(m)))
-    return lam if alternation(lam, m) == s else None
+    return lam if alternation(lam) == s else None
 
 
-def validate_multivector(s: GraphSum, arity: int | None = None) -> int:
-    """Check uniform sink count and differential order (1,...,1); return arity."""
-    sigs = s.signatures()
-    if not sigs:
-        if arity is None:
-            raise GraphError("cannot infer arity of an empty sum")
-        return arity
-    counts = {m for m, _ in sigs}
-    if len(counts) != 1:
-        raise GraphError(f"non-uniform sink counts {counts}")
-    m = counts.pop()
-    if arity is not None and m != arity:
-        raise GraphError(f"expected arity {arity}, found {m}")
+def validate_multivector(s: GraphSum) -> int:
+    """Check differential order (1,...,1) and one sink count; return it
+    (0 for the empty sum)."""
     for g, _ in s.graphs():
         if not g.is_multivector_term():
             raise GraphError(f"term {g.key} is not of differential order (1,...,1)")
-    return m
+    return s.sink_count()
 
 
-def schouten_bracket(a: GraphSum, b: GraphSum, arity_a: int | None = None,
-                     arity_b: int | None = None) -> GraphSum:
-    """Schouten bracket of two multivector graph sums, reduced and skew.
+def schouten_bracket(a: GraphSum, b: GraphSum) -> GraphSum:
+    """Schouten bracket of two multivector graph sums, reduced and skew; the
+    empty sum when either is empty.
 
     The signed insertion terms of the bilinear graded commutator, with the
     interrupted-enumeration sign factors, go straight to their orbit sum;
     the bracket is the alternation of that sum over the k+l-1 sinks,
     divided by k!*l!.
     """
-    k = validate_multivector(a, arity_a)
-    ell = validate_multivector(b, arity_b)
+    k = validate_multivector(a)
+    ell = validate_multivector(b)
     terms = []
     for ga, ca in a.graphs():
         for gb, cb in b.graphs():
@@ -162,8 +151,7 @@ def schouten_bracket(a: GraphSum, b: GraphSum, arity_a: int | None = None,
             for i in range(k):
                 sign = 1 if ((k - 1 - i) * (ell + 1)) % 2 else -1
                 terms += ((t, c * sign) for t in insert_terms(ga, i, gb))
-    return alternation(orbit_sum(terms), k + ell - 1).scaled(
-        Fraction(1, factorial(k) * factorial(ell)))
+    return alternation(orbit_sum(terms)).scaled(Fraction(1, factorial(k) * factorial(ell)))
 
 
 def tetra_flow(a: Fraction | int, b: Fraction | int) -> GraphSum:
@@ -182,7 +170,7 @@ def wedge_sum() -> GraphSum:
 
 def lhs_trivector(a: Fraction | int, b: Fraction | int) -> GraphSum:
     """[[P, a*G1 + b*G2]] as a reduced tri-vector graph sum."""
-    return schouten_bracket(wedge_sum(), tetra_flow(a, b), 2, 2)
+    return schouten_bracket(wedge_sum(), tetra_flow(a, b))
 
 
 def one_vector_graphs(internal: int = 3, tadpoles: bool = True) -> list[KontsevichGraph]:
@@ -203,25 +191,3 @@ def one_vector_graphs(internal: int = 3, tadpoles: bool = True) -> list[Kontsevi
             seen[nf.encoding] = graph_from_encoding(m, internal, nf.encoding)
     return [seen[k] for k in sorted(seen)]
 
-
-def jacobiator_sum() -> GraphSum:
-    """The three-graph realization of [[P, P]]/2 on three sinks, expanded
-    from the bare Jacobiator so that ``leibniz.expand_terms`` alone fixes it."""
-    return expand(LeibnizGraph(3, (), ((0, 1, 2),)))
-
-
-def collect_skew_orbits(s: GraphSum, m: int) -> list[tuple[tuple[int, int, tuple[int, ...]], Fraction]]:
-    """Collect a totally antisymmetric sum into signed sink-permutation orbits.
-
-    Returns (representative key, coefficient) pairs, representatives being the
-    minimal normal form over the orbit (``orbit_normal_form``), such that the
-    sum equals sum_i (c_i / PRESENTATION_SCALE) * alternation(rep_i) with the
-    scale of the reference orbit table.
-    """
-    validate_multivector(s, m)
-    lam = skew_coordinates(s)
-    if lam is None:
-        if any(orbit_normal_form(g).sign == 0 for g, _ in s.graphs()):
-            raise GraphError("sum is not totally antisymmetric: orphan orbit")
-        raise GraphError("sum is not totally antisymmetric: orbit mismatch")
-    return [(key, c * PRESENTATION_SCALE) for key, c in lam.items()]

@@ -14,7 +14,8 @@ Four data files accompany the package:
 The orbit table and the solution table are normalized PRESENTATION_SCALE
 times the reduced tri-vector: summing (c/PRESENTATION_SCALE) * alternation
 over the orbit rows, or expanding the solution rows with coefficients
-divided by PRESENTATION_SCALE, reproduces the 39-graph table exactly.
+divided by PRESENTATION_SCALE, reproduces the 39-graph table exactly;
+``collect_skew_orbits`` writes any skew sum on the orbit table's scale.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from importlib import resources
 
-from .graphs import GraphSum, read_graph_lines, read_graph_sum
+from .graphs import GraphError, GraphSum, orbit_normal_form, read_graph_lines, read_graph_sum
 from .leibniz import LeibnizGraph, read_leibniz_file
+from .ops import skew_coordinates, validate_multivector
 
 PRESENTATION_SCALE = 4
 
@@ -61,3 +63,20 @@ def solution_rows() -> list[tuple[LeibnizGraph, Fraction]]:
 
 def expansion_rows():
     return read_graph_lines(table_text("expansion201"))
+
+
+def collect_skew_orbits(s: GraphSum) -> list[tuple[tuple[int, int, tuple[int, ...]], Fraction]]:
+    """Collect a totally antisymmetric sum into signed sink-permutation orbits.
+
+    Returns (representative key, coefficient) pairs, representatives being the
+    minimal normal form over the orbit (``orbit_normal_form``), such that the
+    sum equals sum_i (c_i / PRESENTATION_SCALE) * alternation(rep_i), on the
+    scale of the skew9 table.
+    """
+    validate_multivector(s)
+    lam = skew_coordinates(s)
+    if lam is None:
+        if any(orbit_normal_form(g).sign == 0 for g, _ in s.graphs()):
+            raise GraphError("sum is not totally antisymmetric: orphan orbit")
+        raise GraphError("sum is not totally antisymmetric: orbit mismatch")
+    return [(key, c * PRESENTATION_SCALE) for key, c in lam.items()]

@@ -1,0 +1,108 @@
+"""Regenerate the golden CLI corpus in this directory.
+
+Run by hand from the repository root, and only when a change to CLI output
+is intended (list each changed file and the reason in CHANGES.md):
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+The commands of README's command list (and the zero ratio) run in order,
+in process through ``cli.main``, in one temporary directory, so that a
+later command reads what an earlier one wrote, as in README.  Each command
+becomes one case directory holding:
+
+* ``argv.json`` -- the arguments after ``tetraflow``
+* ``in/``       -- the files the arguments name that exist before the run
+* ``exit``, ``stdout``, ``stderr`` -- what the run returned and printed
+* ``out/``      -- the files the run wrote or changed
+
+``tests/test_golden.py`` replays each case from its own directory.  The
+file ``gen-ansatz`` writes is not stored: ``tests/test_cli.py`` pins its
+line count and sha256 (``GEN_ANSATZ``), and the replay checks that pin.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import shutil
+import tempfile
+from pathlib import Path
+
+from tetraflow.cli import main
+
+GOLDEN = Path(__file__).resolve().parent
+
+STRUCTURE = "3\n1 2 x1^2*x2\n1 3 -x1*(x1*x3 + 1)\n2 3 x1*x2*x3\n"
+
+COMMANDS = [
+    ("lhs", ["lhs", "--ratio", "1/4:3/2", "lhs.txt"]),
+    ("lhs-collect", ["lhs", "--ratio", "1/4:3/2", "--collect", "orbits.txt"]),
+    ("lhs-zero", ["lhs", "--ratio", "0:0", "zero.txt"]),
+    ("lhs-zero-collect", ["lhs", "--ratio", "0:0", "--collect", "zero-orbits.txt"]),
+    ("flow", ["flow", "--ratio", "1:6", "flow.txt"]),
+    ("gen-ansatz", ["gen-ansatz", "ansatz.txt"]),
+    ("count-rows", ["count", "--rows"]),
+    ("solve", ["solve", "solution.txt"]),
+    ("verify-solution", ["verify", "--solution", "solution.txt"]),
+    ("reference", ["reference", "--table", "solution27", "ref.txt"]),
+    ("verify-reference", ["verify", "--solution", "ref.txt", "--placeholder-encoding",
+                          "--scale", "1/4"]),
+    ("nontrivial", ["nontrivial"]),
+    ("quadcheck", ["quadcheck"]),
+    ("jacobi", ["jacobi", "--poisson", "p.txt"]),
+    ("ratio-scan", ["ratio-scan", "--poisson", "p.txt"]),
+    ("ratio-scan-ratios", ["ratio-scan", "--poisson", "p.txt", "--ratios", "1:6,1:1"]),
+    ("eval", ["eval", "--graphs", "lhs.txt", "--poisson", "p.txt"]),
+]
+
+
+def snapshot(work: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in work.iterdir()}
+
+
+def record(work: Path, name: str, argv: list[str]) -> None:
+    before = snapshot(work)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    after = snapshot(work)
+    case = GOLDEN / name
+    case.mkdir()
+    (case / "argv.json").write_text(json.dumps(argv) + "\n")
+    (case / "exit").write_text(f"{code}\n")
+    (case / "stdout").write_bytes(stdout.getvalue().encode())
+    (case / "stderr").write_bytes(stderr.getvalue().encode())
+    for arg in argv:
+        if arg in before:
+            store(case / "in" / arg, before[arg])
+    if argv[0] != "gen-ansatz":
+        for file, data in after.items():
+            if before.get(file) != data:
+                store(case / "out" / file, data)
+
+
+def store(path: Path, data: bytes) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(data)
+
+
+def regenerate() -> None:
+    for case in GOLDEN.iterdir():
+        if (case / "argv.json").is_file():
+            shutil.rmtree(case)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "p.txt").write_text(STRUCTURE)
+        os.chdir(work)
+        try:
+            for name, argv in COMMANDS:
+                record(work, name, argv)
+        finally:
+            os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    regenerate()

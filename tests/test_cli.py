@@ -9,8 +9,9 @@ import pytest
 from tetraflow import reference
 from tetraflow.cli import main
 from tetraflow.graphs import parse_lines, read_graph_lines, read_graph_sum
-from tetraflow.ops import collect_skew_orbits, lhs_trivector
+from tetraflow.ops import lhs_trivector
 from tetraflow.poisson import MAX_EXPONENT, random_bivector
+from tetraflow.reference import collect_skew_orbits
 
 
 def run(args):
@@ -149,7 +150,7 @@ def test_count_rows(capsys):
 def test_lhs_collect_writes_the_skew_orbits(tmp_path):
     out = tmp_path / "orbits.txt"
     assert run(["lhs", "--ratio", "1/4:3/2", "--collect", str(out)]) == 0
-    orbits = collect_skew_orbits(lhs_trivector(Fraction(1, 4), Fraction(3, 2)), 3)
+    orbits = collect_skew_orbits(lhs_trivector(Fraction(1, 4), Fraction(3, 2)))
     assert len(orbits) == 9
     assert [(g.key, c) for g, c in read_graph_lines(out.read_text())] == orbits
     assert run(["lhs", "--ratio", "0:0", "--collect", str(out)]) == 0

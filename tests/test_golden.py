@@ -1,0 +1,53 @@
+"""The golden CLI corpus: README's command list replays byte for byte.
+
+Each directory under ``tests/golden`` is one case, written by
+``tests/golden/regenerate.py`` (run by hand, see its docstring): the case's
+input files are copied into an empty directory, ``cli.main`` runs its
+``argv.json`` there, and the exit code, stdout, stderr and every file the
+run writes must equal the stored ones.  The file ``gen-ansatz`` writes is
+checked by its pin in ``tests/test_cli.py`` instead.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from tetraflow.cli import main
+from test_cli import GEN_ANSATZ
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CASES = sorted(case.name for case in GOLDEN.iterdir() if (case / "argv.json").is_file())
+
+
+def files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()} if directory.is_dir() else {}
+
+
+def test_the_corpus_holds_every_case():
+    """README's 14 commands, the ``--ratios`` of its ratio-scan comment, and
+    ``lhs`` at the zero ratio with and without ``--collect``."""
+    assert len(CASES) == 17
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_cli_output_is_golden(name, tmp_path, monkeypatch, capsys):
+    case = GOLDEN / name
+    inputs = files(case / "in")
+    for file, data in inputs.items():
+        (tmp_path / file).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    argv = json.loads((case / "argv.json").read_text())
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert f"{code}\n" == (case / "exit").read_text()
+    assert out.encode() == (case / "stdout").read_bytes()
+    assert err.encode() == (case / "stderr").read_bytes()
+    written = {file: data for file, data in files(tmp_path).items() if inputs.get(file) != data}
+    if argv[0] == "gen-ansatz":
+        (_, lines, digest), = [pin for pin in GEN_ANSATZ.values() if pin[0] == argv[1:-1]]
+        data = written.pop(argv[-1])
+        assert len(data.splitlines()) == lines
+        assert hashlib.sha256(data).hexdigest().startswith(digest)
+    assert written == files(case / "out")

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tetraflow import reference
-from tetraflow.graphs import (_NF_CACHE, MAX_INTERNAL, MAX_SINKS, GraphError,
+from tetraflow.graphs import (MAX_INTERNAL, MAX_SINKS, GraphError,
                               GraphSum, KontsevichGraph, graph_from_encoding, normal_form,
                               orbit_normal_form, parse_graph_line, parse_lines,
                               read_graph_lines, read_graph_sum, serialize_graph,
                               sink_images)
 from tetraflow.leibniz import (LeibnizGraph, expand, expand_terms, generate_ansatz_linear,
-                               generate_ansatz_quadratic, generate_bivector_leibniz)
-from tetraflow.ops import alternation
+                               generate_ansatz_quadratic, generate_bivector_leibniz,
+                               jacobiator_sum)
+from tetraflow.ops import alternation, wedge_sum
 
 from nf_reference import brute_normal_form, brute_orbit_normal_form
 
@@ -84,11 +85,19 @@ def test_normal_form_idempotent_on_reference_rows():
 
 
 @pytest.mark.slow
-def test_normal_form_matches_brute_force_on_ansatz_graphs():
-    _NF_CACHE.clear()
+def test_normal_form_matches_brute_force_on_ansatz_graphs(monkeypatch):
+    """Every graph that expanding and alternating the linear ansatz puts in
+    normal form, recorded as ``normal_form`` is called on it."""
+    computed = {}
+
+    def record(g):
+        nf = computed[g.key] = normal_form(g)
+        return nf
+
+    monkeypatch.setattr("tetraflow.graphs.normal_form", record)
     for L in generate_ansatz_linear():
-        alternation(expand(L), L.sink_count)
-    computed = dict(_NF_CACHE)
+        alternation(expand(L))
+    monkeypatch.undo()
     assert len(computed) > 28000
     for key, nf in computed.items():
         assert nf == brute_normal_form(graph_from_encoding(*key)), key
@@ -103,7 +112,6 @@ def test_normal_form_matches_brute_force_on_random_graphs():
         m, n = rng.randint(0, 3), rng.randint(0, 5)
         g = KontsevichGraph(m, n, tuple((rng.randrange(m + n), rng.randrange(m + n))
                                         for _ in range(n)))
-        _NF_CACHE.clear()
         nf = normal_form(g)
         assert nf == brute_normal_form(g), g
         self_antisymmetric += nf.sign == 0 and nf.encoding != ()
@@ -127,7 +135,7 @@ def test_orbit_normal_form_matches_brute_force_on_ansatz_terms():
         assert nf == brute_orbit_normal_form(g), key
         if nf.sign == 0:
             vanishing += 1
-            assert not alternation(GraphSum.single(g), g.sink_count), key
+            assert not alternation(GraphSum.single(g)), key
     assert vanishing > 0
 
 
@@ -148,7 +156,7 @@ def test_orbit_normal_form_matches_brute_force_on_random_graphs():
         seen["sink of in-degree 2"] += 2 in degrees
         if nf.sign == 0 and nf.encoding:
             seen["sign 0"] += 1
-            assert not alternation(GraphSum.single(g), m), g
+            assert not alternation(GraphSum.single(g)), g
     assert min(seen.values()) >= 100, seen
 
 
@@ -161,8 +169,8 @@ def test_orbit_normal_form_sign_carries_the_alternation():
     forms = [orbit_normal_form(h) for h in cases]
     for h, nf in zip(cases, forms):
         rep = graph_from_encoding(nf.sink_count, nf.internal_count, nf.encoding)
-        assert (alternation(GraphSum.single(h), 3)
-                == alternation(GraphSum.single(rep), 3).scaled(nf.sign))
+        assert (alternation(GraphSum.single(h))
+                == alternation(GraphSum.single(rep)).scaled(nf.sign))
     assert forms[0].encoding == forms[1].encoding
     assert forms[0].sign == -forms[1].sign != 0 and forms[2].sign == 0
 
@@ -263,6 +271,13 @@ def test_table_text_covers_every_table():
     assert set(reference.TABLES) == {"lhs39", "skew9", "solution27", "expansion201"}
     for name in reference.TABLES:
         assert parse_lines(reference.table_text(name), str)
+
+
+def test_sink_count_is_shared_by_every_term(lhs39):
+    assert GraphSum().sink_count() == 0
+    assert lhs39.sink_count() == 3
+    with pytest.raises(GraphError, match=r"mixed sink counts \[2, 3\]"):
+        (wedge_sum() + jacobiator_sum()).sink_count()
 
 
 def test_mixed_signature_sum_allowed():

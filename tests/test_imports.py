@@ -6,7 +6,8 @@ local imports mark the oracle's one crossing into graph code; apart from
 them, the oracle takes from ``graphs`` only the error type, the graph
 types and text helpers: the coefficient writer and reader, the line and
 integer readers and the integer and text quotes, and so no arithmetic or
-normal form.  Every name a module imports at its top is used in it, so a
+normal form.  The algebra of graph sums, ``ops`` and ``leibniz``, takes
+nothing from the package but ``graphs``.  Every name a module imports at its top is used in it, so a
 deleted copy leaves no stale import behind.
 """
 
@@ -62,6 +63,13 @@ def test_poisson_takes_no_arithmetic_from_graph_code():
     taken = {target: names for module, function, target, names in package_imports()
              if module == "poisson" and function is None}
     assert taken == {"graphs": POISSON_FROM_GRAPHS}
+
+
+def test_the_graph_algebra_stands_on_graphs_alone():
+    """``ops`` and ``leibniz`` take nothing from the package but ``graphs``."""
+    taken = {(module, target) for module, _, target, _ in package_imports()
+             if module in ("ops", "leibniz")}
+    assert taken == {("ops", "graphs"), ("leibniz", "graphs")}
 
 
 def test_package_imports_have_no_cycle():

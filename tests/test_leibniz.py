@@ -209,7 +209,7 @@ def test_flatten_alternated_expands_to_the_alternated_columns():
     chosen = [(L, Fraction(k + 1, 2)) for k, L in enumerate(pats)]
     want = GraphSum()
     for L, c in chosen:
-        want.add_sum(alternation(expand(L), 3), c)
+        want.add_sum(alternation(expand(L)), c)
     assert want and expand_combination(flatten_alternated(chosen)) == want
     assert flatten_alternated([(tripod(), 1), (tripod(), -1)]) == []
 

@@ -232,7 +232,7 @@ def test_assemble_trivial_cases(lhs39):
     assert skew_coordinates(lone) is None
     assert not solve_factorization(lone, [pattern], columns=cols).feasible
     # its skew-symmetrization is skew but absent from the column
-    skew = skew_coordinates(alternation(lone, 3))
+    skew = skew_coordinates(alternation(lone))
     assert skew and not solve(assemble(skew, [col for col, _ in cols])).feasible
     # homogeneous system: x = 0 works
     sp0 = solve(assemble(GraphSum(), [col for col, _ in cols]))
@@ -266,9 +266,9 @@ def test_orbit_columns_alternate_back_to_the_graph_columns(family):
     patterns = family()
     cols = dict((L, col) for col, L in build_columns(patterns))
     for L in patterns:
-        graph_column = alternation(expand(L), L.sink_count)
+        graph_column = alternation(expand(L))
         if graph_column:
-            assert alternation(cols.pop(L), L.sink_count) == graph_column, L
+            assert alternation(cols.pop(L)) == graph_column, L
     assert not cols
 
 
@@ -397,11 +397,11 @@ def test_nontrivial_empty_target_feasible():
     from tetraflow.ops import alternation, one_vector_graphs, schouten_bracket, wedge_sum
     cols = []
     for g in one_vector_graphs(3):
-        col = schouten_bracket(wedge_sum(), GraphSum.single(g, 1), 2, 1)
+        col = schouten_bracket(wedge_sum(), GraphSum.single(g, 1))
         if col:
             cols.append(col)
     for L in generate_bivector_leibniz():
-        col = alternation(expand(L), 2)
+        col = alternation(expand(L))
         if col:
             cols.append(col)
     sp = solve(assemble(GraphSum(), cols))

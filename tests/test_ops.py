@@ -7,14 +7,15 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from tetraflow import reference
 from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph
-from tetraflow.ops import (GAMMA1, GAMMA2_PRIME, WEDGE, alternation,
-                           collect_skew_orbits, insert_terms,
-                           jacobiator_sum, lhs_trivector, one_vector_graphs,
+from tetraflow.leibniz import jacobiator_sum
+from tetraflow.ops import (GAMMA1, GAMMA2_PRIME, WEDGE, alternation, insert_terms,
+                           lhs_trivector, one_vector_graphs,
                            orbit_sum, schouten_bracket, skew_coordinates,
                            skew_symmetrize, tetra_flow, wedge_sum)
 from tetraflow.poisson import (PolyMultivector, eval_graph, eval_graph_sum, flow,
                                random_bivector, schouten_components,
                                sparse_random_bivector)
+from tetraflow.reference import collect_skew_orbits
 
 from nf_reference import brute_orbit_normal_form
 
@@ -71,21 +72,21 @@ def test_insert_terms_order_is_pinned():
 def test_skew_symmetrize_kills_symmetric_graph():
     # both sinks receive the wedge pair symmetrically: swap-symmetric graph
     g = KontsevichGraph(2, 2, ((0, 1), (2, 0)))
-    s = skew_symmetrize(GraphSum.single(g, 1), 2)
+    s = skew_symmetrize(GraphSum.single(g, 1))
     h = KontsevichGraph(2, 2, ((1, 0), (2, 1)))
     # symmetrized difference of a graph and its mirror vanishes pairwise
     sym = GraphSum.single(g, 1) + GraphSum.single(h, 1)
-    assert skew_symmetrize(sym, 2) + skew_symmetrize(sym, 2).scaled(-1) == GraphSum()
+    assert skew_symmetrize(sym) + skew_symmetrize(sym).scaled(-1) == GraphSum()
 
 
 def test_skew_symmetrize_idempotent(lhs39):
-    assert skew_symmetrize(lhs39, 3) == lhs39
+    assert skew_symmetrize(lhs39) == lhs39
 
 
 def test_skew_symmetrize_mixed_sinks_error():
     s = GraphSum.single(WEDGE, 1) + GraphSum.single(KontsevichGraph(3, 2, ((0, 1), (3, 2))), 1)
     with pytest.raises(GraphError):
-        skew_symmetrize(s, 2)
+        skew_symmetrize(s)
 
 
 def test_tetra_flow_shapes():
@@ -114,11 +115,12 @@ def test_bracket_of_wedges_is_twice_jacobiator():
 
 def test_jacobiator_totally_antisymmetric():
     J = jacobiator_sum()
-    assert skew_symmetrize(J, 3) == J
+    assert skew_symmetrize(J) == J
 
 
 def test_bracket_empty_bilinear():
-    assert not schouten_bracket(GraphSum(), wedge_sum(), 2, 2)
+    assert schouten_bracket(GraphSum(), wedge_sum()) == GraphSum()
+    assert schouten_bracket(wedge_sum(), GraphSum()) == GraphSum()
 
 
 def test_bracket_arity_checks():
@@ -135,9 +137,9 @@ def test_graded_symmetry_2_2():
 def test_graded_antisymmetry_2_1_and_1_1():
     X = GraphSum.single(KontsevichGraph(1, 1, ((1, 0),)), 1)
     pw = wedge_sum()
-    assert schouten_bracket(pw, X, 2, 1) == schouten_bracket(X, pw, 1, 2).scaled(-1)
+    assert schouten_bracket(pw, X) == schouten_bracket(X, pw).scaled(-1)
     Y = GraphSum.single(KontsevichGraph(1, 2, ((1, 2), (2, 0))), 1)
-    assert schouten_bracket(X, Y, 1, 1) == schouten_bracket(Y, X, 1, 1).scaled(-1)
+    assert schouten_bracket(X, Y) == schouten_bracket(Y, X).scaled(-1)
 
 
 def random_alternated_graph(arity, rng, max_internal=3):
@@ -150,7 +152,7 @@ def random_alternated_graph(arity, rng, max_internal=3):
         for sink, slot in enumerate(rng.sample(range(2 * n), arity)):
             flat[slot] = sink
         g = KontsevichGraph(arity, n, tuple(zip(flat[::2], flat[1::2])))
-        s = alternation(GraphSum.single(g), arity)
+        s = alternation(GraphSum.single(g))
         if s:
             return s
 
@@ -180,7 +182,7 @@ def bracket_matches_oracle(A, B, a, b, rng):
     orbit.  Returns whether it is nonzero."""
     d = max(3, a + b - 1)
     R = random_bivector(3, 2, rng) if d == 3 else sparse_random_bivector(d, 2, rng)
-    lam = skew_coordinates(schouten_bracket(A, B, a, b))
+    lam = skew_coordinates(schouten_bracket(A, B))
     got = alternated_multivector(lam, R, a + b - 1)
     av = eval_graph_sum(A, R).to_multivector(a)
     bv = eval_graph_sum(B, R).to_multivector(b)
@@ -222,10 +224,10 @@ def test_skew_coordinates_round_trip(data):
     m = data.draw(st.integers(2, 4))
     s = data.draw(skew_sums(m, 3))
     lam = skew_coordinates(s)
-    assert lam is not None and alternation(lam, m) == s
+    assert lam is not None and alternation(lam) == s
     if s:
         key = data.draw(st.sampled_from(sorted(s.terms)))
-        alone_skew = len(alternation(GraphSum({key: Fraction(1)}), m)) == 1
+        alone_skew = len(alternation(GraphSum({key: Fraction(1)}))) == 1
         changed = s + GraphSum({key: Fraction(1)})
         assert (skew_coordinates(changed) is None) is not alone_skew
 
@@ -252,8 +254,7 @@ def test_bracket_component_oracle_on_drawn_sums(a, b):
 @given(*[skew_sums(1, 3).filter(bool)] * 3)
 def test_jacobi_identity_of_one_vectors(x, y, z):
     """The cyclic sum of [[X, [[Y, Z]]]] vanishes on nonzero 1-vector sums."""
-    def br(a, b):
-        return schouten_bracket(a, b, 1, 1)
+    br = schouten_bracket
     assert br(x, br(y, z)) + br(y, br(z, x)) + br(z, br(x, y)) == GraphSum()
 
 
@@ -261,29 +262,29 @@ def test_jacobi_identity_of_one_vectors(x, y, z):
 @given(skew_sums(2, 2).filter(lambda a: len(a) > 1))
 def test_bivector_bracket_with_its_jacobiator_vanishes(a):
     """[[A, [[A, A]]]] vanishes on skew bi-vector sums of more than one graph."""
-    assert schouten_bracket(a, schouten_bracket(a, a, 2, 2), 2, 3) == GraphSum()
+    assert schouten_bracket(a, schouten_bracket(a, a)) == GraphSum()
 
 
 def test_collect_reconstructs(lhs39):
-    orbits = collect_skew_orbits(lhs39, 3)
+    orbits = collect_skew_orbits(lhs39)
     assert len(orbits) == 9
     recon = GraphSum()
     for (m, n, enc), c in orbits:
         rep = KontsevichGraph(m, n, tuple((enc[2 * i], enc[2 * i + 1]) for i in range(n)))
-        recon.add_sum(alternation(GraphSum.single(rep, 1), 3),
+        recon.add_sum(alternation(GraphSum.single(rep, 1)),
                       c / reference.PRESENTATION_SCALE)
     assert recon == lhs39
 
 
 def test_skew_coordinates_alternate_back(lhs39):
     lam = skew_coordinates(lhs39)
-    assert len(lam) == 9 and alternation(lam, 3) == lhs39
+    assert len(lam) == 9 and alternation(lam) == lhs39
     assert lam == orbit_sum(lhs39.graphs()).scaled(Fraction(1, 6))
     # weight-1 terms, as a column feeds them, come out as Fraction
     ones = orbit_sum((g, 1) for g, _ in lhs39.graphs())
     assert ones and all(type(c) is Fraction for c in ones.terms.values())
     flow = tetra_flow(1, 6)
-    assert alternation(skew_coordinates(flow), 2) == flow
+    assert alternation(skew_coordinates(flow)) == flow
     assert skew_coordinates(GraphSum()) == GraphSum()
     # G2' is not skew in its sinks, nor is a sum of two sink counts
     assert skew_coordinates(GraphSum.single(GAMMA2_PRIME)) is None
@@ -301,11 +302,11 @@ def test_collect_refuses_a_sum_that_is_not_antisymmetric(lhs39, case):
         first = min(lhs39.terms)
         s, message = lhs39 - GraphSum({first: lhs39.terms[first]}), "orbit mismatch"
     with pytest.raises(GraphError, match=message):
-        collect_skew_orbits(s, 3)
+        collect_skew_orbits(s)
 
 
 def test_collect_matches_reference_orbits(lhs39):
-    mine = dict(collect_skew_orbits(lhs39, 3))
+    mine = dict(collect_skew_orbits(lhs39))
     recon = GraphSum()
     seen = set()
     for g, c in reference.skew_orbit_rows():
@@ -313,7 +314,7 @@ def test_collect_matches_reference_orbits(lhs39):
         key = (nf.sink_count, nf.internal_count, nf.encoding)
         seen.add(key)
         assert abs(mine[key]) == abs(c)
-        recon.add_sum(alternation(GraphSum.single(g, 1), 3),
+        recon.add_sum(alternation(GraphSum.single(g, 1)),
                       c / reference.PRESENTATION_SCALE)
     assert seen == set(mine)
     assert recon == lhs39  # signed coefficients verified through reconstruction
