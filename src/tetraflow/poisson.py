@@ -148,6 +148,13 @@ class Polynomial:
             a, b = b, a
         if not a:
             return Polynomial._packed(self.dim, {})
+        if len(b) == 1:  # monomial times monomial: one term, which cannot cancel
+            (e1, c1), = a.items()
+            (e2, c2), = b.items()
+            e = e1 + e2
+            if e & _guard_mask(e.bit_length()):
+                raise GraphError(f"exponent above {MAX_EXPONENT} in a polynomial product")
+            return Polynomial._packed(self.dim, {e: c1 * c2})
         rows = iter(a.items())
         e1, c1 = next(rows)
         out = {e1 + e2: c1 * c2 for e2, c2 in b.items()}
@@ -426,12 +433,17 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
     live edge positions: assigned ones that a sink or a factor not yet
     multiplied in still reads.  After each step a dict maps every state to
     the sum of the partial products of all assignments that reach it.  A
-    step takes each state through every index pair of the new vertex, sums
+    step takes each state through the index pairs of the new vertex, sums
     the product of the factors the pair completes over all pairs that lead
     to the same next state, and multiplies that sum into the state's
-    polynomial once; a pair with a vanishing factor drops out.  The final
-    states are keyed by the sink positions alone, and each enters the
-    operator through one ``PolyOperator.add``.
+    polynomial once.  That product depends on the state only through the
+    positions the completing factors read, so a step computes, once per
+    projection of the states onto those positions, the list of the pairs
+    whose product is nonzero, with the products; every state with that
+    projection walks only its list.  On a sparse bi-vector most products
+    multiply one monomial by another, which ``*`` forms on its single-term
+    path.  The final states are keyed by the sink positions alone, and each
+    enters the operator through one ``PolyOperator.add``.
 
     The one early return is for a vanishing operator: some internal vertex
     receives more edges than the degree of P, so its factor, differentiated
@@ -500,12 +512,20 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
     S = 0
     for v in _contraction_order(n, live, base):
         S |= 1 << v
-        # a row is a state followed by the new vertex's pair
+        # a row is a state (its first ``width`` entries) followed by the new
+        # vertex's pair
+        width = len(positions)
         at = {pos: i for i, pos in enumerate(positions + [2 * v, 2 * v + 1])}
         positions = live(S)
         next_state = _getter([at[pos] for pos in positions])
-        factors = [_getter([at[pos] for pos in reads[k]])
-                   for k in range(n) if ready[k] >> v & 1 and not ready[k] & ~S]
+        completing = [[at[pos] for pos in reads[k]]
+                      for k in range(n) if ready[k] >> v & 1 and not ready[k] & ~S]
+        factors = [_getter(idx) for idx in completing]
+        # the state positions the completing factors read: the product of a
+        # row's factors depends on its state only through this projection
+        project = _getter(sorted({i for idx in completing for i in idx if i < width}))
+        # projection -> (pair, nonzero product of the factors), in pair order
+        survivors: dict[tuple[int, ...], list[tuple[tuple[int, int], Polynomial]]] = {}
         nxt: dict[tuple[int, ...], Polynomial] = {}
         for state, partial in states.items():
             if not partial.terms:
@@ -515,28 +535,31 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
                 for pair in pairs:
                     nxt[next_state(state + pair)] = partial
                 continue
-            sums: dict[tuple[int, ...], dict] = {}
-            for pair in pairs:
-                row = state + pair
-                prod = None
-                for factor in factors:
-                    key = factor(row)
-                    dp = dcache.get(key)
-                    if dp is None:
-                        dp = deriv(key)
-                    if not dp.terms:
-                        break
-                    prod = dp if prod is None else prod * dp
-                else:
-                    key = next_state(row)
-                    acc = sums.get(key)
-                    if acc is None:
-                        sums[key] = dict(prod.terms)
+            proj = project(state)
+            rows = survivors.get(proj)
+            if rows is None:
+                rows = survivors[proj] = []
+                for pair in pairs:
+                    row = state + pair
+                    prod = None
+                    for factor in factors:
+                        key = factor(row)
+                        dp = dcache.get(key)
+                        if dp is None:
+                            dp = deriv(key)
+                        if not dp.terms:
+                            break
+                        prod = dp if prod is None else prod * dp
                     else:
-                        _merge(acc, prod.terms)
-            for key, terms in sums.items():
-                if terms:
-                    new = partial * Polynomial._packed(d, terms)
+                        rows.append((pair, prod))
+            sums: dict[tuple[int, ...], Polynomial] = {}
+            for pair, prod in rows:
+                key = next_state(state + pair)
+                acc = sums.get(key)
+                sums[key] = prod if acc is None else acc + prod
+            for key, p in sums.items():
+                if p.terms:
+                    new = partial * p
                     old = nxt.get(key)
                     if old is None:
                         nxt[key] = new

@@ -5,9 +5,10 @@ is intended (list each changed file and the reason in CHANGES.md):
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-The commands of README's command list (and the zero ratio) run in order,
-in process through ``cli.main``, in one temporary directory, so that a
-later command reads what an earlier one wrote, as in README.  Each command
+The commands of README's command list (and the zero ratio), then three
+oracle commands on a sparse d = 4 structure, run in order, in process
+through ``cli.main``, in one temporary directory, so that a later command
+reads what an earlier one wrote, as in README.  Each command
 becomes one case directory holding:
 
 * ``argv.json`` -- the arguments after ``tetraflow``
@@ -35,6 +36,11 @@ from tetraflow.cli import main
 GOLDEN = Path(__file__).resolve().parent
 
 STRUCTURE = "3\n1 2 x1^2*x2\n1 3 -x1*(x1*x3 + 1)\n2 3 x1*x2*x3\n"
+# all six components of R^4, one degree-2 monomial each (the shape of the
+# oracle_sparse benchmark), and not Poisson: the regime in which most index
+# rows of a contraction vanish
+SPARSE_STRUCTURE = ("4\n1 2 x3*x4\n1 3 -2*x2*x4\n1 4 3*x2^2\n2 3 x1*x4\n2 4 -x3^2\n"
+                    "3 4 2*x1*x2\n")
 
 COMMANDS = [
     ("lhs", ["lhs", "--ratio", "1/4:3/2", "lhs.txt"]),
@@ -55,6 +61,9 @@ COMMANDS = [
     ("ratio-scan", ["ratio-scan", "--poisson", "p.txt"]),
     ("ratio-scan-ratios", ["ratio-scan", "--poisson", "p.txt", "--ratios", "1:6,1:1"]),
     ("eval", ["eval", "--graphs", "lhs.txt", "--poisson", "p.txt"]),
+    ("sparse-jacobi", ["jacobi", "--poisson", "p4.txt"]),
+    ("sparse-ratio-scan", ["ratio-scan", "--poisson", "p4.txt", "--ratios", "1:6,1:1"]),
+    ("sparse-eval", ["eval", "--graphs", "lhs.txt", "--poisson", "p4.txt"]),
 ]
 
 
@@ -96,6 +105,7 @@ def regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "p.txt").write_text(STRUCTURE)
+        (work / "p4.txt").write_text(SPARSE_STRUCTURE)
         os.chdir(work)
         try:
             for name, argv in COMMANDS:

@@ -26,9 +26,11 @@ def files(directory: Path) -> dict[str, bytes]:
 
 
 def test_the_corpus_holds_every_case():
-    """README's 14 commands, the ``--ratios`` of its ratio-scan comment, and
-    ``lhs`` at the zero ratio with and without ``--collect``."""
-    assert len(CASES) == 17
+    """README's 14 commands, the ``--ratios`` of its ratio-scan comment,
+    ``lhs`` at the zero ratio with and without ``--collect``, and ``jacobi``,
+    ``ratio-scan --ratios 1:6,1:1`` and ``eval`` of the 39 graphs on a
+    sparse d = 4 structure."""
+    assert len(CASES) == 20
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -1,7 +1,9 @@
-"""The packed oracle against the exponent-tuple reference in oracle_reference.py."""
+"""The packed oracle against the exponent-tuple reference in oracle_reference.py,
+and the factorization identity in the sparse regime."""
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -10,8 +12,8 @@ from tetraflow import reference
 from tetraflow.graphs import GraphSum, KontsevichGraph
 from tetraflow.ops import GAMMA1, tetra_flow
 from tetraflow.poisson import (MAX_EXPONENT, Polynomial, PolyMultivector, PolyOperator, eval_graph,
-                               eval_graph_sum, jacobi_check, random_bivector,
-                               sparse_random_bivector)
+                               eval_graph_sum, factorization_identity_check, jacobi_check,
+                               random_bivector, sparse_random_bivector)
 
 
 def random_terms(rng, d, top):
@@ -77,8 +79,29 @@ def criterion_7_first():
             return R
 
 
+def sparse_monomial_bivectors(seed: int, count: int) -> list[PolyMultivector]:
+    """The first ``count`` non-Poisson d = 4 bi-vectors drawn from
+    ``random.Random(seed)``: all six components, each one degree-2 monomial
+    with a coefficient in +-1..3.  Most index rows of a contraction vanish
+    on this shape."""
+    rng = random.Random(seed)
+    quadratic = [e for e in product(range(3), repeat=4) if sum(e) == 2]
+    out = []
+    while len(out) < count:
+        P = PolyMultivector(4, 2)
+        for pair in combinations(range(4), 2):
+            P.set_component(pair, Polynomial(4, {rng.choice(quadratic):
+                                                 rng.choice((-3, -2, -1, 1, 2, 3))}))
+        if not jacobi_check(P):
+            out.append(P)
+    return out
+
+
+SPARSE_MONOMIAL = sparse_monomial_bivectors(2204, 2)
+
 BIVECTORS = {**criterion_6_firsts(), "d=3 degree 2": criterion_7_first(),
-             "d=3 degree 1": random_bivector(3, 1, random.Random(61))}
+             "d=3 degree 1": random_bivector(3, 1, random.Random(61)),
+             "d=4 monomials": SPARSE_MONOMIAL[0]}
 GRAPH_SUMS = {"GAMMA1": GraphSum.single(GAMMA1, 1), "tetra_flow(0, 1)": tetra_flow(0, 1),
               "lhs39": reference.lhs_table()}
 # the tuple walker takes minutes on the 39 graphs and the dense degree-3
@@ -90,7 +113,7 @@ CASES = [(name, sum_name) for name in BIVECTORS for sum_name in GRAPH_SUMS
 # there) and the two graphs of tetra_flow(0, 1), which cancel; GAMMA1, with a
 # vertex of in-degree 3, on degree 2; every sum on degree 1.
 ZERO_SUMS = {("d=2", "tetra_flow(0, 1)"), ("d=2", "lhs39"), ("d=3 degree 2", "GAMMA1"),
-             *(("d=3 degree 1", sum_name) for sum_name in GRAPH_SUMS)}
+             ("d=4 monomials", "GAMMA1"), *(("d=3 degree 1", sum_name) for sum_name in GRAPH_SUMS)}
 
 
 @pytest.mark.slow
@@ -104,6 +127,16 @@ def test_eval_graph_matches_tuple_walker(name, sum_name):
     total = eval_graph_sum(s, P)
     assert total == ref.linear_combination(P.dim, [(op, c) for (_, c), op in zip(terms, want)])
     assert total.is_zero() == ((name, sum_name) in ZERO_SUMS)
+
+
+@pytest.mark.parametrize("k", range(len(SPARSE_MONOMIAL)))
+def test_identity_check_holds_on_sparse_monomial_bivectors(k):
+    """The sparse regime of the oracle_sparse benchmark, where over 90% of
+    the index rows of a contraction vanish: the 39-graph operator is nonzero
+    and equals the 201 raw terms of the reference solution."""
+    P = SPARSE_MONOMIAL[k]
+    assert not eval_graph_sum(reference.lhs_table(), P).is_zero()
+    assert factorization_identity_check(P)
 
 
 # Random graphs for the contraction gate: m in 0-3 sinks, n in 0-5 internal

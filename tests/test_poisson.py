@@ -115,6 +115,13 @@ def test_product_whose_fields_would_carry_raises():
             below = tuple(x - (k == i) for k, x in enumerate(e))
             assert (Polynomial(d, {below: 1}) * p).exponent_terms() == {
                 tuple(x + y for x, y in zip(below, e)): 1, below: 2}
+            # the same on operands of one term each, the product's single-term path
+            mono = Polynomial(d, {e: 3})
+            with pytest.raises(GraphError, match=f"exponent above {MAX_EXPONENT}"):
+                mono * mono
+            top = (Polynomial(d, {below: -2}) * mono).exponent_terms()
+            assert top == {tuple(x + y for x, y in zip(below, e)): -6}
+            assert max(next(iter(top))) == MAX_EXPONENT
 
 
 @pytest.mark.parametrize("e", [(-1, 0, 0), (0, MAX_EXPONENT + 1, 0), (0, 0, 2 ** 64), (1, 2)])
