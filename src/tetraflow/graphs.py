@@ -158,12 +158,28 @@ def _least_labelling(m: int, targets: tuple, sinks: bool) -> tuple[tuple[int, ..
     every unlabelled vertex by the next free label of its arity (a triple by
     m+w while the w pairs are labelled) and every unlabelled sink by the
     next free sink label gives a componentwise lower bound of the prefix a
-    partial labelling fixes; a branch is cut only when that bound is
-    strictly greater than the best sequence's prefix.  Ties reach their
-    leaves, so every labelling attaining the minimum is seen and the sign-0
-    rule is exact.  Sinks are labelled in the order they first appear,
-    every order being tried among the new sinks one tuple meets: any other
-    order gives a larger sequence.
+    partial labelling fixes.  A node tries its candidates in the order of
+    these bounded prefixes, so that the first descent follows the least
+    bound, and stops at the first candidate whose bound is strictly greater
+    than the best sequence's prefix: every later one's is too.  Sinks are
+    labelled in the order they first appear (any other order gives a larger
+    sequence); among the new sinks one tuple meets every order is tried
+    when another vertex reaches one of them, and one order otherwise, since
+    then every order gives the same sequence and parity.
+
+    Every leaf reached is at most the best so far, so a leaf equal to it
+    gives an automorphism: the vertex permutation taking one labelling to
+    the other, of the parity of their difference.  An odd one means that
+    the minimum is reached with both parities, sign 0.  The search returns
+    at once to the node where the two paths part, as the subtree it left
+    there (the rest of a candidate, or of one order of its new sinks) maps
+    onto one explored before, and a node skips every candidate that the
+    automorphisms found so far that fix every labelled vertex map onto one
+    it has explored.  The two subtrees hold the same sequences, with the
+    same parities while every automorphism found is even; once an odd one
+    settles sign 0 the parities no longer matter, but the search still
+    returns the least sequence.  So n vertices on one target pair take n
+    leaves, not n!.
     """
     n = len(targets)
     w = sum(len(t) == 2 for t in targets)
@@ -171,94 +187,198 @@ def _least_labelling(m: int, targets: tuple, sinks: bool) -> tuple[tuple[int, ..
     # smallest label it can still receive
     lab = ([0] * m if sinks else list(range(m))) + [m] * w + [m + w] * (n - w)
     fresh = list(range(m)) if sinks else []  # unlabelled sinks
-    order: list[int] = []  # order[d] = index of the vertex labelled m+d
-    best: list[int] | None = None
+    order: list[int] = []  # order[d]: the vertex labelled m+d
+    out = [()] * m + list(targets)  # out[v]: the targets of vertex v
+    # into[v] has bit n-d cleared when the vertex labelled m+d has an edge
+    # onto v.  An edge onto a candidate lowers its source's tuple, and the
+    # earliest such source decides: ordering candidates by into and then by
+    # their own bounded tuple orders them as their bounded prefixes
+    into = [(2 << n) - 1] * (m + n)
+    reach = [0] * m  # reach[s]: the number of vertices with an edge onto sink s
+    if sinks:
+        for t in targets:
+            for v in set(t):
+                if v < m:
+                    reach[v] += 1
+    best: list[int] = []
     best_parity = 0
-    zero = False
+    holder: list[int] = []  # holder[x]: the vertex labelled x at the best leaf
+    autos: list[list[int]] = []  # the automorphisms found: v goes to g[v]
+    # two sinks no edge reaches can be swapped, an odd automorphism
+    zero = sinks and reach.count(0) >= 2
+    jump = n  # the depth a tie sends the search back to, n for none
 
-    def label_sinks(new) -> None:
-        for v in new:
-            lab[v] = m - len(fresh)
-            fresh.remove(v)
-        for v in fresh:
-            lab[v] = m - len(fresh)
-
-    def unlabel_sinks(new) -> None:
-        fresh.extend(new)
-        for v in fresh:
-            lab[v] = m - len(fresh)
-
-    def descend(todo: list[int]) -> None:
-        nonlocal best, best_parity, zero
-        d = len(order)
-        if not todo:
-            seq: list[int] = []
-            parity = 0
-            for k in order:
-                t = targets[k]
-                if len(t) == 2:
-                    a, b = lab[t[0]], lab[t[1]]
-                    if a > b:
-                        a, b = b, a
-                        parity ^= 1
-                    seq += (a, b)
-                else:
-                    trip = [lab[v] for v in t]
-                    parity ^= perm_sign(trip) < 0
-                    seq += sorted(trip)
-            if sinks and len(fresh) < 2:
-                # a lone sink no edge reaches holds its bound, the last label;
-                # with two or more the sign is 0 (below)
-                parity ^= perm_sign(lab[:m]) < 0
-            if best is None or seq < best:
-                best, best_parity, zero = seq, parity, False
-            elif seq == best and parity != best_parity:
-                zero = True
-            return
-        # every vertex of todo holds the bound label = m + d on entry and exit
-        label, later = m + d, m + d + 1
-        for k in todo:
-            lab[m + k] = later
-        candidates = []
-        for k in todo:
-            lab[m + k] = label
-            t = targets[k]
+    def leaf() -> None:
+        nonlocal best, best_parity, holder, zero, jump
+        seq: list[int] = []
+        parity = 0
+        for u in order:
+            t = out[u]
             if len(t) == 2:
                 a, b = lab[t[0]], lab[t[1]]
-                candidates.append(((a, b) if a < b else (b, a), k))
+                if a > b:
+                    a, b = b, a
+                    parity ^= 1
+                seq += (a, b)
             else:
-                candidates.append((sorted([lab[v] for v in t]), k))
-            lab[m + k] = later
-        candidates.sort()
-        for _, k in candidates:
-            lab[m + k] = label
-            order.append(k)
-            new = [v for v in dict.fromkeys(targets[k]) if v in fresh] if fresh else ()
-            for first in permutations(new) if len(new) > 1 else (new,):
-                if new:
-                    label_sinks(first)
-                if best is None or not _prefix_exceeds(order, targets, lab, best):
-                    # the triples m+w.. follow the last pair
-                    descend([j for j in todo if j != k] or list(range(d + 1, n)))
-                if new:
-                    unlabel_sinks(first)
-            order.pop()
-            lab[m + k] = later
-        for k in todo:
-            lab[m + k] = label
+                trip = [lab[v] for v in t]
+                parity ^= perm_sign(trip) < 0
+                seq += sorted(trip)
+        if sinks and len(fresh) < 2:
+            # a lone sink no edge reaches holds its bound, the last label;
+            # with two or more the sign is 0 (above)
+            parity ^= perm_sign(lab[:m]) < 0
+        if not best or seq < best:
+            best, best_parity = seq, parity
+            holder = [0] * (m + n)
+            for v, x in enumerate(lab):
+                holder[x] = v
+            return
+        # seq == best: the permutation taking this labelling to the best one
+        g = [holder[x] for x in lab]
+        for v in fresh:  # sinks no edge reaches share one label
+            g[v] = v
+        zero = zero or parity != best_parity
+        autos.append(g)
+        # the first depth at which this path left the best leaf's (a sink is
+        # labelled with the first vertex to reach it): the choice made there
+        # maps by g onto one explored before it
+        jump = min(lab[v] - m if v >= m else
+                   next(d for d, u in enumerate(order) if v in out[u])
+                   for v in range(m + n) if g[v] != v)
 
-    descend(list(range(w or n)))
-    assert best is not None
-    if sinks and m - len({t for tup in targets for t in tup if t < m}) >= 2:
-        zero = True
+    def descend(todo: list[int]) -> None:
+        nonlocal jump
+        d = len(order)
+        # every vertex of todo holds the bound label = m + d on entry and exit,
+        # and every unlabelled sink the bound low
+        label, later, low = m + d, m + d + 1, m - len(fresh)
+        if len(todo) == 1:
+            candidates = [todo]  # a lone candidate needs no key
+        else:
+            for u in todo:
+                lab[u] = later
+            candidates = []
+            if d < w:
+                for u in todo:
+                    lab[u] = label
+                    x, y = out[u]
+                    a, b = lab[x], lab[y]
+                    if a > b:
+                        a, b = b, a
+                    elif a == b == low < m and x != y:
+                        b += 1  # two new sinks take the next two sink labels
+                    candidates.append((into[u], a, b, u))
+                    lab[u] = later
+            else:
+                for u in todo:
+                    lab[u] = label
+                    trip = sorted([lab[v] for v in out[u]])
+                    if low < m and low in trip:  # new sinks take the next sink labels
+                        x = trip.index(low)
+                        y = x + trip.count(low)
+                        trip[x:y] = range(low, low + y - x)
+                    candidates.append((into[u], *trip, u))
+                    lab[u] = later
+            candidates.sort()
+        bit = 1 << (n - d)
+        rest = None  # todo without the candidate explored, made once per node
+        for i, c in enumerate(candidates):
+            u = c[-1]
+            if autos and i:
+                # the candidates before u with its key: it may map onto one
+                j = i
+                while j and candidates[j - 1][:-1] == c[:-1]:
+                    j -= 1
+                if j < i and _in_orbit(u, [e[-1] for e in candidates[j:i]], autos,
+                                       order + [s for s in range(m) if s not in fresh]):
+                    continue
+            t = out[u]
+            lab[u] = label
+            order.append(u)
+            new = []  # the sinks u reaches first, labelled in order
+            if low < m:
+                for v in t:
+                    if lab[v] == low and v not in new:
+                        new.append(v)
+                if new:
+                    for x, v in enumerate(new):
+                        lab[v] = low + x
+                        fresh.remove(v)
+                    for v in fresh:
+                        lab[v] = low + len(new)
+            # every order of the new sinks gives this prefix, and the
+            # candidates after u give prefixes at least as large
+            stop = best and _prefix_exceeds(order, out, lab, best)
+            if not stop:
+                for v in t:
+                    into[v] &= ~bit
+                if rest is None:
+                    rest = todo.copy()
+                    rest.remove(u)
+                    # the triples m+w.. follow the last pair
+                    rest = rest or list(range(label + 1, m + n))
+                else:
+                    rest[rest.index(u)] = gone
+                gone = u
+                # new sinks that u alone reaches take their labels in every
+                # order with the same sequence and parity (a swap of two flips
+                # u's tuple and the sink permutation), so one order is enough
+                if len(new) > 1 and max(map(reach.__getitem__, new)) > 1:
+                    orders = permutations(new)
+                else:
+                    orders = (new,)
+                for first in orders:
+                    for x, v in enumerate(first):
+                        lab[v] = low + x
+                    if d + 1 < n:
+                        descend(rest)
+                    else:
+                        leaf()
+                    if jump == d and autos[-1][u] == u:
+                        jump = n  # the tie left the best path at the sink order
+                    elif jump <= d:
+                        break
+                for v in t:
+                    into[v] |= bit
+                stop = jump < d
+                if jump == d:
+                    jump = n
+            if new:
+                fresh.extend(new)
+                for v in fresh:
+                    lab[v] = low
+            order.pop()
+            lab[u] = later
+            if stop:
+                break
+        for u in todo:
+            lab[u] = label
+
+    descend(list(range(m, m + (w or n))))
     return tuple(best), 0 if zero else (1 if best_parity == 0 else -1)
 
 
-def _prefix_exceeds(order, targets, lab, best) -> bool:
-    """Whether the bounded prefix of ``order`` is lexicographically above ``best``."""
+def _in_orbit(v: int, explored: list[int], autos, fixed: list[int]) -> bool:
+    """Whether the automorphisms of ``autos`` that fix every vertex of
+    ``fixed`` generate one that maps the vertex ``v`` onto one of ``explored``."""
+    gens = [g for g in autos if all(g[u] == u for u in fixed)]
+    orbit, stack = {v}, [v]
+    while stack:
+        u = stack.pop()
+        for g in gens:
+            if g[u] not in orbit:
+                orbit.add(g[u])
+                stack.append(g[u])
+    return not orbit.isdisjoint(explored)
+
+
+def _prefix_exceeds(order, out, lab, best) -> bool:
+    """Whether the bounded prefix of ``order``, vertices with the target
+    tuples ``out[v]``, is lexicographically above ``best``."""
     pos = 0
-    for k in order:
-        t = targets[k]
+    for v in order:
+        t = out[v]
         if len(t) == 2:
             a, b = lab[t[0]], lab[t[1]]
             if a > b:
@@ -424,14 +544,19 @@ def quote(text: str) -> str:
     return q if len(q) <= 60 else q[:60] + "..."
 
 
-# Sizes a text line may ask for.  normal_form follows every tied branch, so
-# n internal vertices on one target pair cost n! (0.4 s at n = 8 and 3 s at
-# n = 9 on a shared 2-core host); a Leibniz line expands to up to 3 * 4^w
-# labelled graphs of w + 2j internal vertices, and the solve columns take
-# one expansion per Leibniz sink orbit of nonzero sign, one orbit search
-# per labelled term.  Lines of 6 sinks and 6 wedges solve in 0.2-0.4 s; the
-# one with every wedge edge on the Jacobiator is of sign 0 (three sinks
-# receive no edge), so its 12288 terms are not searched.
+# Sizes a text line may ask for.  The canonical search prunes by
+# automorphisms, so interchangeable vertices no longer multiply its work: n
+# internal vertices on one target pair take n leaves (about 1 ms at n = 8,
+# where following every tie took 8! leaves and 0.5 s on a shared 2-core
+# host), and each of the 192 terms without a double edge of the 6-sink line
+# `6 6 12 12 12 12 12 12 12 12 12 12 12 12 | 0 1 2 1` takes 6 leaves in
+# orbit form (1,440 before; all 192 now take about 0.1 s, not 2-4 s).  A
+# Leibniz line expands to up to 3 * 4^w labelled graphs of w + 2j internal
+# vertices, and the solve columns take one expansion per Leibniz sink orbit
+# of nonzero sign, one orbit search per labelled term.  Lines of 6 sinks and
+# 6 wedges solve in 0.2-0.4 s; the one with every wedge edge on the
+# Jacobiator is of sign 0 (three sinks receive no edge), so its 12288 terms
+# are not searched.
 MAX_SINKS = 6
 MAX_INTERNAL = 8
 

@@ -5,11 +5,15 @@ is intended (list each changed file and the reason in CHANGES.md):
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-The commands of README's command list (and the zero ratio), then three
-oracle commands on a sparse d = 4 structure, run in order, in process
-through ``cli.main``, in one temporary directory, so that a later command
-reads what an earlier one wrote, as in README.  Each command
-becomes one case directory holding:
+The commands of README's command list (and the zero ratio), three oracle
+commands on a sparse d = 4 structure, then the commands whose bytes the
+canonical search decides (``normalize`` and ``reduce`` of the 201-term
+expansion and of ``lhs.txt``, ``solve`` with ``--no-tadpoles``, with
+``--no-min-support`` and on the bilinear ansatz, each solution's
+``verify``, ``count`` and the ``--no-tadpoles`` run-throughs), run in
+order, in process through ``cli.main``, in one temporary directory, so
+that a later command reads what an earlier one wrote, as in README.  Each
+command becomes one case directory holding:
 
 * ``argv.json`` -- the arguments after ``tetraflow``
 * ``in/``       -- the files the arguments name that exist before the run
@@ -64,6 +68,21 @@ COMMANDS = [
     ("sparse-jacobi", ["jacobi", "--poisson", "p4.txt"]),
     ("sparse-ratio-scan", ["ratio-scan", "--poisson", "p4.txt", "--ratios", "1:6,1:1"]),
     ("sparse-eval", ["eval", "--graphs", "lhs.txt", "--poisson", "p4.txt"]),
+    ("reference-expansion", ["reference", "--table", "expansion201", "exp.txt"]),
+    ("normalize-expansion", ["normalize", "exp.txt", "exp-nf.txt"]),
+    ("reduce-expansion", ["reduce", "exp.txt", "exp-red.txt"]),
+    ("normalize-lhs", ["normalize", "lhs.txt", "lhs-nf.txt"]),
+    ("reduce-lhs", ["reduce", "lhs.txt", "lhs-red.txt"]),
+    ("solve-no-tadpoles", ["solve", "--no-tadpoles", "solution-nt.txt"]),
+    ("verify-no-tadpoles", ["verify", "--solution", "solution-nt.txt"]),
+    ("solve-no-min-support", ["solve", "--no-min-support", "solution-full.txt"]),
+    ("verify-no-min-support", ["verify", "--solution", "solution-full.txt"]),
+    ("gen-ansatz-quadratic", ["gen-ansatz", "--quadratic", "quad.txt"]),
+    ("solve-quadratic", ["solve", "--ansatz", "quad.txt", "solution-quad.txt"]),
+    ("count", ["count"]),
+    ("count-no-tadpoles", ["count", "--no-tadpoles"]),
+    ("nontrivial-no-tadpoles", ["nontrivial", "--no-tadpoles"]),
+    ("quadcheck-no-tadpoles", ["quadcheck", "--no-tadpoles"]),
 ]
 
 

@@ -114,3 +114,63 @@ def brute_leibniz_orbit_normal_form(L: LeibnizGraph) -> tuple[tuple, int]:
         if enc == best:
             signs.add(sign * sigma_sign)
     return best, signs.pop() if signs in ({1}, {-1}) else 0
+
+
+def brute_minimizer_parities(g: KontsevichGraph, sinks: bool) -> tuple[tuple, list[int]]:
+    """(least encoding, the parity of every labelling that reaches it) over
+    every relabelling of the internal vertices of ``g`` and, with ``sinks``,
+    every sink permutation, whose sign joins the parity; ``g`` has no double
+    edge.  The labellings that reach the minimum are one of them composed
+    with each automorphism of ``g``, so they count its automorphism group,
+    and their parities split it into its even and its odd part."""
+    m, n = g.sink_count, g.internal_count
+    best, parities = None, []
+    for sigma in permutations(range(m)) if sinks else [tuple(range(m))]:
+        h = g.permute_sinks(sigma)
+        for pi in permutations(range(n)):
+            new_pairs = [(0, 0)] * n
+            parity = perm_sign(sigma) < 0
+            for k, (a, b) in enumerate(h.targets):
+                a = a if a < m else m + pi[a - m]
+                b = b if b < m else m + pi[b - m]
+                if a > b:
+                    a, b = b, a
+                    parity ^= 1
+                new_pairs[pi[k]] = (a, b)
+            seq = tuple(t for pair in new_pairs for t in pair)
+            if best is None or seq < best:
+                best, parities = seq, []
+            if seq == best:
+                parities.append(int(parity))
+    return best, parities
+
+
+def brute_leibniz_minimizer_parities(L: LeibnizGraph, sinks: bool) -> tuple[tuple, list[int]]:
+    """``brute_minimizer_parities`` of a Leibniz graph: over wedge
+    relabellings with their swaps, Jacobiator relabellings with the signs of
+    their target orders and, with ``sinks``, sink permutations."""
+    m, w, j = L.sink_count, L.wedge_count, L.jac_count
+    best, parities = None, []
+    for sigma_sign, image in sink_images(L) if sinks else [(1, L)]:
+        for rho in permutations(range(j)):
+            for pi in permutations(range(w)):
+                relabel = (*range(m), *(m + p for p in pi), *(m + w + r for r in rho))
+                parity = sigma_sign < 0
+                new_wedges = [(0, 0)] * w
+                for k, (a, b) in enumerate(image.wedge_targets):
+                    a, b = relabel[a], relabel[b]
+                    if a > b:
+                        a, b = b, a
+                        parity ^= 1
+                    new_wedges[pi[k]] = (a, b)
+                new_jacs = [(0, 0, 0)] * j
+                for i, triple in enumerate(image.jac_targets):
+                    trip = [relabel[t] for t in triple]
+                    parity ^= perm_sign(trip) < 0
+                    new_jacs[rho[i]] = tuple(sorted(trip))
+                enc = (m, tuple(new_wedges), tuple(new_jacs))
+                if best is None or enc < best:
+                    best, parities = enc, []
+                if enc == best:
+                    parities.append(int(parity))
+    return best, parities

@@ -27,10 +27,16 @@ def files(directory: Path) -> dict[str, bytes]:
 
 def test_the_corpus_holds_every_case():
     """README's 14 commands, the ``--ratios`` of its ratio-scan comment,
-    ``lhs`` at the zero ratio with and without ``--collect``, and ``jacobi``,
+    ``lhs`` at the zero ratio with and without ``--collect``; ``jacobi``,
     ``ratio-scan --ratios 1:6,1:1`` and ``eval`` of the 39 graphs on a
-    sparse d = 4 structure."""
-    assert len(CASES) == 20
+    sparse d = 4 structure; and the 15 commands whose bytes the canonical
+    search decides: ``reference --table expansion201``, ``normalize`` and
+    ``reduce`` of that file and of ``lhs.txt``, ``solve --no-tadpoles`` and
+    ``solve --no-min-support`` each with its ``verify``, ``gen-ansatz
+    --quadratic`` and ``solve --ansatz`` on its file (infeasible), ``count``
+    and ``count --no-tadpoles``, ``nontrivial --no-tadpoles`` and
+    ``quadcheck --no-tadpoles``."""
+    assert len(CASES) == 35
 
 
 @pytest.mark.parametrize("name", CASES)

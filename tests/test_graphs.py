@@ -1,4 +1,6 @@
+import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,10 +14,13 @@ from tetraflow.graphs import (MAX_INTERNAL, MAX_SINKS, GraphError,
                               sink_images)
 from tetraflow.leibniz import (LeibnizGraph, expand, expand_terms, generate_ansatz_linear,
                                generate_ansatz_quadratic, generate_bivector_leibniz,
-                               jacobiator_sum)
+                               jacobiator_sum, leibniz_normal_form, leibniz_orbit_normal_form,
+                               parse_leibniz_line)
 from tetraflow.ops import alternation, wedge_sum
 
-from nf_reference import brute_normal_form, brute_orbit_normal_form
+from nf_reference import (brute_leibniz_minimizer_parities, brute_leibniz_normal_form,
+                          brute_leibniz_orbit_normal_form, brute_minimizer_parities,
+                          brute_normal_form, brute_orbit_normal_form)
 
 WEDGE = KontsevichGraph(2, 1, ((0, 1),))
 
@@ -173,6 +178,173 @@ def test_orbit_normal_form_sign_carries_the_alternation():
                 == alternation(GraphSum.single(rep)).scaled(nf.sign))
     assert forms[0].encoding == forms[1].encoding
     assert forms[0].sign == -forms[1].sign != 0 and forms[2].sign == 0
+
+
+def encoding_digest(encoding) -> str:
+    return hashlib.sha256(" ".join(map(str, encoding)).encode()).hexdigest()
+
+
+def test_orbit_search_prunes_the_six_sink_line():
+    """The 192 terms without a double edge of the 6-sink line whose six
+    wedges each stand on both realization vertices of the Jacobiator are one
+    orbit of sign 0: three sinks receive no edge.  Their six wedges are
+    interchangeable, so a search that follows every tie reaches 1,440 leaves
+    per term (2.2-4.1 s for the 192 on a shared 2-core host); pruned by
+    automorphisms they take well under the 1.5 s bound."""
+    L, _ = parse_leibniz_line("6 6 12 12 12 12 12 12 12 12 12 12 12 12 | 0 1 2 1")
+    terms = [g for g in expand_terms(L) if all(a != b for a, b in g.targets)]
+    assert len(terms) == 192
+    start = time.perf_counter()
+    forms = {orbit_normal_form(g) for g in terms}
+    assert time.perf_counter() - start < 1.5
+    (nf,) = forms
+    assert nf.sign == 0
+    assert encoding_digest(nf.encoding) == (
+        "38f4ee77d52d390ad1dab2fd651248631665bd1e3ab55a9ba92f959e5d10d569")
+
+
+@pytest.mark.parametrize("form, sign", [(normal_form, 1), (orbit_normal_form, 0)])
+def test_orbit_search_prunes_eight_vertices_on_one_pair(form, sign):
+    """Eight internal vertices on the one pair (0, 1): 8! tied labellings,
+    0.3-0.5 s and 0.8-1.0 s when every tie reached its leaf.  Swapping the
+    sinks flips all eight pairs and the sink order, an odd automorphism:
+    orbit sign 0."""
+    g = KontsevichGraph(2, 8, ((0, 1),) * 8)
+    start = time.perf_counter()
+    nf = form(g)
+    assert time.perf_counter() - start < 1.5
+    assert nf.sign == sign
+    assert encoding_digest(nf.encoding) == (
+        "f84655788703a1a6382e32f41213a9bd0664d1cbff697e5ceffacbb75b03d1dd")
+
+
+def symmetric_graphs(rng: random.Random):
+    """Seeded Kontsevich graphs built for large automorphism groups, without
+    double edges, each under a random relabelling of its internal vertices
+    and of its sinks (the search breaks ties by label): (family, graph)."""
+    def orient(a, b):
+        return (a, b) if rng.random() < 0.5 else (b, a)
+
+    def shuffled(m, pairs):
+        n = len(pairs)
+        new = [m + k for k in rng.sample(range(n), n)]  # m+k becomes new[k]
+        relabelled = [None] * n
+        for k, pair in enumerate(pairs):
+            relabelled[new[k] - m] = tuple(v if v < m else new[v - m] for v in pair)
+        return KontsevichGraph(m, n, tuple(relabelled)).permute_sinks(rng.sample(range(m), m))
+
+    for _ in range(40):
+        # up to 5 vertices on one target pair, next to a third sink
+        n = rng.randint(2, 5)
+        extra = rng.random() < 0.3
+        yield "one pair", shuffled(2 + extra, [orient(0, 1) for _ in range(n)]
+                                   + [(2, 2 + n)] * extra)
+    for _ in range(40):
+        # copies of one block, a wedge and a wedge standing on it and on a
+        # sink of its own, next to free wedges on the block's pair
+        m, copies = rng.randint(2, 3), rng.randint(2, 3)
+        a, b = rng.sample(range(m), 2)
+        pairs = [pair for i in range(copies)
+                 for pair in (orient(a, b), orient(m + 2 * i, rng.randrange(m)))]
+        pairs += [orient(a, b) for _ in range(rng.randint(0, 6 - len(pairs)))]
+        yield "wedge on wedge", shuffled(m, pairs)
+    for _ in range(40):
+        # a cycle of vertices, the i-th also standing on sink i mod m
+        m = rng.randint(2, 4)
+        n = m * rng.randint(1, 6 // m)
+        yield "cycle", shuffled(m, [orient(i % m, m + (i + 1) % n) for i in range(n)])
+    for _ in range(40):
+        # vertices in twins u, u' where u' targets the image of u's targets
+        # under the sink involution (0 1)(2 3) and u <-> u'
+        m = rng.choice((2, 4))
+        half = rng.randint(1, 2 if m == 4 else 3)
+        n = 2 * half
+        swap = [1, 0, 3, 2][:m] + [m + (k ^ 1) for k in range(n)]
+        pairs = [None] * n
+        for u in range(half):
+            a, b = rng.sample(range(m + n), 2)
+            while m + 2 * u in (a, b) and rng.random() < 0.7:
+                a, b = rng.sample(range(m + n), 2)
+            pairs[2 * u] = orient(a, b)
+            pairs[2 * u + 1] = orient(swap[a], swap[b])
+        yield "sink-symmetric", shuffled(m, pairs)
+    for _ in range(40):
+        # a triangle of vertices, each on the other two, and a cycle of three
+        # more, each also standing on its own vertex of the triangle
+        m = rng.randint(0, 2)
+        corner = rng.sample(range(m, m + 3), 3)
+        pairs = [orient(m + 1, m + 2), orient(m, m + 2), orient(m, m + 1)]
+        pairs += [orient(m + 3 + (i + 1) % 3, corner[i]) for i in range(3)]
+        yield "triangle and cycle", shuffled(m, pairs)
+    for _ in range(60):
+        # along each cycle of a random permutation p of the sinks and of the
+        # internal vertices, a vertex targets p of its predecessor's targets
+        m = rng.randint(0, 4)
+        n = rng.randint(3, 6 if m < 4 else 5)
+        p = rng.sample(range(m), m) + [m + k for k in rng.sample(range(n), n)]
+        pairs = [None] * n
+        for k in range(n):
+            pair, v = tuple(rng.sample(range(m + n), 2)), m + k
+            while pairs[v - m] is None:
+                pairs[v - m] = pair
+                pair, v = orient(p[pair[0]], p[pair[1]]), p[v]
+        yield "permutation orbits", KontsevichGraph(m, n, tuple(pairs))
+
+
+def symmetric_leibniz_graphs(rng: random.Random):
+    """Seeded Leibniz graphs with repeated wedges and two Jacobiators."""
+    for _ in range(60):
+        m = rng.randint(2, 4)
+        w = rng.randint(1, 3)
+        hi = m + w + 2
+        pair = tuple(rng.sample(range(hi), 2))
+        wedges = tuple(pair if rng.random() < 0.5 else pair[::-1] for _ in range(w))
+        first = tuple(rng.sample([t for t in range(hi) if t != m + w], 3))
+        if rng.random() < 0.5:
+            # the second Jacobiator on the same targets, in some order
+            second = tuple(rng.sample([t if t != m + w + 1 else m + w for t in first], 3))
+        else:
+            second = tuple(rng.sample([t for t in range(hi) if t != m + w + 1], 3))
+        yield LeibnizGraph(m, wedges, (first, second))
+
+
+@pytest.mark.slow
+def test_forms_match_brute_force_on_symmetric_graphs():
+    """Both canonical forms of seeded graphs with large automorphism groups,
+    where the search prunes by automorphisms, against the brute force.  The
+    automorphisms are counted from the brute force alone: the labellings
+    that reach the minimum, with their parities."""
+    rng = random.Random(2301)
+    seen = {"odd automorphism": 0, "even automorphisms": 0, "sign +-1, tied": 0}
+
+    def tally(parities, sign):
+        seen["odd automorphism"] += len(set(parities)) == 2
+        seen["even automorphisms"] += parities.count(parities[0]) >= 2
+        seen["sign +-1, tied"] += len(parities) >= 2 and sign != 0
+        assert sign == (0 if len(set(parities)) == 2 else (-1) ** parities[0])
+
+    families = set()
+    for family, g in symmetric_graphs(rng):
+        families.add(family)
+        for form, brute, sinks in ((normal_form, brute_normal_form, False),
+                                   (orbit_normal_form, brute_orbit_normal_form, True)):
+            nf = form(g)
+            assert nf == brute(g), (family, g)
+            encoding, parities = brute_minimizer_parities(g, sinks)
+            assert encoding == nf.encoding
+            tally(parities, nf.sign)
+    for L in symmetric_leibniz_graphs(rng):
+        for form, brute, sinks in ((leibniz_normal_form, brute_leibniz_normal_form, False),
+                                   (leibniz_orbit_normal_form, brute_leibniz_orbit_normal_form,
+                                    True)):
+            encoding, sign = form(L)
+            assert (encoding, sign) == brute(L), L
+            best, parities = brute_leibniz_minimizer_parities(L, sinks)
+            assert best == encoding
+            tally(parities, sign)
+    assert families == {"one pair", "wedge on wedge", "cycle", "sink-symmetric",
+                        "triangle and cycle", "permutation orbits"}
+    assert min(seen.values()) >= 20, seen
 
 
 def test_sink_images_sign_and_permute_both_graph_kinds():
