@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import permutations, product
 from math import lcm
-from operator import itemgetter, or_
+from operator import itemgetter, mul, or_
 import random
 import re
 
@@ -269,13 +269,14 @@ class PolyMultivector:
     owns the polynomials it stores and changes them in place.
     """
 
-    __slots__ = ("dim", "arity", "comps", "_dcache")
+    __slots__ = ("dim", "arity", "comps", "_dcache", "_nonzero")
 
     def __init__(self, dim: int, arity: int):
         self.dim = dim
         self.arity = arity
         self.comps: dict[tuple[int, ...], Polynomial] = {}
         self._dcache: dict | None = None
+        self._nonzero: dict | None = None
 
     def component(self, idx: tuple[int, ...]) -> Polynomial:
         """A copy of the component ``idx``, which later adds leave alone."""
@@ -291,7 +292,8 @@ class PolyMultivector:
         order, sign = _sort_sign(idx)
         if sign == 0:
             raise GraphError("repeated index in multivector component")
-        self._dcache = None  # derivatives of the old components are stale
+        # derivatives of the old components, and their nonzero index, are stale
+        self._dcache = self._nonzero = None
         _add_poly(self.comps, order, p, scale * sign)
 
     def set_component(self, idx: tuple[int, ...], p: Polynomial) -> None:
@@ -440,10 +442,20 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
     positions the completing factors read, so a step computes, once per
     projection of the states onto those positions, the list of the pairs
     whose product is nonzero, with the products; every state with that
-    projection walks only its list.  On a sparse bi-vector most products
-    multiply one monomial by another, which ``*`` forms on its single-term
-    path.  The final states are keyed by the sink positions alone, and each
-    enters the operator through one ``PolyOperator.add``.
+    projection walks only its list.
+
+    The list comes from the bi-vector's nonzero index: a factor's key with
+    the new vertex's two slots left open maps to the pairs that make the
+    factor nonzero, with the factor.  The index is built once per bi-vector
+    (``add_component`` resets it), the list is the intersection of the
+    completing factors' entries, walked from the smallest, and a pair's
+    product is formed only when every factor is nonzero, which is exact,
+    since Q[x] has no zero divisors.  A step also looks one step ahead: a
+    next state whose list at the following step is empty is dropped before
+    its product is formed.  On a sparse bi-vector most products multiply
+    one monomial by another, which ``*`` forms on its single-term path.
+    The final states are keyed by the sink positions alone, and each enters
+    the operator through one ``PolyOperator.add``.
 
     The one early return is for a vanishing operator: some internal vertex
     receives more edges than the degree of P, so its factor, differentiated
@@ -487,27 +499,68 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
         return [pos for pos in range(2 * n) if S >> (pos >> 1) & 1 and dies[pos] & ~S]
 
     if P._dcache is None:
-        P._dcache = {}
-    dcache = P._dcache
+        P._dcache, P._nonzero = {}, {}
+    dcache, nonzero = P._dcache, P._nonzero
 
     def deriv(key: tuple[int, ...]) -> Polynomial:
         """P^{key[0] key[1]} differentiated by the indices key[2:], taken in
-        any order: the cache keeps every order seen and sorts only on a miss."""
-        canonical = key[:2] + tuple(sorted(key[2:]))
-        p = dcache.get(canonical)
+        any order."""
+        key = key[:2] + tuple(sorted(key[2:]))
+        p = dcache.get(key)
         if p is None:
             p = signed[key[:2]]
-            for i in canonical[2:]:
+            for i in key[2:]:
                 if not p.terms:
                     break
                 p = p.diff(i)
-            dcache[canonical] = p
-        dcache[key] = p
+            dcache[key] = p
         return p
 
     pairs = list(signed)
+
+    def nonzero_pairs(open_key: tuple[int, ...]) -> dict[tuple[int, int], Polynomial]:
+        """The index pairs, in pair order, that make the factor key
+        ``open_key`` nonzero when they fill its open slots (-1 the new
+        vertex's left index, -2 its right one), each with that factor."""
+        entry = nonzero[open_key] = {}
+        for pair in pairs:
+            p = deriv(tuple(pair[~i] if i < 0 else i for i in open_key))
+            if p.terms:
+                entry[pair] = p
+        return entry
+
+    def survivors(width: int, completing: list[list[int]]):
+        """The lookup taking a state to its surviving rows: the (pair,
+        nonzero product of the completing factors) in pair order, formed
+        once per projection of the states onto the positions the factors
+        read, as the intersection of the factors' ``nonzero`` entries."""
+        read = sorted({i for idx in completing for i in idx if i < width})
+        project = _getter(read)
+        # a factor's key with the new vertex's pair (row positions width and
+        # width + 1) left open, read from a projection followed by (-1, -2)
+        slot = {i: j for j, i in enumerate(read + [width, width + 1])}
+        open_keys = [_getter([slot[i] for i in idx]) for idx in completing]
+        memo: dict[tuple[int, ...], list[tuple[tuple[int, int], Polynomial]]] = {}
+
+        def rows(state: tuple[int, ...]) -> list[tuple[tuple[int, int], Polynomial]]:
+            proj = project(state)
+            out = memo.get(proj)
+            if out is None:
+                maps = []
+                for key in open_keys:
+                    k = key(proj + (-1, -2))
+                    entry = nonzero.get(k)
+                    maps.append(nonzero_pairs(k) if entry is None else entry)
+                out = memo[proj] = [(pair, reduce(mul, [m[pair] for m in maps]))
+                                    for pair in min(maps, key=len)
+                                    if all(pair in m for m in maps)]
+            return out
+        return rows
+
+    # one (next_state, rows) per step; rows is None on a step that
+    # completes no factor
     base = len({i for i, _ in pairs})
-    states = {(): Polynomial.const(d, 1)}
+    steps = []
     positions: list[int] = []
     S = 0
     for v in _contraction_order(n, live, base):
@@ -517,54 +570,40 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
         width = len(positions)
         at = {pos: i for i, pos in enumerate(positions + [2 * v, 2 * v + 1])}
         positions = live(S)
-        next_state = _getter([at[pos] for pos in positions])
         completing = [[at[pos] for pos in reads[k]]
                       for k in range(n) if ready[k] >> v & 1 and not ready[k] & ~S]
-        factors = [_getter(idx) for idx in completing]
-        # the state positions the completing factors read: the product of a
-        # row's factors depends on its state only through this projection
-        project = _getter(sorted({i for idx in completing for i in idx if i < width}))
-        # projection -> (pair, nonzero product of the factors), in pair order
-        survivors: dict[tuple[int, ...], list[tuple[tuple[int, int], Polynomial]]] = {}
+        steps.append((_getter([at[pos] for pos in positions]),
+                      survivors(width, completing) if completing else None))
+
+    states = {(): Polynomial.const(d, 1)}
+    for t, (next_state, rows) in enumerate(steps):
+        # the look-ahead: a next state without surviving rows at the next
+        # step is dropped before its product is formed
+        ahead = steps[t + 1][1] if t + 1 < len(steps) else None
         nxt: dict[tuple[int, ...], Polynomial] = {}
         for state, partial in states.items():
             if not partial.terms:
                 continue
-            if not factors:
+            if rows is None:
                 # nothing dies, so no two rows share a next state
                 for pair in pairs:
-                    nxt[next_state(state + pair)] = partial
+                    key = next_state(state + pair)
+                    if ahead is None or ahead(key):
+                        nxt[key] = partial
                 continue
-            proj = project(state)
-            rows = survivors.get(proj)
-            if rows is None:
-                rows = survivors[proj] = []
-                for pair in pairs:
-                    row = state + pair
-                    prod = None
-                    for factor in factors:
-                        key = factor(row)
-                        dp = dcache.get(key)
-                        if dp is None:
-                            dp = deriv(key)
-                        if not dp.terms:
-                            break
-                        prod = dp if prod is None else prod * dp
-                    else:
-                        rows.append((pair, prod))
             sums: dict[tuple[int, ...], Polynomial] = {}
-            for pair, prod in rows:
+            for pair, prod in rows(state):
                 key = next_state(state + pair)
                 acc = sums.get(key)
                 sums[key] = prod if acc is None else acc + prod
             for key, p in sums.items():
                 if p.terms:
-                    new = partial * p
                     old = nxt.get(key)
                     if old is None:
-                        nxt[key] = new
+                        if ahead is None or ahead(key):
+                            nxt[key] = partial * p
                     else:
-                        _merge(old.terms, new.terms)
+                        _merge(old.terms, (partial * p).terms)
         states = nxt
 
     at = {pos: i for i, pos in enumerate(positions)}
@@ -578,7 +617,7 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
 def _contraction_order(n: int, live, base: int) -> list[int]:
     """The order of the n internal vertices that minimizes the sum, over
     the steps, of base ** (number of live positions before the step), the
-    bound on the rows a step visits; ties go to the lexicographically
+    bound on the states a step visits; ties go to the lexicographically
     first order.  The live set after assigning a vertex set depends only on
     that set, so a dynamic program over the 2^n subsets is exact."""
     full = (1 << n) - 1

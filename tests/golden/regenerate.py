@@ -10,10 +10,12 @@ commands on a sparse d = 4 structure, then the commands whose bytes the
 canonical search decides (``normalize`` and ``reduce`` of the 201-term
 expansion and of ``lhs.txt``, ``solve`` with ``--no-tadpoles``, with
 ``--no-min-support`` and on the bilinear ansatz, each solution's
-``verify``, ``count`` and the ``--no-tadpoles`` run-throughs), run in
-order, in process through ``cli.main``, in one temporary directory, so
-that a later command reads what an earlier one wrote, as in README.  Each
-command becomes one case directory holding:
+``verify``, ``count`` and the ``--no-tadpoles`` run-throughs), then
+``eval`` of the 201-term expansion and of the 1:6 flow on the sparse d = 4
+structure and ``eval`` and ``ratio-scan`` on a d = 4 structure with three
+of its six components, run in order, in process through ``cli.main``, in
+one temporary directory, so that a later command reads what an earlier one
+wrote, as in README.  Each command becomes one case directory holding:
 
 * ``argv.json`` -- the arguments after ``tetraflow``
 * ``in/``       -- the files the arguments name that exist before the run
@@ -45,6 +47,9 @@ STRUCTURE = "3\n1 2 x1^2*x2\n1 3 -x1*(x1*x3 + 1)\n2 3 x1*x2*x3\n"
 # rows of a contraction vanish
 SPARSE_STRUCTURE = ("4\n1 2 x3*x4\n1 3 -2*x2*x4\n1 4 3*x2^2\n2 3 x1*x4\n2 4 -x3^2\n"
                     "3 4 2*x1*x2\n")
+# three of the six components of R^4, one degree-2 monomial each, and not
+# Poisson: the index pairs of the missing components are never stored
+PARTIAL_STRUCTURE = "4\n1 2 x2*x4\n1 4 -3*x1*x2\n2 3 -2*x1^2\n"
 
 COMMANDS = [
     ("lhs", ["lhs", "--ratio", "1/4:3/2", "lhs.txt"]),
@@ -83,6 +88,10 @@ COMMANDS = [
     ("count-no-tadpoles", ["count", "--no-tadpoles"]),
     ("nontrivial-no-tadpoles", ["nontrivial", "--no-tadpoles"]),
     ("quadcheck-no-tadpoles", ["quadcheck", "--no-tadpoles"]),
+    ("sparse-eval-expansion", ["eval", "--graphs", "exp.txt", "--poisson", "p4.txt"]),
+    ("sparse-eval-flow", ["eval", "--graphs", "flow.txt", "--poisson", "p4.txt"]),
+    ("partial-eval", ["eval", "--graphs", "lhs.txt", "--poisson", "p4-partial.txt"]),
+    ("partial-ratio-scan", ["ratio-scan", "--poisson", "p4-partial.txt", "--ratios", "1:6,1:1"]),
 ]
 
 
@@ -125,6 +134,7 @@ def regenerate() -> None:
         work = Path(tmp)
         (work / "p.txt").write_text(STRUCTURE)
         (work / "p4.txt").write_text(SPARSE_STRUCTURE)
+        (work / "p4-partial.txt").write_text(PARTIAL_STRUCTURE)
         os.chdir(work)
         try:
             for name, argv in COMMANDS:

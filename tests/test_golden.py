@@ -35,8 +35,11 @@ def test_the_corpus_holds_every_case():
     ``solve --no-min-support`` each with its ``verify``, ``gen-ansatz
     --quadratic`` and ``solve --ansatz`` on its file (infeasible), ``count``
     and ``count --no-tadpoles``, ``nontrivial --no-tadpoles`` and
-    ``quadcheck --no-tadpoles``."""
-    assert len(CASES) == 35
+    ``quadcheck --no-tadpoles``; then ``eval`` of the 201-term expansion
+    and of the 1:6 flow on the sparse d = 4 structure, and ``eval`` of the
+    39 graphs and ``ratio-scan --ratios 1:6,1:1`` on a d = 4 structure with
+    three of its six components."""
+    assert len(CASES) == 39
 
 
 @pytest.mark.parametrize("name", CASES)

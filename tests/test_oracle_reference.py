@@ -99,9 +99,21 @@ def sparse_monomial_bivectors(seed: int, count: int) -> list[PolyMultivector]:
 
 SPARSE_MONOMIAL = sparse_monomial_bivectors(2204, 2)
 
+
+def partial_support_bivector() -> PolyMultivector:
+    """Three of the six components of R^4, one degree-2 monomial each, and
+    not Poisson (the structure ``p4-partial.txt`` of the golden corpus): the
+    index pairs of the other three are never stored."""
+    P = PolyMultivector(4, 2)
+    P.set_component((0, 1), Polynomial(4, {(0, 1, 0, 1): 1}))
+    P.set_component((0, 3), Polynomial(4, {(1, 1, 0, 0): -3}))
+    P.set_component((1, 2), Polynomial(4, {(2, 0, 0, 0): -2}))
+    return P
+
+
 BIVECTORS = {**criterion_6_firsts(), "d=3 degree 2": criterion_7_first(),
              "d=3 degree 1": random_bivector(3, 1, random.Random(61)),
-             "d=4 monomials": SPARSE_MONOMIAL[0]}
+             "d=4 monomials": SPARSE_MONOMIAL[0], "d=4 partial": partial_support_bivector()}
 GRAPH_SUMS = {"GAMMA1": GraphSum.single(GAMMA1, 1), "tetra_flow(0, 1)": tetra_flow(0, 1),
               "lhs39": reference.lhs_table()}
 # the tuple walker takes minutes on the 39 graphs and the dense degree-3
@@ -113,7 +125,8 @@ CASES = [(name, sum_name) for name in BIVECTORS for sum_name in GRAPH_SUMS
 # there) and the two graphs of tetra_flow(0, 1), which cancel; GAMMA1, with a
 # vertex of in-degree 3, on degree 2; every sum on degree 1.
 ZERO_SUMS = {("d=2", "tetra_flow(0, 1)"), ("d=2", "lhs39"), ("d=3 degree 2", "GAMMA1"),
-             ("d=4 monomials", "GAMMA1"), *(("d=3 degree 1", sum_name) for sum_name in GRAPH_SUMS)}
+             ("d=4 monomials", "GAMMA1"), ("d=4 partial", "GAMMA1"),
+             *(("d=3 degree 1", sum_name) for sum_name in GRAPH_SUMS)}
 
 
 @pytest.mark.slow
@@ -137,6 +150,29 @@ def test_identity_check_holds_on_sparse_monomial_bivectors(k):
     P = SPARSE_MONOMIAL[k]
     assert not eval_graph_sum(reference.lhs_table(), P).is_zero()
     assert factorization_identity_check(P)
+
+
+# Polynomial products one identity check forms on SPARSE_MONOMIAL[0]; the
+# count repeats exactly across runs and hash seeds.  This bound may only go
+# down.
+IDENTITY_CHECK_PRODUCTS = 14_399
+
+
+def test_identity_check_product_count(monkeypatch):
+    """Work-count gate: the products the contraction forms, counted through
+    a wrapper around ``Polynomial.__mul__``."""
+    P = SPARSE_MONOMIAL[0].scaled(1)  # a copy with no nonzero index yet
+    calls = 0
+    multiply = Polynomial.__mul__
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return multiply(p, q)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    assert factorization_identity_check(P)
+    assert calls <= IDENTITY_CHECK_PRODUCTS
 
 
 # Random graphs for the contraction gate: m in 0-3 sinks, n in 0-5 internal

@@ -240,6 +240,28 @@ def test_eval_after_set_component_sees_new_component():
     assert eval_graph(WEDGE, P) == eval_graph(WEDGE, fresh)
 
 
+def test_eval_after_component_changes_sees_new_derivatives():
+    """GAMMA1 differentiates its factors up to three times, so its
+    contraction reads the bi-vector's nonzero index of derivatives: after
+    ``set_component`` makes a derivative that was 0 nonzero and
+    ``add_component`` stores a new component, it must agree with a fresh
+    bi-vector holding the same components."""
+    P = PolyMultivector(3, 2)
+    P.set_component((0, 1), P3("x1^3 + x1*x2"))
+    P.set_component((0, 2), P3("x1^2*x2"))
+    first = eval_graph(GAMMA1, P)
+    P.set_component((0, 1), P3("x1^3 + x1*x2*x3"))  # d/dx3 of it was 0
+    P.add_component((1, 2), P3("x2*x3^2"))
+    fresh = PolyMultivector(3, 2)
+    fresh.set_component((0, 1), P3("x1^3 + x1*x2*x3"))
+    fresh.set_component((0, 2), P3("x1^2*x2"))
+    fresh.set_component((1, 2), P3("x2*x3^2"))
+    again = eval_graph(GAMMA1, P)
+    assert not first.is_zero()
+    assert again == eval_graph(GAMMA1, fresh) != first
+    assert again.to_multivector(2) == gamma1(fresh)
+
+
 def test_eval_gamma_encodings_match_formulas(reference_P):
     assert eval_graph(GAMMA1, reference_P).to_multivector(2) == gamma1(reference_P)
     assert eval_graph_sum(tetra_flow(0, 1), reference_P).to_multivector(2) == gamma2(reference_P)
