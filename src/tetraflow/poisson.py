@@ -20,7 +20,11 @@ variable used).
 keeps, per state of the edge indices still needed, the sum of the partial
 products that reach it, so a partial product many assignments share is
 formed once.  The vertex order minimizes the states visited, by an exact
-dynamic program over the vertex subsets (``_contraction_order``).
+dynamic program over the vertex subsets (``_contraction_order``).  Graphs
+that differ only by their sink labels and the order of their pairs are one
+contraction: ``eval_graph_sum`` and ``factorization_identity_check`` add
+their terms through ``_eval_terms``, which contracts each such class once
+and reads its operator through each term's sink names and sign.
 
 The oracle walks the stored components of a bi-vector, both index orders
 of each (``_signed_pairs``), and never the d(d-1) index pairs of R^d: its
@@ -641,6 +645,55 @@ def _getter(idx: list[int]):
     return itemgetter(*idx) if idx else lambda t: ()
 
 
+def _sink_class(g: KontsevichGraph) -> tuple[tuple, tuple[int, ...], int]:
+    """The class of ``g`` under sink relabelling and pair swaps, in O(edges):
+    the (m, n, targets) of the class's graph, the label ``name[s]`` that
+    sink s of ``g`` has there, and the sign of the swaps.
+
+    A pair that is not two sinks is put in increasing order, each swap a
+    factor -1 (P^{ji} = -P^{ij}); every sink label is below every internal
+    one, so this order does not depend on the sink labels.  A pair of two
+    sinks keeps its order.  The sinks are then named in the order the
+    targets first reach them, the unreached ones after, in increasing
+    order."""
+    m = g.sink_count
+    sign = 1
+    pairs = []
+    for a, b in g.targets:
+        if a > b and a >= m:
+            a, b = b, a
+            sign = -sign
+        pairs.append((a, b))
+    reached = dict.fromkeys([t for pair in pairs for t in pair if t < m] + list(range(m)))
+    name = {s: new for new, s in enumerate(reached)}
+    renamed = tuple(tuple(name.get(t, t) for t in pair) for pair in pairs)
+    return (m, g.internal_count, renamed), tuple(name[s] for s in range(m)), sign
+
+
+def _eval_terms(terms, P: PolyMultivector, out: PolyOperator) -> None:
+    """Add c * eval_graph(g, P) to ``out`` for every labelled term (g, c).
+
+    Terms whose graphs differ only by their sink labels and the order of
+    their pairs share one contraction, of their class's graph
+    (``_sink_class``): an operator depends on the sink labels only through
+    which key slot holds which multi-index, and on the order of a pair only
+    through its sign.  Each term then adds that operator with each key read
+    through its own sink names, times its sign and coefficient, so every
+    term still contributes on its own.  The class table lives for one call,
+    and one class's operator at a time.
+    """
+    classes: dict[tuple, list[tuple[tuple[int, ...], int | Fraction]]] = {}
+    for g, c in terms:
+        key, name, sign = _sink_class(g)
+        classes.setdefault(key, []).append((name, _num(sign * c)))
+    for key, members in classes.items():
+        op = eval_graph(KontsevichGraph(*key), P)
+        for name, scale in members:
+            slots = _getter(list(name))
+            for k, p in op.terms.items():
+                out.add(slots(k), p, scale)
+
+
 def eval_graph_sum(s: GraphSum, P: PolyMultivector) -> PolyOperator:
     """The operator of a graph sum.  The sum is scaled by the lcm of its
     coefficient denominators, so each graph's operator is merged in with an
@@ -649,8 +702,7 @@ def eval_graph_sum(s: GraphSum, P: PolyMultivector) -> PolyOperator:
     terms = list(s.graphs())
     scale = lcm(*(c.denominator for _, c in terms))
     out = PolyOperator(P.dim)
-    for g, c in terms:
-        out.add_op(eval_graph(g, P), c * scale)
+    _eval_terms([(g, c * scale) for g, c in terms], P, out)
     if scale > 1:
         out.terms = {k: p.scaled(Fraction(1, scale)) for k, p in out.terms.items()}
     return out
@@ -980,7 +1032,10 @@ def factorization_identity_check(P: PolyMultivector) -> bool:
     Evaluates the 39-graph tri-vector and, independently, the raw 201-term
     Kontsevich expansion of the reference Leibniz-graph solution (labelled
     terms, no graph-level reduction) and compares the two polydifferential
-    operators exactly.  The identity holds whether or not P is Poisson.
+    operators exactly.  The raw terms that differ only by their sink labels
+    and the order of their pairs share one contraction (``_eval_terms``),
+    85 in all, and each term still adds its own operator.  The identity
+    holds whether or not P is Poisson.
     Both sides are taken PRESENTATION_SCALE times, the scale of the printed
     solution table, so the raw terms carry its integer coefficients.
     """
@@ -991,9 +1046,7 @@ def factorization_identity_check(P: PolyMultivector) -> bool:
     lhs = lhs_trivector(Fraction(1, 4), Fraction(3, 2)).scaled(PRESENTATION_SCALE)
     lhs_op = eval_graph_sum(lhs, P)
     rhs_op = PolyOperator(P.dim)
-    for L, c in solution_rows_printed():
-        for g in expand_terms(L):
-            rhs_op.add_op(eval_graph(g, P), c)
+    _eval_terms([(g, c) for L, c in solution_rows_printed() for g in expand_terms(L)], P, rhs_op)
     return lhs_op == rhs_op
 
 

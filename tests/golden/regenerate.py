@@ -12,8 +12,10 @@ expansion and of ``lhs.txt``, ``solve`` with ``--no-tadpoles``, with
 ``--no-min-support`` and on the bilinear ansatz, each solution's
 ``verify``, ``count`` and the ``--no-tadpoles`` run-throughs), then
 ``eval`` of the 201-term expansion and of the 1:6 flow on the sparse d = 4
-structure and ``eval`` and ``ratio-scan`` on a d = 4 structure with three
-of its six components, run in order, in process through ``cli.main``, in
+structure, ``eval`` and ``ratio-scan`` on a d = 4 structure with three
+of its six components, and ``eval`` of a file holding one 3-sink graph,
+its sink relabellings and copies with swapped pairs (and of the same for a
+6-sink line) on the sparse d = 4 and a dense d = 3 structure, run in order, in process through ``cli.main``, in
 one temporary directory, so that a later command reads what an earlier one
 wrote, as in README.  Each command becomes one case directory holding:
 
@@ -50,6 +52,31 @@ SPARSE_STRUCTURE = ("4\n1 2 x3*x4\n1 3 -2*x2*x4\n1 4 3*x2^2\n2 3 x1*x4\n2 4 -x3^
 # three of the six components of R^4, one degree-2 monomial each, and not
 # Poisson: the index pairs of the missing components are never stored
 PARTIAL_STRUCTURE = "4\n1 2 x2*x4\n1 4 -3*x1*x2\n2 3 -2*x1^2\n"
+# all three components of R^3, four or five monomials of degree at most 2
+# each, and not Poisson
+DENSE_STRUCTURE = ("3\n1 2 x1^2 - 2*x2*x3 + x3 + 1\n1 3 x1*x2 + 3*x2^2 - x3 + 2*x1\n"
+                   "2 3 2*x1*x3 - x2^2 + x1 - 3\n")
+# one graph of the tri-vector (a pair of two sinks, pairs of two internal
+# vertices), its sink relabellings and copies with swapped pairs, with mixed
+# coefficients: terms the oracle evaluates as one contraction
+RELABELLED = """# one 3-sink graph, sink relabellings and swapped pairs
+3 5 0 1 2 5 6 7 3 4 4 6 1
+3 5 1 0 2 5 6 7 3 4 4 6 -2
+3 5 0 1 5 2 7 6 3 4 4 6 1/3
+3 5 2 0 1 5 6 7 3 4 4 6 5/2
+3 5 1 2 0 5 6 7 3 4 6 4 -3/4
+3 5 0 2 1 5 6 7 3 4 4 6 -1
+3 5 2 1 0 5 6 7 3 4 4 6 7
+"""
+# the same for a 6-sink line with a pair of two sinks and two unreached
+# sinks
+RELABELLED_SIX = """# one 6-sink graph, sink relabellings and swapped pairs
+6 3 0 1 2 6 3 7 1
+6 3 5 4 3 6 2 7 -1/2
+6 3 1 0 3 6 2 7 3
+6 3 2 3 6 4 5 7 2/3
+6 3 1 0 6 2 7 3 -1
+"""
 
 COMMANDS = [
     ("lhs", ["lhs", "--ratio", "1/4:3/2", "lhs.txt"]),
@@ -92,6 +119,12 @@ COMMANDS = [
     ("sparse-eval-flow", ["eval", "--graphs", "flow.txt", "--poisson", "p4.txt"]),
     ("partial-eval", ["eval", "--graphs", "lhs.txt", "--poisson", "p4-partial.txt"]),
     ("partial-ratio-scan", ["ratio-scan", "--poisson", "p4-partial.txt", "--ratios", "1:6,1:1"]),
+    ("relabelled-eval-sparse", ["eval", "--graphs", "relabelled.txt", "--poisson", "p4.txt"]),
+    ("relabelled-eval-dense", ["eval", "--graphs", "relabelled.txt", "--poisson", "p3-dense.txt"]),
+    ("relabelled-six-eval-sparse", ["eval", "--graphs", "relabelled-six.txt",
+                                    "--poisson", "p4.txt"]),
+    ("relabelled-six-eval-dense", ["eval", "--graphs", "relabelled-six.txt",
+                                   "--poisson", "p3-dense.txt"]),
 ]
 
 
@@ -135,6 +168,9 @@ def regenerate() -> None:
         (work / "p.txt").write_text(STRUCTURE)
         (work / "p4.txt").write_text(SPARSE_STRUCTURE)
         (work / "p4-partial.txt").write_text(PARTIAL_STRUCTURE)
+        (work / "p3-dense.txt").write_text(DENSE_STRUCTURE)
+        (work / "relabelled.txt").write_text(RELABELLED)
+        (work / "relabelled-six.txt").write_text(RELABELLED_SIX)
         os.chdir(work)
         try:
             for name, argv in COMMANDS:

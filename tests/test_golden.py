@@ -38,8 +38,11 @@ def test_the_corpus_holds_every_case():
     ``quadcheck --no-tadpoles``; then ``eval`` of the 201-term expansion
     and of the 1:6 flow on the sparse d = 4 structure, and ``eval`` of the
     39 graphs and ``ratio-scan --ratios 1:6,1:1`` on a d = 4 structure with
-    three of its six components."""
-    assert len(CASES) == 39
+    three of its six components; and ``eval`` of a file holding one 3-sink
+    graph, its sink relabellings and copies with swapped pairs, and of the
+    same for a 6-sink line, each on the sparse d = 4 and a dense d = 3
+    structure."""
+    assert len(CASES) == 43
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -8,12 +8,12 @@ from itertools import combinations, product
 import pytest
 
 import oracle_reference as ref
-from tetraflow import reference
+from tetraflow import poisson, reference
 from tetraflow.graphs import GraphSum, KontsevichGraph
 from tetraflow.ops import GAMMA1, tetra_flow
-from tetraflow.poisson import (MAX_EXPONENT, Polynomial, PolyMultivector, PolyOperator, eval_graph,
-                               eval_graph_sum, factorization_identity_check, jacobi_check,
-                               random_bivector, sparse_random_bivector)
+from tetraflow.poisson import (MAX_EXPONENT, Polynomial, PolyMultivector, PolyOperator, _eval_terms,
+                               eval_graph, eval_graph_sum, factorization_identity_check,
+                               jacobi_check, random_bivector, sparse_random_bivector)
 
 
 def random_terms(rng, d, top):
@@ -155,7 +155,26 @@ def test_identity_check_holds_on_sparse_monomial_bivectors(k):
 # Polynomial products one identity check forms on SPARSE_MONOMIAL[0]; the
 # count repeats exactly across runs and hash seeds.  This bound may only go
 # down.
-IDENTITY_CHECK_PRODUCTS = 14_399
+IDENTITY_CHECK_PRODUCTS = 5_822
+# Contractions (``eval_graph`` calls) of one identity check on
+# SPARSE_MONOMIAL[0] and of the 39 graphs: one per class of graphs that
+# differ only by their sink labels and the order of their pairs, of the 240
+# and 39 graphs.  Both bounds may only go down.
+IDENTITY_CHECK_CONTRACTIONS = 108
+LHS39_CONTRACTIONS = 23
+
+
+def count_contractions(monkeypatch) -> list[int]:
+    """A one-entry list that counts the ``eval_graph`` calls from now on."""
+    calls = [0]
+    contract = poisson.eval_graph
+
+    def counted(g, P):
+        calls[0] += 1
+        return contract(g, P)
+
+    monkeypatch.setattr(poisson, "eval_graph", counted)
+    return calls
 
 
 def test_identity_check_product_count(monkeypatch):
@@ -173,6 +192,18 @@ def test_identity_check_product_count(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counted)
     assert factorization_identity_check(P)
     assert calls <= IDENTITY_CHECK_PRODUCTS
+
+
+def test_identity_check_contraction_count(monkeypatch):
+    """Work-count gate: the contractions one identity check and the 39
+    graphs make, counted through a wrapper around ``eval_graph``."""
+    P = SPARSE_MONOMIAL[0]
+    calls = count_contractions(monkeypatch)
+    assert factorization_identity_check(P)
+    assert calls[0] <= IDENTITY_CHECK_CONTRACTIONS
+    calls[0] = 0
+    assert not eval_graph_sum(reference.lhs_table(), P).is_zero()
+    assert calls[0] <= LHS39_CONTRACTIONS
 
 
 # Random graphs for the contraction gate: m in 0-3 sinks, n in 0-5 internal
@@ -262,3 +293,78 @@ def test_contraction_matches_tuple_walker_on_random_graphs():
         seen["nonzero"] += not got.is_zero()
     assert dims == {2, 3, 4}
     assert min(seen.values()) >= 10, seen
+
+
+def sink_relabelled(g: KontsevichGraph, rng, sink_pairs: bool = True) -> KontsevichGraph:
+    """``g`` with its sinks permuted and the pair of some vertices swapped,
+    pairs of two sinks among them when ``sink_pairs``; its internal labels
+    stay."""
+    m = g.sink_count
+    sigma = rng.sample(range(m), m)
+    pairs = [tuple(sigma[t] if t < m else t for t in pair) for pair in g.targets]
+    return KontsevichGraph(m, g.internal_count, tuple(
+        pair[::-1] if rng.random() < 0.5 and (sink_pairs or max(pair) >= m) else pair
+        for pair in pairs))
+
+
+def shared_and_term_by_term(terms, P) -> tuple[PolyOperator, PolyOperator]:
+    shared = PolyOperator(P.dim)
+    _eval_terms(terms, P, shared)
+    separate = PolyOperator(P.dim)
+    for g, c in terms:
+        separate.add_op(eval_graph(g, P), c)
+    return shared, separate
+
+
+@pytest.mark.slow
+def test_shared_contractions_match_term_by_term_evaluation():
+    """Graphs that differ only by their sink labels and the order of their
+    pairs share one contraction in ``_eval_terms``; the sum it adds must
+    equal the sum of the terms evaluated one by one, and the tuple walker's
+    where that is affordable."""
+    rng = random.Random(9191)
+    seen = {"m = 0": 0, "unreached sinks >= 2": 0, "self-loop": 0, "double edge": 0,
+            "two-sink pair": 0, "walker": 0, "nonzero": 0}
+    for _ in range(160):
+        g = random_graph(rng)
+        fits = [P for P in GATE_BIVECTORS
+                if (2 * len(P.comps)) ** g.internal_count <= GATE_MAX_LEAVES]
+        P = rng.choice(fits)
+        terms = [(g, Fraction(1))] + [
+            (sink_relabelled(g, rng), Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+            for _ in range(4)]
+        shared, separate = shared_and_term_by_term(terms, P)
+        assert shared == separate, g
+        if (2 * len(P.comps)) ** g.internal_count <= GATE_MAX_LEAVES // 4:
+            assert shared == ref.linear_combination(
+                P.dim, [(ref.eval_graph(h, P), c) for h, c in terms]), g
+            seen["walker"] += 1
+        m = g.sink_count
+        reached = {t for pair in g.targets for t in pair if t < m}
+        seen["m = 0"] += m == 0
+        seen["unreached sinks >= 2"] += m - len(reached) >= 2
+        seen["self-loop"] += any(m + k in pair for k, pair in enumerate(g.targets))
+        seen["double edge"] += any(a == b for a, b in g.targets)
+        seen["two-sink pair"] += any(a < m and b < m for a, b in g.targets)
+        seen["nonzero"] += not shared.is_zero()
+    assert min(seen.values()) >= 10, seen
+
+
+def test_six_sink_relabellings_make_one_contraction(monkeypatch):
+    """A 6-sink line (two sinks unreached, a pair of two sinks one of which
+    an earlier edge reaches, a pair with its internal target first) and 40
+    of its sink relabellings, with pairs swapped that are not two sinks:
+    one contraction, and the sum of the terms evaluated one by one.  (A
+    swapped pair of two sinks, one of them reached earlier, is a graph of
+    another class, as the random gate above evaluates.)"""
+    rng = random.Random(6606)
+    g = KontsevichGraph(6, 4, ((0, 7), (1, 8), (9, 2), (3, 1)))
+    P = SPARSE_MONOMIAL[0]
+    terms = [(g, Fraction(1))] + [(sink_relabelled(g, rng, sink_pairs=False),
+                                   Fraction(rng.randint(1, 5), 2)) for _ in range(40)]
+    calls = count_contractions(monkeypatch)
+    shared = PolyOperator(P.dim)
+    _eval_terms(terms, P, shared)
+    assert calls[0] == 1
+    assert not shared.is_zero()
+    assert shared == shared_and_term_by_term(terms, P)[1]
