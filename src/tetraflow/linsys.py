@@ -9,12 +9,15 @@ representative, and the columns take one expansion per Leibniz sink orbit
 (``leibniz_orbit_normal_form``), one orbit search per labelled term of it.
 The map from skew sums to lambda is linear and injective, so every solution
 space in column coordinates, and with it every result, is the one the graph
-rows give.  The elimination picks sparse pivots (fewest-entries column,
-then shortest row) with deterministic tie-breaks, which keeps fill-in
-manageable on the factorization systems while staying reproducible.  One
-Gauss-Jordan pass back over the pivots then writes every pivot column in
-the free columns, giving the particular solution and the null space at
-once.  Each run-through eliminates its system once and reads every
+rows give.  The elimination picks sparse pivots (the column with the
+fewest live rows, then the lowest column; in it the shortest row, then the
+lowest row), which keeps fill-in manageable on the factorization systems
+while staying reproducible.  The columns wait in a heap keyed by their row
+counts (the count bookkeeping of Markowitz pivoting; Duff, Erisman & Reid,
+*Direct Methods for Sparse Matrices*, ch. 7), so no pivot scans every
+column.  One Gauss-Jordan pass back over the pivots then writes every pivot
+column in the free columns, giving the particular solution and the null
+space at once.  Each run-through eliminates its system once and reads every
 follow-up question off that solution space: ``restrict`` asks which
 solutions vanish on a set of columns, and whether the other columns span
 them.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .graphs import GraphError, GraphSum, add_term
 from .leibniz import (LeibnizGraph, expand_combination, expand_terms,
@@ -83,6 +87,16 @@ def solve(sys: LinearSystem) -> SolutionSpace:
     infeasibility.  Such a row is present from the start or is emptied by an
     elimination step, so only those rows are checked.  Entries are read as
     ``Fraction``, so integer input gives exact results.
+
+    Each pivot is the column with the fewest live rows, the lowest column
+    among those, and in it the shortest row, the lowest row among those.
+    The columns wait in a heap of (live rows, column) entries, with stale
+    entries dropped when they reach the top: an entry is current while its
+    count equals the column's.  An elimination step changes the rows of the
+    pivot row's columns only (it removes the pivot row and updates rows in
+    those columns alone), so pushing their new counts after each step keeps
+    every live column's current entry in the heap, and the top current entry
+    is the pivot a scan of every column would pick.
     """
     ncols = len(sys.columns)
     rows: dict[int, dict[int, Fraction]] = {}
@@ -100,15 +114,20 @@ def solve(sys: LinearSystem) -> SolutionSpace:
     pivots: list[tuple[int, int]] = []  # (row, col) in elimination order
     pivot_rows: dict[int, dict[int, Fraction]] = {}
     pivot_rhs: dict[int, Fraction] = {}
+    # (live rows, column) of every live column, with stale entries left in:
+    # an entry is current while its count equals the column's
+    heap = [(len(s), j) for j, s in col_rows.items()]
+    heapify(heap)
 
     while True:
         if witnesses:
             return SolutionSpace(False, None, [], witness_row=sys.row_keys[min(witnesses)])
-        live_cols = [j for j, s in col_rows.items() if s]
-        if not live_cols:
+        while heap and heap[0][0] != len(col_rows[heap[0][1]]):
+            heappop(heap)
+        if not heap:
             break
         # fewest-rows column, then shortest row in it, deterministic ties
-        c = min(live_cols, key=lambda j: (len(col_rows[j]), j))
+        c = heappop(heap)[1]
         r = min(col_rows[c], key=lambda i: (len(rows[i]), i))
         pv = rows[r][c]
         prow = rows.pop(r)
@@ -136,6 +155,10 @@ def solve(sys: LinearSystem) -> SolutionSpace:
                 rhs[i] = rhs.get(i, Fraction(0)) - f * prhs
             if not row and rhs.get(i):
                 witnesses.append(i)
+        # the step changed the row sets of the pivot row's columns only
+        for j in prow:
+            if col_rows[j]:
+                heappush(heap, (len(col_rows[j]), j))
         pivots.append((r, c))
         pivot_rows[r] = prow
         pivot_rhs[r] = prhs

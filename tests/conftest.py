@@ -1,13 +1,35 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tetraflow
 from tetraflow import reference
 from tetraflow.poisson import (PolyMultivector, Polynomial, reference_structure,
                                jacobian_bracket, random_bivector)
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+def under_hash_seeds(code: str, *args: str) -> list[str]:
+    """The stdout of ``python -c code *args`` in two fresh interpreters run
+    side by side under PYTHONHASHSEED 1 and 99, importing this checkout's
+    ``tetraflow``; each must exit 0."""
+    src = str(Path(tetraflow.__file__).resolve().parents[1])
+    procs = [subprocess.Popen([sys.executable, "-c", code, *args], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+             for seed in ("1", "99")]
+    outs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        outs.append(out)
+    return outs
 
 
 def record_criterion(number: int, ok: bool, detail: str, elapsed: float) -> None:

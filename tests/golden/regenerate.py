@@ -15,7 +15,9 @@ expansion and of ``lhs.txt``, ``solve`` with ``--no-tadpoles``, with
 structure, ``eval`` and ``ratio-scan`` on a d = 4 structure with three
 of its six components, and ``eval`` of a file holding one 3-sink graph,
 its sink relabellings and copies with swapped pairs (and of the same for a
-6-sink line) on the sparse d = 4 and a dense d = 3 structure, run in order, in process through ``cli.main``, in
+6-sink line) on the sparse d = 4 and a dense d = 3 structure, and last
+``reference --table lhs39`` and ``reference --table skew9``, run in order,
+in process through ``cli.main``, in
 one temporary directory, so that a later command reads what an earlier one
 wrote, as in README.  Each command becomes one case directory holding:
 
@@ -125,6 +127,8 @@ COMMANDS = [
                                     "--poisson", "p4.txt"]),
     ("relabelled-six-eval-dense", ["eval", "--graphs", "relabelled-six.txt",
                                    "--poisson", "p3-dense.txt"]),
+    ("reference-lhs39", ["reference", "--table", "lhs39", "lhs39.txt"]),
+    ("reference-skew9", ["reference", "--table", "skew9", "skew9.txt"]),
 ]
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from tetraflow.cli import main
+from conftest import under_hash_seeds
 from test_cli import GEN_ANSATZ
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -41,8 +42,9 @@ def test_the_corpus_holds_every_case():
     three of its six components; and ``eval`` of a file holding one 3-sink
     graph, its sink relabellings and copies with swapped pairs, and of the
     same for a 6-sink line, each on the sparse d = 4 and a dense d = 3
-    structure."""
-    assert len(CASES) == 43
+    structure; and ``reference --table lhs39`` and ``reference --table
+    skew9``."""
+    assert len(CASES) == 45
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -65,3 +67,46 @@ def test_cli_output_is_golden(name, tmp_path, monkeypatch, capsys):
         assert len(data.splitlines()) == lines
         assert hashlib.sha256(data).hexdigest().startswith(digest)
     assert written == files(case / "out")
+
+
+# Replays cases in a fresh interpreter and prints, per case, the exit code,
+# stdout, stderr and the files the run wrote, as JSON.
+REPLAY = """
+import contextlib, io, json, os, sys, tempfile
+from pathlib import Path
+from tetraflow.cli import main
+golden, results = Path(sys.argv[1]), {}
+for name in sys.argv[2:]:
+    case = golden / name
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for p in (case / "in").glob("*"):
+            (work / p.name).write_bytes(p.read_bytes())
+        before = {p.name: p.read_bytes() for p in work.iterdir()}
+        os.chdir(work)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(json.loads((case / "argv.json").read_text()))
+        os.chdir(golden)
+        written = {p.name: p.read_bytes().decode() for p in work.iterdir()
+                   if before.get(p.name) != p.read_bytes()}
+    results[name] = [code, out.getvalue(), err.getvalue(), written]
+print(json.dumps(results))
+"""
+
+# cases whose output passes through set or dict iteration: the solver's
+# elimination, the canonical search and the oracle's sums
+SEED_CASES = ["solve", "solve-no-tadpoles", "nontrivial", "quadcheck", "normalize-lhs",
+              "reduce-lhs", "eval"]
+
+
+def test_hash_seed_does_not_change_the_output():
+    """The cases of ``SEED_CASES`` under PYTHONHASHSEED 1 and 99, the two
+    interpreters run side by side, give the stored bytes."""
+    expected = {name: [int((GOLDEN / name / "exit").read_text()),
+                       (GOLDEN / name / "stdout").read_bytes().decode(),
+                       (GOLDEN / name / "stderr").read_bytes().decode(),
+                       {f: data.decode() for f, data in files(GOLDEN / name / "out").items()}]
+                for name in SEED_CASES}
+    for out in under_hash_seeds(REPLAY, str(GOLDEN), *SEED_CASES):
+        assert json.loads(out) == expected
