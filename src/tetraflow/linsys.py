@@ -25,6 +25,7 @@ them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -212,31 +213,49 @@ def minimize_support(space: SolutionSpace) -> dict[int, Fraction]:
 
     Scans columns in increasing order; forcing x_c = 0 is feasible whenever
     the affine solution space meets that hyperplane, in which case the space
-    is projected and the scan continues.
+    is projected and the scan continues.  The projection eliminates x_c with
+    the first remaining null vector nonzero at c, the carrier, which leaves
+    the basis.  An index from each column to the ids (original positions)
+    of the null vectors nonzero there finds it as the smallest id; a step
+    changes entries only at the carrier's columns, so only those update.
+    The result is the one point left once every column is scanned, so any
+    carrier gives it; the first keeps the arithmetic of a scan in id order.
     """
     if not space.feasible or space.particular is None:
         raise GraphError("cannot minimize support of an infeasible space")
 
-    def minus(u: dict, f: Fraction, v: dict) -> dict:
-        """u - f*v, without zero entries."""
-        out = dict(u)
+    def subtract(u: dict, f: Fraction, v: dict) -> None:
+        """u -= f*v, in place, without zero entries."""
         for j, w in v.items():
-            add_term(out, j, -f * w)
-        return out
+            add_term(u, j, -f * w)
 
-    p = space.particular
-    basis = space.nullspace
-    for c in sorted(set(p).union(*basis)):
-        k = next((k for k, b in enumerate(basis) if b.get(c)), None)
-        if k is None:
+    p = dict(space.particular)
+    basis = {k: dict(b) for k, b in enumerate(space.nullspace)}
+    holders: defaultdict[int, set[int]] = defaultdict(set)  # column -> ids nonzero there
+    for k, b in basis.items():
+        for j, v in b.items():
+            if v:
+                holders[j].add(k)
+    for c in sorted(set(p).union(*basis.values())):
+        ids = holders[c]
+        if not ids:
             continue  # essential (p[c] != 0) or already identically zero
-        carrier = basis[k]
+        first = min(ids)
+        carrier = basis.pop(first)
+        for j in carrier:
+            holders[j].discard(first)
         bc = carrier[c]
         if p.get(c):
-            p = minus(p, p[c] / bc, carrier)
-        basis = [minus(b, b[c] / bc, carrier) if b.get(c) else b
-                 for b in basis[:k] + basis[k + 1:]]
-    return dict(p)
+            subtract(p, p[c] / bc, carrier)
+        for k in list(ids):
+            b = basis[k]
+            subtract(b, b[c] / bc, carrier)
+            for j in carrier:
+                if b.get(j):
+                    holders[j].add(k)
+                else:
+                    holders[j].discard(k)
+    return p
 
 
 def verify_factorization(solution: list[tuple[LeibnizGraph, Fraction]],

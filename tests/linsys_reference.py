@@ -1,4 +1,4 @@
-"""Scan reference for the pivot choice of ``tetraflow.linsys.solve``.
+"""Scan references for ``tetraflow.linsys.solve`` and ``minimize_support``.
 
 ``solve`` here is the solver as it was when every pivot was found by a scan:
 at each step it listed the live columns and took the one with the fewest
@@ -6,10 +6,16 @@ live rows, then the lowest index, by ``min``; then, within that column, the
 shortest row, then the lowest index.  The library's solver keeps the same
 rule with a lazily updated heap of column counts and must return an equal
 ``SolutionSpace``, every field compared, on every system.
+
+``minimize_support`` here is the greedy projection as it was when each
+carrier was found by a scan of the remaining null vectors, the first one
+nonzero at the column.  The library finds it through an index from each
+column to the vectors nonzero there and must return an equal solution.
 """
 
 from fractions import Fraction
 
+from tetraflow.graphs import GraphError, add_term
 from tetraflow.linsys import LinearSystem, SolutionSpace
 
 
@@ -103,3 +109,35 @@ def solve(sys: LinearSystem) -> SolutionSpace:
     particular = {c: w for c, w in vecs.pop(-1).items() if c != -1}
     return SolutionSpace(True, particular, list(vecs.values()),
                          pivot_cols=[c for _, c in pivots], free_cols=free_cols)
+
+
+def minimize_support(space: SolutionSpace) -> dict[int, Fraction]:
+    """Greedy small-support solution: force coordinates to zero while feasible.
+
+    Scans columns in increasing order; forcing x_c = 0 is feasible whenever
+    the affine solution space meets that hyperplane, in which case the space
+    is projected and the scan continues.
+    """
+    if not space.feasible or space.particular is None:
+        raise GraphError("cannot minimize support of an infeasible space")
+
+    def minus(u: dict, f: Fraction, v: dict) -> dict:
+        """u - f*v, without zero entries."""
+        out = dict(u)
+        for j, w in v.items():
+            add_term(out, j, -f * w)
+        return out
+
+    p = space.particular
+    basis = space.nullspace
+    for c in sorted(set(p).union(*basis)):
+        k = next((k for k, b in enumerate(basis) if b.get(c)), None)
+        if k is None:
+            continue  # essential (p[c] != 0) or already identically zero
+        carrier = basis[k]
+        bc = carrier[c]
+        if p.get(c):
+            p = minus(p, p[c] / bc, carrier)
+        basis = [minus(b, b[c] / bc, carrier) if b.get(c) else b
+                 for b in basis[:k] + basis[k + 1:]]
+    return dict(p)

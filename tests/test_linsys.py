@@ -14,6 +14,7 @@ from tetraflow.linsys import (LinearSystem, ansatz_counts, assemble, build_colum
                               verify_factorization)
 from tetraflow.ops import alternation, orbit_sum, skew_coordinates
 
+from linsys_reference import minimize_support as scan_minimize_support
 from linsys_reference import solve as scan_solve
 
 
@@ -264,18 +265,54 @@ def test_pivot_choice_matches_the_scan_on_random_systems():
     assert min(seen.values()) >= 40, seen
 
 
-def test_pivot_choice_matches_the_scan_on_the_pipeline_systems(lhs39, columns, monkeypatch):
-    """The factorization system and every system the two run-throughs solve,
-    their restrictions included, give an equal solution space with the heap
-    and with the scan."""
+def pipeline_systems(lhs39, columns, monkeypatch) -> list[LinearSystem]:
+    """The factorization system and every system the two run-throughs
+    solve, their restrictions included."""
     systems = [assemble(skew_coordinates(lhs39), [col for col, _ in columns])]
     monkeypatch.setattr(linsys, "solve", lambda sys: systems.append(sys) or solve(sys))
     linsys.nontriviality_check()
     linsys.quadratic_part_check()
+    monkeypatch.undo()
     assert [sys.shape for sys in systems] == [(1500, 1106), (115, 42), (1500, 1113),
                                               (7, 644), (1106, 644)]
-    for sys in systems:
+    return systems
+
+
+def test_pivot_choice_matches_the_scan_on_the_pipeline_systems(lhs39, columns, monkeypatch):
+    """The pipeline systems give an equal solution space with the heap and
+    with the scan."""
+    for sys in pipeline_systems(lhs39, columns, monkeypatch):
         assert solve(sys) == scan_solve(sys), sys.shape
+
+
+def test_support_index_matches_the_scan_on_the_pipeline_systems(lhs39, columns, monkeypatch):
+    """``minimize_support`` finds each carrier through its column index and
+    returns the solution the scan of the null vectors returns, on every
+    feasible pipeline space, the factorize space first."""
+    spaces = [solve(sys) for sys in pipeline_systems(lhs39, columns, monkeypatch)]
+    assert spaces[0].feasible and len(spaces[0].nullspace) > 0
+    for space in spaces:
+        if space.feasible:
+            assert minimize_support(space) == scan_minimize_support(space)
+
+
+def test_support_index_matches_the_scan_on_random_systems():
+    """The same on 300 seeded systems; the spaces are left as they were."""
+    rng = random.Random(27)
+    seen = dict.fromkeys(["unique", "null vectors", "moved", "support shrinks"], 0)
+    for _ in range(300):
+        space = solve(random_sparse_system(rng))
+        if not space.feasible:
+            continue
+        before = repr(space)
+        x = minimize_support(space)
+        assert x == scan_minimize_support(space), space
+        assert repr(space) == before
+        seen["unique"] += not space.nullspace
+        seen["null vectors"] += bool(space.nullspace)
+        seen["moved"] += x != space.particular
+        seen["support shrinks"] += len(x) < len(space.particular)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_minimize_support_duplicate_columns():

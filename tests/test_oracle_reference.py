@@ -3,17 +3,19 @@ and the factorization identity in the sparse regime."""
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 import oracle_reference as ref
 from tetraflow import poisson, reference
 from tetraflow.graphs import GraphSum, KontsevichGraph
+from tetraflow.leibniz import expand_terms
 from tetraflow.ops import GAMMA1, tetra_flow
 from tetraflow.poisson import (MAX_EXPONENT, Polynomial, PolyMultivector, PolyOperator, _eval_terms,
-                               eval_graph, eval_graph_sum, factorization_identity_check,
-                               jacobi_check, random_bivector, sparse_random_bivector)
+                               _refined, _sink_class, eval_graph, eval_graph_sum,
+                               factorization_identity_check, jacobi_check, random_bivector,
+                               sparse_random_bivector)
 
 
 def random_terms(rng, d, top):
@@ -155,13 +157,14 @@ def test_identity_check_holds_on_sparse_monomial_bivectors(k):
 # Polynomial products one identity check forms on SPARSE_MONOMIAL[0]; the
 # count repeats exactly across runs and hash seeds.  This bound may only go
 # down.
-IDENTITY_CHECK_PRODUCTS = 5_822
+IDENTITY_CHECK_PRODUCTS = 5_287
 # Contractions (``eval_graph`` calls) of one identity check on
 # SPARSE_MONOMIAL[0] and of the 39 graphs: one per class of graphs that
-# differ only by their sink labels and the order of their pairs, of the 240
-# and 39 graphs.  Both bounds may only go down.
-IDENTITY_CHECK_CONTRACTIONS = 108
-LHS39_CONTRACTIONS = 23
+# differ only by their sink labels and the order of their pairs, of the 39
+# graphs after ``_refined`` (9, the isomorphism classes) and of the 201 raw
+# terms as they are (85).  Both bounds may only go down.
+IDENTITY_CHECK_CONTRACTIONS = 94
+LHS39_CONTRACTIONS = 9
 
 
 def count_contractions(monkeypatch) -> list[int]:
@@ -204,6 +207,25 @@ def test_identity_check_contraction_count(monkeypatch):
     calls[0] = 0
     assert not eval_graph_sum(reference.lhs_table(), P).is_zero()
     assert calls[0] <= LHS39_CONTRACTIONS
+
+
+def test_identity_check_sides_share_no_contraction(monkeypatch):
+    """Independence gate: the 39 graphs reach ``_eval_terms`` refined, in 9
+    classes, and the 201 raw terms unrefined, in 85, and no class is on
+    both sides, so the identity check compares two sets of contractions.
+    (Refining the raw terms too would put all 9 lhs classes among theirs.)"""
+    classes = []
+    contract = poisson._eval_terms
+
+    def recorded(terms, P, out):
+        classes.append({_sink_class(g)[0] for g, _ in terms})
+        return contract(terms, P, out)
+
+    monkeypatch.setattr(poisson, "_eval_terms", recorded)
+    assert factorization_identity_check(SPARSE_MONOMIAL[0])
+    lhs, raw = classes
+    assert (len(lhs), len(raw)) == (9, 85)
+    assert lhs.isdisjoint(raw)
 
 
 # Random graphs for the contraction gate: m in 0-3 sinks, n in 0-5 internal
@@ -255,6 +277,22 @@ def relabelled(g: KontsevichGraph, rng) -> tuple[KontsevichGraph, int]:
     return KontsevichGraph(m, n, tuple(targets)), sign
 
 
+def is_internal_relabelling(g: KontsevichGraph, h: KontsevichGraph) -> bool:
+    """Whether a permutation of the internal labels takes ``g`` to ``h``
+    with every sink fixed and each pair kept in its order."""
+    m, n = g.sink_count, g.internal_count
+    if (h.sink_count, h.internal_count) != (m, n):
+        return False
+    for perm in permutations(range(m, m + n)):
+        label = list(range(m)) + list(perm)
+        targets = [None] * n
+        for k, (a, b) in enumerate(g.targets):
+            targets[label[m + k] - m] = (label[a], label[b])
+        if tuple(targets) == h.targets:
+            return True
+    return False
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_contraction_matches_tuple_walker_without_vertices(m):
     """A graph without internal vertices is the product operator, 1 on the
@@ -268,9 +306,12 @@ def test_contraction_matches_tuple_walker_without_vertices(m):
 
 @pytest.mark.slow
 def test_contraction_matches_tuple_walker_on_random_graphs():
+    """Each random graph against the tuple walker; a relabelling of it and
+    its ``_refined`` form, which must be an internal relabelling that keeps
+    each pair's order, against its operator."""
     rng = random.Random(9090)
     seen = {"self-loop": 0, "double edge": 0, "cycle": 0, "n = 0": 0, "m = 0": 0,
-            "nonzero": 0}
+            "nonzero": 0, "refined renumbers": 0}
     dims = set()
     for _ in range(GATE_GRAPHS):
         g = random_graph(rng)
@@ -284,6 +325,10 @@ def test_contraction_matches_tuple_walker_on_random_graphs():
         want = PolyOperator(P.dim)
         want.add_op(got, sign)
         assert eval_graph(h, P) == want, (g, h)
+        r = _refined(g)
+        assert is_internal_relabelling(g, r), (g, r)
+        assert eval_graph(r, P) == got, (g, r)
+        seen["refined renumbers"] += r != g
         m = g.sink_count
         seen["self-loop"] += any(m + k in pair for k, pair in enumerate(g.targets))
         seen["double edge"] += any(a == b for a, b in g.targets)
@@ -307,24 +352,30 @@ def sink_relabelled(g: KontsevichGraph, rng, sink_pairs: bool = True) -> Kontsev
         for pair in pairs))
 
 
-def shared_and_term_by_term(terms, P) -> tuple[PolyOperator, PolyOperator]:
-    shared = PolyOperator(P.dim)
+def shared_and_term_by_term(terms, P) -> tuple[PolyOperator, PolyOperator, PolyOperator]:
+    """The sum of the terms through ``_eval_terms`` as they are (as the raw
+    terms of the identity check), after ``_refined`` (as in
+    ``eval_graph_sum``), and term by term."""
+    shared, refined, separate = (PolyOperator(P.dim) for _ in range(3))
     _eval_terms(terms, P, shared)
-    separate = PolyOperator(P.dim)
+    _eval_terms([(_refined(g), c) for g, c in terms], P, refined)
     for g, c in terms:
         separate.add_op(eval_graph(g, P), c)
-    return shared, separate
+    return shared, refined, separate
 
 
 @pytest.mark.slow
 def test_shared_contractions_match_term_by_term_evaluation():
     """Graphs that differ only by their sink labels and the order of their
-    pairs share one contraction in ``_eval_terms``; the sum it adds must
+    pairs share one contraction in ``_eval_terms``, and after ``_refined``
+    most that differ by their internal labels too; each sum it adds must
     equal the sum of the terms evaluated one by one, and the tuple walker's
-    where that is affordable."""
-    rng = random.Random(9191)
+    where that is affordable.  The inputs are sink relabellings and full
+    relabellings; a full one need not merge (ties are broken by label), so
+    merges are only counted."""
+    rng, relabel_rng = random.Random(9191), random.Random(9192)
     seen = {"m = 0": 0, "unreached sinks >= 2": 0, "self-loop": 0, "double edge": 0,
-            "two-sink pair": 0, "walker": 0, "nonzero": 0}
+            "two-sink pair": 0, "walker": 0, "nonzero": 0, "merged by refinement": 0}
     for _ in range(160):
         g = random_graph(rng)
         fits = [P for P in GATE_BIVECTORS
@@ -333,8 +384,11 @@ def test_shared_contractions_match_term_by_term_evaluation():
         terms = [(g, Fraction(1))] + [
             (sink_relabelled(g, rng), Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
             for _ in range(4)]
-        shared, separate = shared_and_term_by_term(terms, P)
+        h, _ = relabelled(g, relabel_rng)
+        terms.append((h, Fraction(relabel_rng.randint(-3, 3), relabel_rng.randint(1, 3))))
+        shared, refined, separate = shared_and_term_by_term(terms, P)
         assert shared == separate, g
+        assert refined == separate, g
         if (2 * len(P.comps)) ** g.internal_count <= GATE_MAX_LEAVES // 4:
             assert shared == ref.linear_combination(
                 P.dim, [(ref.eval_graph(h, P), c) for h, c in terms]), g
@@ -347,6 +401,9 @@ def test_shared_contractions_match_term_by_term_evaluation():
         seen["double edge"] += any(a == b for a, b in g.targets)
         seen["two-sink pair"] += any(a < m and b < m for a, b in g.targets)
         seen["nonzero"] += not shared.is_zero()
+        seen["merged by refinement"] += (_sink_class(h)[0] != _sink_class(g)[0]
+                                         and _sink_class(_refined(h))[0]
+                                         == _sink_class(_refined(g))[0])
     assert min(seen.values()) >= 10, seen
 
 
@@ -367,4 +424,4 @@ def test_six_sink_relabellings_make_one_contraction(monkeypatch):
     _eval_terms(terms, P, shared)
     assert calls[0] == 1
     assert not shared.is_zero()
-    assert shared == shared_and_term_by_term(terms, P)[1]
+    assert shared == shared_and_term_by_term(terms, P)[2]
