@@ -160,12 +160,8 @@ def cmd_quadcheck(args) -> int:
     return 0 if rep.quadratic_forced_zero else 1
 
 
-def _load_poisson(path: str):
-    return parse_poisson_file(_read_text(path))
-
-
 def cmd_eval(args) -> int:
-    P = _load_poisson(args.poisson)
+    P = parse_poisson_file(_read_text(args.poisson))
     s = read_graph_sum(_read_text(args.graphs))
     op = eval_graph_sum(s, P)
     if op.is_zero():
@@ -178,7 +174,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ratio_scan(args) -> int:
-    P = _load_poisson(args.poisson)
+    P = parse_poisson_file(_read_text(args.poisson))
     if args.ratios is not None:
         ratios = [parse_ratio(t) for t in args.ratios.split(",")]
     else:
@@ -193,7 +189,7 @@ def cmd_ratio_scan(args) -> int:
 
 
 def cmd_jacobi(args) -> int:
-    P = _load_poisson(args.poisson)
+    P = parse_poisson_file(_read_text(args.poisson))
     ok = jacobi_check(P)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1

@@ -589,18 +589,17 @@ def quote(text: str) -> str:
 
 
 # Sizes a text line may ask for.  The canonical search prunes by
-# automorphisms, so interchangeable vertices no longer multiply its work: n
-# internal vertices on one target pair take n leaves (about 1 ms at n = 8,
-# where following every tie took 8! leaves and 0.5 s on a shared 2-core
-# host), and each of the 192 terms without a double edge of the 6-sink line
+# automorphisms, so interchangeable vertices do not multiply its work: n
+# internal vertices on one target pair take n leaves (about 1 ms at n = 8),
+# and each of the 192 terms without a double edge of the 6-sink line
 # `6 6 12 12 12 12 12 12 12 12 12 12 12 12 | 0 1 2 1` takes 6 leaves in
-# orbit form (1,440 before; all 192 now take about 0.1 s, not 2-4 s).  A
-# Leibniz line expands to up to 3 * 4^w labelled graphs of w + 2j internal
-# vertices, and the solve columns take one expansion per Leibniz sink orbit
-# of nonzero sign, one orbit search per labelled term.  Lines of 6 sinks and
-# 6 wedges solve in 0.2-0.4 s; the one with every wedge edge on the
-# Jacobiator is of sign 0 (three sinks receive no edge), so its 12288 terms
-# are not searched.
+# orbit form, about 0.1 s for all 192.  A Leibniz line expands to up to
+# 3 * 4^w labelled graphs of w + 2j internal vertices, and the solve columns
+# take one expansion per Leibniz sink orbit of nonzero sign, one orbit
+# search per labelled term.  Lines of 6 sinks and 6 wedges solve in
+# 0.2-0.4 s (all timings on a shared 2-core host); the one with every wedge
+# edge on the Jacobiator is of sign 0 (three sinks receive no edge), so its
+# 12288 terms are not searched.
 MAX_SINKS = 6
 MAX_INTERNAL = 8
 

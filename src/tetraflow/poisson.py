@@ -23,8 +23,9 @@ formed once.  The vertex order minimizes the states visited, by an exact
 dynamic program over the vertex subsets (``_contraction_order``).  Graphs
 that differ only by their sink labels and the order of their pairs are one
 contraction: ``eval_graph_sum`` and ``factorization_identity_check`` add
-their terms through ``_eval_terms``, which contracts each such class once
-and reads its operator through each term's sink names and sign.
+their terms through ``_eval_terms``, which contracts each such class once,
+reads its operator through each term's sink names and sign, and merges
+with integer weights, dividing once at the end.
 ``eval_graph_sum`` first renumbers each graph's internal vertices by colour
 refinement (``_refined``), so that isomorphic graphs mostly share a class
 too: the 39 graphs of the tri-vector make 9 contractions.  The raw terms of
@@ -708,8 +709,8 @@ def _refined(g: KontsevichGraph) -> KontsevichGraph:
     return KontsevichGraph(m, n, tuple((label[a], label[b]) for a, b in (outs[v] for v in order)))
 
 
-def _eval_terms(terms, P: PolyMultivector, out: PolyOperator) -> None:
-    """Add c * eval_graph(g, P) to ``out`` for every labelled term (g, c).
+def _eval_terms(terms, P: PolyMultivector) -> PolyOperator:
+    """The operator sum of c * eval_graph(g, P) over the labelled terms (g, c).
 
     Terms whose graphs differ only by their sink labels and the order of
     their pairs share one contraction, of their class's graph
@@ -717,38 +718,37 @@ def _eval_terms(terms, P: PolyMultivector, out: PolyOperator) -> None:
     which key slot holds which multi-index, and on the order of a pair only
     through its sign.  Each term then adds that operator with each key read
     through its own sink names, times its sign and coefficient, so every
-    term still contributes on its own.  The class table lives for one call,
-    and one class's operator at a time.  Internal labels are taken as
-    given: a caller that wants isomorphic graphs to share a contraction
-    passes them through ``_refined`` first, as ``eval_graph_sum`` does.
+    term still contributes on its own.  The weights are scaled by the lcm
+    of their denominators, so every merge is in integers, and each
+    coefficient polynomial is divided by that lcm once at the end.  The
+    class table lives for one call, and one class's operator at a time.
+    Internal labels are taken as given: a caller that wants isomorphic
+    graphs to share a contraction passes them through ``_refined`` first,
+    as ``eval_graph_sum`` does.
     """
-    classes: dict[tuple, list[tuple[tuple[int, ...], int | Fraction]]] = {}
+    scale = lcm(*(c.denominator for _, c in terms))
+    classes: dict[tuple, list[tuple[tuple[int, ...], int]]] = {}
     for g, c in terms:
         key, name, sign = _sink_class(g)
-        classes.setdefault(key, []).append((name, _num(sign * c)))
+        classes.setdefault(key, []).append((name, _num(sign * c * scale)))
+    out = PolyOperator(P.dim)
     for key, members in classes.items():
         op = eval_graph(KontsevichGraph(*key), P)
-        for name, scale in members:
+        for name, weight in members:
             slots = _getter(list(name))
             for k, p in op.terms.items():
-                out.add(slots(k), p, scale)
-
-
-def eval_graph_sum(s: GraphSum, P: PolyMultivector) -> PolyOperator:
-    """The operator of a graph sum.  Each graph goes to ``_eval_terms``
-    with its internal vertices renumbered by ``_refined``, which leaves its
-    operator as it is, so that isomorphic graphs mostly share one
-    contraction.  The sum is scaled by the lcm of its coefficient
-    denominators, so each graph's operator is merged in with an integer
-    weight, and each coefficient polynomial is divided by that lcm once at
-    the end."""
-    terms = list(s.graphs())
-    scale = lcm(*(c.denominator for _, c in terms))
-    out = PolyOperator(P.dim)
-    _eval_terms([(_refined(g), c * scale) for g, c in terms], P, out)
+                out.add(slots(k), p, weight)
     if scale > 1:
         out.terms = {k: p.scaled(Fraction(1, scale)) for k, p in out.terms.items()}
     return out
+
+
+def eval_graph_sum(s: GraphSum, P: PolyMultivector) -> PolyOperator:
+    """The operator of a graph sum: its graphs go to ``_eval_terms`` with
+    their internal vertices renumbered by ``_refined``, which leaves each
+    operator as it is, so that isomorphic graphs mostly share one
+    contraction."""
+    return _eval_terms([(_refined(g), c) for g, c in s.graphs()], P)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,18 +1081,13 @@ def factorization_identity_check(P: PolyMultivector) -> bool:
     refined: the 39 graphs, refined, make 9 contractions, none of them
     among the 85, whereas refining both sides would put all 9 among the
     raw terms' classes.  The identity holds whether or not P is Poisson.
-    Both sides are taken PRESENTATION_SCALE times, the scale of the printed
-    solution table, so the raw terms carry its integer coefficients.
     """
     from .leibniz import expand_terms
     from .ops import lhs_trivector
-    from .reference import PRESENTATION_SCALE, solution_rows_printed
+    from .reference import solution_rows
 
-    lhs = lhs_trivector(Fraction(1, 4), Fraction(3, 2)).scaled(PRESENTATION_SCALE)
-    lhs_op = eval_graph_sum(lhs, P)
-    rhs_op = PolyOperator(P.dim)
-    _eval_terms([(g, c) for L, c in solution_rows_printed() for g in expand_terms(L)], P, rhs_op)
-    return lhs_op == rhs_op
+    lhs_op = eval_graph_sum(lhs_trivector(Fraction(1, 4), Fraction(3, 2)), P)
+    return lhs_op == _eval_terms([(g, c) for L, c in solution_rows() for g in expand_terms(L)], P)
 
 
 def reference_structure() -> PolyMultivector:

@@ -217,15 +217,30 @@ def test_identity_check_sides_share_no_contraction(monkeypatch):
     classes = []
     contract = poisson._eval_terms
 
-    def recorded(terms, P, out):
+    def recorded(terms, P):
         classes.append({_sink_class(g)[0] for g, _ in terms})
-        return contract(terms, P, out)
+        return contract(terms, P)
 
     monkeypatch.setattr(poisson, "_eval_terms", recorded)
     assert factorization_identity_check(SPARSE_MONOMIAL[0])
     lhs, raw = classes
     assert (len(lhs), len(raw)) == (9, 85)
     assert lhs.isdisjoint(raw)
+
+
+def test_identity_check_fails_on_a_changed_solution(monkeypatch):
+    """Negative gate: with one row's coefficient negated, that row dropped,
+    or every coefficient doubled, the raw terms are another operator and the
+    check returns False.  Row 0's raw terms are nonzero on the bi-vector, so
+    the first two change the rhs; the doubled table shows that the sides
+    are compared exactly, not up to scale."""
+    P = SPARSE_MONOMIAL[0]
+    rows = reference.solution_rows()
+    (L, c), rest = rows[0], rows[1:]
+    assert not _eval_terms([(g, c) for g in expand_terms(L)], P).is_zero()
+    for changed in ([(L, -c)] + rest, rest, [(M, 2 * b) for M, b in rows]):
+        monkeypatch.setattr(reference, "solution_rows", lambda table=changed: table)
+        assert not factorization_identity_check(P)
 
 
 # Random graphs for the contraction gate: m in 0-3 sinks, n in 0-5 internal
@@ -356,9 +371,9 @@ def shared_and_term_by_term(terms, P) -> tuple[PolyOperator, PolyOperator, PolyO
     """The sum of the terms through ``_eval_terms`` as they are (as the raw
     terms of the identity check), after ``_refined`` (as in
     ``eval_graph_sum``), and term by term."""
-    shared, refined, separate = (PolyOperator(P.dim) for _ in range(3))
-    _eval_terms(terms, P, shared)
-    _eval_terms([(_refined(g), c) for g, c in terms], P, refined)
+    shared = _eval_terms(terms, P)
+    refined = _eval_terms([(_refined(g), c) for g, c in terms], P)
+    separate = PolyOperator(P.dim)
     for g, c in terms:
         separate.add_op(eval_graph(g, P), c)
     return shared, refined, separate
@@ -420,8 +435,7 @@ def test_six_sink_relabellings_make_one_contraction(monkeypatch):
     terms = [(g, Fraction(1))] + [(sink_relabelled(g, rng, sink_pairs=False),
                                    Fraction(rng.randint(1, 5), 2)) for _ in range(40)]
     calls = count_contractions(monkeypatch)
-    shared = PolyOperator(P.dim)
-    _eval_terms(terms, P, shared)
+    shared = _eval_terms(terms, P)
     assert calls[0] == 1
     assert not shared.is_zero()
     assert shared == shared_and_term_by_term(terms, P)[2]
