@@ -185,13 +185,11 @@ def _least_labelling(m: int, targets: tuple, sinks: bool) -> tuple[tuple[int, ..
     the minimum is reached with both parities, sign 0.  The search returns
     at once to the node where the two paths part, as the subtree it left
     there (the rest of a candidate, or of one order of its new sinks) maps
-    onto one explored before, and a node skips every candidate that the
-    automorphisms found so far that fix every labelled vertex map onto one
-    it has explored.  The two subtrees hold the same sequences, with the
-    same parities while every automorphism found is even; once an odd one
-    settles sign 0 the parities no longer matter, but the search still
-    returns the least sequence.  So n vertices on one target pair take n
-    leaves, not n!.
+    onto one explored before.  The two subtrees hold the same sequences,
+    with the same parities while every automorphism found is even; once an
+    odd one settles sign 0 the parities no longer matter, but the search
+    still returns the least sequence.  So n vertices on one target pair
+    take 1 + n(n-1)/2 leaves (29 at n = 8), not n!.
     """
     n = len(targets)
     w = n  # the pairs, which come first
@@ -217,13 +215,13 @@ def _least_labelling(m: int, targets: tuple, sinks: bool) -> tuple[tuple[int, ..
     best: list[int] = []
     best_parity = 0
     best_lab: list[int] = []  # lab at the best leaf
-    autos: list[list[int]] = []  # the automorphisms found: v goes to g[v]
+    auto: list[int] = []  # the last automorphism found: v goes to auto[v]
     # two sinks no edge reaches can be swapped, an odd automorphism
     zero = sinks and reach.count(0) >= 2
     jump = n  # the depth a tie sends the search back to, n for none
 
     def leaf() -> None:
-        nonlocal best, best_parity, best_lab, zero, jump
+        nonlocal best, best_parity, best_lab, auto, zero, jump
         seq: list[int] = []
         parity = 0
         for u in order:
@@ -249,17 +247,16 @@ def _least_labelling(m: int, targets: tuple, sinks: bool) -> tuple[tuple[int, ..
         holder = [0] * (m + n)  # holder[x]: the vertex labelled x at the best leaf
         for v, x in enumerate(best_lab):
             holder[x] = v
-        g = [holder[x] for x in lab]
+        auto = [holder[x] for x in lab]
         for v in fresh:  # sinks no edge reaches share one label
-            g[v] = v
+            auto[v] = v
         zero = zero or parity != best_parity
-        autos.append(g)
         # the first depth at which this path left the best leaf's (a sink is
         # labelled with the first vertex to reach it): the choice made there
-        # maps by g onto one explored before it
+        # maps by auto onto one explored before it
         jump = min(lab[v] - m if v >= m else
                    next(d for d, u in enumerate(order) if v in out[u])
-                   for v in range(m + n) if g[v] != v)
+                   for v in range(m + n) if auto[v] != v)
 
     def descend(todo: list[int]) -> None:
         nonlocal jump
@@ -299,16 +296,8 @@ def _least_labelling(m: int, targets: tuple, sinks: bool) -> tuple[tuple[int, ..
                 _order_ties(candidates, out, lab, m, w)
         bit = 1 << (n - d)
         rest = None  # todo without the candidate explored, made once per node
-        for i, c in enumerate(candidates):
+        for c in candidates:
             u = c[-1]
-            if autos and i:
-                # the candidates before u with its key: it may map onto one
-                j = i
-                while j and candidates[j - 1][:-1] == c[:-1]:
-                    j -= 1
-                if j < i and _in_orbit(u, [e[-1] for e in candidates[j:i]], autos,
-                                       order + [s for s in range(m) if s not in fresh]):
-                    continue
             t = out[u]
             lab[u] = label
             order.append(u)
@@ -351,7 +340,7 @@ def _least_labelling(m: int, targets: tuple, sinks: bool) -> tuple[tuple[int, ..
                         descend(rest)
                     else:
                         leaf()
-                    if jump == d and autos[-1][u] == u:
+                    if jump == d and auto[u] == u:
                         jump = n  # the tie left the best path at the sink order
                     elif jump <= d:
                         break
@@ -401,20 +390,6 @@ def _order_ties(candidates: list[tuple], out, lab, m: int, w: int) -> None:
         keyed.append((ahead, u, c))
     keyed.sort()
     candidates[:len(keyed)] = [c for _, _, c in keyed]
-
-
-def _in_orbit(v: int, explored: list[int], autos, fixed: list[int]) -> bool:
-    """Whether the automorphisms of ``autos`` that fix every vertex of
-    ``fixed`` generate one that maps the vertex ``v`` onto one of ``explored``."""
-    gens = [g for g in autos if all(g[u] == u for u in fixed)]
-    orbit, stack = {v}, [v]
-    while stack:
-        u = stack.pop()
-        for g in gens:
-            if g[u] not in orbit:
-                orbit.add(g[u])
-                stack.append(g[u])
-    return not orbit.isdisjoint(explored)
 
 
 def _prefix_exceeds(order, out, lab, best) -> bool:
@@ -589,11 +564,11 @@ def quote(text: str) -> str:
 
 
 # Sizes a text line may ask for.  The canonical search prunes by
-# automorphisms, so interchangeable vertices do not multiply its work: n
-# internal vertices on one target pair take n leaves (about 1 ms at n = 8),
+# automorphisms, so interchangeable vertices do not multiply its work:
+# eight internal vertices on one target pair take 29 leaves (under 1 ms),
 # and each of the 192 terms without a double edge of the 6-sink line
-# `6 6 12 12 12 12 12 12 12 12 12 12 12 12 | 0 1 2 1` takes 6 leaves in
-# orbit form, about 0.1 s for all 192.  A Leibniz line expands to up to
+# `6 6 12 12 12 12 12 12 12 12 12 12 12 12 | 0 1 2 1` takes 16 leaves in
+# orbit form, about 0.05 s for all 192.  A Leibniz line expands to up to
 # 3 * 4^w labelled graphs of w + 2j internal vertices, and the solve columns
 # take one expansion per Leibniz sink orbit of nonzero sign, one orbit
 # search per labelled term.  Lines of 6 sinks and 6 wedges solve in

@@ -1044,6 +1044,7 @@ def _tokenize(text: str) -> list[str]:
 def parse_poisson_file(text: str) -> PolyMultivector:
     """First line is the dimension, then ``i j <polynomial>`` lines with i < j."""
     P = None
+    seen = set()  # the index pairs read; a zero polynomial is not stored
 
     def parse(line: str) -> None:
         nonlocal P
@@ -1061,6 +1062,9 @@ def parse_poisson_file(text: str) -> PolyMultivector:
         i, j = parse_ints(parts[:2], "component indices", line)
         if not 1 <= i < j <= P.dim:
             raise GraphError(f"component indices {brief(i)} {brief(j)} out of range")
+        if (i, j) in seen:
+            raise GraphError(f"repeated component {i} {j}")
+        seen.add((i, j))
         P.add_component((i - 1, j - 1), parse_polynomial(parts[2], P.dim))
 
     parse_lines(text, parse)

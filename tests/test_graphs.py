@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from tetraflow import reference
 from tetraflow.graphs import (MAX_INTERNAL, MAX_SINKS, GraphError,
-                              GraphSum, KontsevichGraph, graph_from_encoding, normal_form,
+                              GraphSum, KontsevichGraph, _prefix_exceeds,
+                              graph_from_encoding, normal_form,
                               orbit_normal_form, parse_graph_line, parse_lines,
                               read_graph_lines, read_graph_sum, serialize_graph,
                               sink_images)
@@ -219,19 +220,31 @@ def test_every_search_of_the_pipeline_is_pinned():
                                "5153", "5095"]
 
 
-def test_orbit_search_prunes_the_six_sink_line():
+def count_prefix_checks(monkeypatch) -> list:
+    """One entry per call of the canonical search's prefix check."""
+    calls = []
+    monkeypatch.setattr("tetraflow.graphs._prefix_exceeds",
+                        lambda *args: calls.append(1) or _prefix_exceeds(*args))
+    return calls
+
+
+def test_orbit_search_prunes_the_six_sink_line(monkeypatch):
     """The 192 terms without a double edge of the 6-sink line whose six
     wedges each stand on both realization vertices of the Jacobiator are one
     orbit of sign 0: three sinks receive no edge.  Their six wedges are
     interchangeable, so a search that follows every tie reaches 1,440 leaves
     per term (2.2-4.1 s for the 192 on a shared 2-core host); pruned by
-    automorphisms they take well under the 1.5 s bound."""
+    automorphisms they take 16 leaves and 72 prefix checks each.  A search
+    that never jumps back makes 374,784 checks in 1.1-1.4 s, so the work
+    bound holds where the time bound cannot tell."""
     L, _ = parse_leibniz_line("6 6 12 12 12 12 12 12 12 12 12 12 12 12 | 0 1 2 1")
     terms = [g for g in expand_terms(L) if all(a != b for a, b in g.targets)]
     assert len(terms) == 192
+    prefixes = count_prefix_checks(monkeypatch)
     start = time.perf_counter()
     forms = {orbit_normal_form(g) for g in terms}
     assert time.perf_counter() - start < 1.5
+    assert len(prefixes) <= 13_824
     (nf,) = forms
     assert nf.sign == 0
     assert encoding_digest(nf.encoding) == (
@@ -239,15 +252,19 @@ def test_orbit_search_prunes_the_six_sink_line():
 
 
 @pytest.mark.parametrize("form, sign", [(normal_form, 1), (orbit_normal_form, 0)])
-def test_orbit_search_prunes_eight_vertices_on_one_pair(form, sign):
+def test_orbit_search_prunes_eight_vertices_on_one_pair(monkeypatch, form, sign):
     """Eight internal vertices on the one pair (0, 1): 8! tied labellings,
-    0.3-0.5 s and 0.8-1.0 s when every tie reached its leaf.  Swapping the
-    sinks flips all eight pairs and the sink order, an odd automorphism:
-    orbit sign 0."""
+    0.3-0.5 s and 0.8-1.0 s when every tie reached its leaf, and 29 leaves
+    in normal form when each tie jumps back.  Swapping the sinks flips all
+    eight pairs and the sink order, an odd automorphism: orbit sign 0.  The
+    cache starts empty, so that normal form searches."""
     g = KontsevichGraph(2, 8, ((0, 1),) * 8)
+    monkeypatch.setattr("tetraflow.graphs._NF_CACHE", {})
+    prefixes = count_prefix_checks(monkeypatch)
     start = time.perf_counter()
     nf = form(g)
     assert time.perf_counter() - start < 1.5
+    assert len(prefixes) <= (168 if form is normal_form else 175)
     assert nf.sign == sign
     assert encoding_digest(nf.encoding) == (
         "f84655788703a1a6382e32f41213a9bd0664d1cbff697e5ceffacbb75b03d1dd")

@@ -316,6 +316,8 @@ def test_poisson_file_parsing():
     ("3\n1 a x1\n", "line 2: bad component indices"),
     ("3\n# c\n1 2\n", "line 3: bad component line"),
     ("3\n2 1 x1\n", "line 2: component indices 2 1"),
+    ("3\n1 2 x1\n1 2 x2\n", "line 3: repeated component 1 2"),
+    ("3\n2 3 0\n2 3 x2\n", "line 3: repeated component 2 3"),
     ("0_3\n1 2 x1\n", "line 1: bad dimension line in"),
     ("3\n1 0_2 x1\n", "line 2: bad component indices in"),
     ("\u0663\n", "line 1: bad dimension line in"),
