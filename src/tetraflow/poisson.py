@@ -13,7 +13,9 @@ polynomial or product past that raises GraphError rather than letting a
 field spill into the next.  Exponent tuples appear only at the boundaries:
 the ``Polynomial`` constructor packs them, ``exponent_terms`` and the
 printed form unpack (the printed form and ``degree`` only up to the highest
-variable used).
+variable used).  Every product of two polynomials goes through one loop,
+``_mul_into``, which adds it into a sum in place; ``Polynomial.__mul__``
+adds into a new one.
 
 ``eval_graph`` contracts a graph as a tensor network over its edge indices
 (variable elimination): it assigns the internal vertices one at a time and
@@ -33,7 +35,9 @@ the identity check stay as they are, so that its two sides share none.
 
 The oracle walks the stored components of a bi-vector, both index orders
 of each (``_signed_pairs``), and never the d(d-1) index pairs of R^d: its
-cost follows the components and the variables they use, not d.
+cost follows the components and the variables they use, not d.  ``gamma2``
+sums its six-index formula through two partial sums, so it forms about a
+fifth of the products of one term per index assignment.
 """
 
 from __future__ import annotations
@@ -164,20 +168,11 @@ class Polynomial:
             if e & _guard_mask(e.bit_length()):
                 raise GraphError(f"exponent above {MAX_EXPONENT} in a polynomial product")
             return Polynomial._packed(self.dim, {e: c1 * c2})
+        # the first row cannot cancel, so it is a new dict; the others add to it
         rows = iter(a.items())
         e1, c1 = next(rows)
         out = {e1 + e2: c1 * c2 for e2, c2 in b.items()}
-        get = out.get
-        for e1, c1 in rows:
-            for e2, c2 in b.items():
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        acc = reduce(or_, out, 0)
-        if acc & _guard_mask(acc.bit_length()):
-            raise GraphError(f"exponent above {MAX_EXPONENT} in a polynomial product")
-        if len(a) > 1:  # the first row alone cannot cancel
-            for e in [e for e, c in out.items() if not c]:
-                del out[e]
+        _mul_into(out, a, b, rows)
         return Polynomial._packed(self.dim, out)
 
     def scaled(self, c) -> "Polynomial":
@@ -240,6 +235,35 @@ def _merge(terms: dict, other: dict, scale=1) -> None:
             terms[e] = new
         else:
             del terms[e]
+
+
+def _mul_into(out: dict, a: dict, b: dict, rows=None) -> None:
+    """Add the product of the monomials ``a`` and ``b`` to ``out``, in place,
+    dropping the coefficients that cancel: the oracle's one product loop,
+    behind ``Polynomial.__mul__`` too, whose first row is already in ``out``
+    (``rows`` iterates over the rest of ``a``).
+
+    The exponent guard runs before any key is written, so a product with an
+    exponent above MAX_EXPONENT raises GraphError and leaves ``out`` as it
+    was.  Its cheap test adds the ORs of the two key sets, whose fields bound
+    the largest exponents from above; only when that sum sets a guard bit
+    does it compare the largest exponents, field by field."""
+    top = reduce(or_, a, 0) + reduce(or_, b, 0)
+    if top & _guard_mask(top.bit_length()) and any(
+            max(e >> s & _FIELD for e in a) + max(e >> s & _FIELD for e in b) > MAX_EXPONENT
+            for s in range(0, top.bit_length(), W)):
+        raise GraphError(f"exponent above {MAX_EXPONENT} in a polynomial product")
+    if rows is None:
+        if len(a) > len(b):
+            a, b = b, a
+        rows = a.items()
+    get = out.get
+    for e1, c1 in rows:
+        for e2, c2 in b.items():
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
+    for e in [e for e, c in out.items() if not c]:
+        del out[e]
 
 
 def _add_poly(terms: dict, key, p: Polynomial, scale=1) -> None:
@@ -446,12 +470,14 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
     the sum of the partial products of all assignments that reach it.  A
     step takes each state through the index pairs of the new vertex, sums
     the product of the factors the pair completes over all pairs that lead
-    to the same next state, and multiplies that sum into the state's
-    polynomial once.  That product depends on the state only through the
-    positions the completing factors read, so a step computes, once per
-    projection of the states onto those positions, the list of the pairs
-    whose product is nonzero, with the products; every state with that
-    projection walks only its list.
+    to the same next state, and multiplies that sum by the state's
+    polynomial once: the product is a new polynomial for a new next state
+    and is added in place (``_mul_into``) into one that other states have
+    reached already.  The factors' product depends on the state only
+    through the positions the completing factors read, so a step computes,
+    once per projection of the states onto those positions, the list of the
+    pairs whose product is nonzero, with the products; every state with
+    that projection walks only its list.
 
     The list comes from the bi-vector's nonzero index: a factor's key with
     the new vertex's two slots left open maps to the pairs that make the
@@ -612,7 +638,7 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
                         if ahead is None or ahead(key):
                             nxt[key] = partial * p
                     else:
-                        _merge(old.terms, (partial * p).terms)
+                        _mul_into(old.terms, partial.terms, p.terms)
         states = nxt
 
     at = {pos: i for i, pos in enumerate(positions)}
@@ -780,32 +806,55 @@ def gamma1(P: PolyMultivector) -> PolyMultivector:
 
 def gamma2(P: PolyMultivector) -> PolyMultivector:
     """Second tetrahedral generator, the antisymmetrization
-    (1/2)(M^{ij} - M^{ji}) of its index formula M: each term of M^{ij} goes
-    into the store ``_add_poly`` at (i, j) with the sign of that index
-    order, and the sum is halved once at the end, so that the adds stay
-    integer where P is."""
+    (1/2)(M^{ij} - M^{ji}) of its index formula
+
+        M^{i mm} = sum d_k d_l P^{ij} . d_kp d_lp P^{k mm} . d_mp P^{kp l} . d_j P^{mp lp},
+
+    evaluated through two partial sums, each a ``_mul_into`` loop over the
+    memoized nonzero derivatives of the components:
+
+        Y[kp, l, lp, j] = sum_mp d_mp P^{kp l} . d_j P^{mp lp}
+        Z[k, mm, l, j] = sum_{kp, lp} d_kp d_lp P^{k mm} . Y[kp, l, lp, j]
+        M^{i mm} = sum_{j, k, l} d_k d_l P^{ij} . Z[k, mm, l, j].
+
+    Each M^{i mm} with i != mm goes into the store ``_add_poly`` at (i, mm)
+    with the sign of that index order, and the sum is halved once at the
+    end, so that the adds stay integer where P is."""
     signed = _signed_pairs(P)
+    # every index of the formula is one of a nonzero pair, so the
+    # derivatives are taken by those indices alone
+    idx = sorted({i for i, _ in signed})
+    d1 = {(pair, i): q for pair, p in signed.items() for i in idx if (q := p.diff(i))}
+    d2 = {}
+    for (pair, i), q in d1.items():
+        for j in idx:
+            if (r := q.diff(j)):
+                d2[pair, i, j] = r
+    Y: dict[tuple[int, ...], dict] = {}
+    for (kl, mp), a in d1.items():
+        for lp in idx:
+            if (mp, lp) in signed:
+                for j in idx:
+                    b = d1.get(((mp, lp), j))
+                    if b:
+                        _mul_into(Y.setdefault((*kl, lp, j), {}), a.terms, b.terms)
+    Z: dict[tuple[int, ...], dict] = {}
+    for (kp, l, lp, j), y in Y.items():
+        if y:
+            for km in signed:
+                c = d2.get((km, kp, lp))
+                if c:
+                    _mul_into(Z.setdefault((*km, l, j), {}), c.terms, y)
+    M: dict[tuple[int, int], dict] = {}
+    for (k, mm, l, j), z in Z.items():
+        if z:
+            for i in idx:
+                t = d2.get(((i, j), k, l))
+                if t and i != mm:  # the antisymmetrization never reads M^{ii}
+                    _mul_into(M.setdefault((i, mm), {}), t.terms, z)
     out = PolyMultivector(P.dim, 2)
-    for (i, j), pij in signed.items():
-        for (k, mm), pkm in signed.items():
-            if mm == i:  # the antisymmetrization never reads M^{ii}
-                continue
-            t1 = pij.diff(k)
-            if t1.is_zero():
-                continue
-            for kp, l in signed:
-                t2 = t1.diff(l)
-                if t2.is_zero():
-                    continue
-                s1 = pkm.diff(kp)
-                if s1.is_zero():
-                    continue
-                for mp, lp in signed:
-                    s2 = s1.diff(lp)
-                    if s2.is_zero():
-                        continue
-                    out.add_component((i, mm), t2 * s2 * signed[kp, l].diff(mp)
-                                      * signed[mp, lp].diff(j))
+    for (i, mm), terms in M.items():
+        out.add_component((i, mm), Polynomial._packed(P.dim, terms))
     return out.scaled(Fraction(1, 2))
 
 
@@ -865,14 +914,16 @@ def jacobi_check(P: PolyMultivector) -> bool:
 
 
 def ratio_scan(P: PolyMultivector, ratios) -> list[tuple[Fraction, Fraction, bool]]:
-    """For each (a, b), does [[P, a*G1(P) + b*G2(P)]] vanish identically?"""
-    g1 = gamma1(P)
-    g2 = gamma2(P)
+    """For each (a, b), does [[P, a*G1(P) + b*G2(P)]] vanish identically?
+
+    The bracket is linear in the flow, so it is a*B1 + b*B2 with the two
+    brackets B1 = [[P, G1(P)]] and B2 = [[P, G2(P)]], each computed once."""
+    b1 = schouten_components(P, gamma1(P))
+    b2 = schouten_components(P, gamma2(P))
     out = []
     for a, b in ratios:
         a, b = Fraction(a), Fraction(b)
-        q = g1.scaled(a) + g2.scaled(b)
-        out.append((a, b, schouten_components(P, q).is_zero()))
+        out.append((a, b, (b1.scaled(a) + b2.scaled(b)).is_zero()))
     return out
 
 

@@ -5,13 +5,15 @@ monomials were packed into ints: product, sum, negation, ``diff`` and the
 printed form, all on exponent tuples.  ``eval_graph`` is the depth-first
 walker on top of it, which sorts the index tuple of every vertex factor
 before its cache lookup and rebuilds every leaf's coefficient as a new sum.
-The packed oracle of ``tetraflow.poisson`` must agree with both exactly.
+``gamma2`` is the second generator's index formula as four nested loops,
+one product per index assignment.  The packed oracle of
+``tetraflow.poisson`` must agree with all three exactly.
 """
 
 from fractions import Fraction
 
 from tetraflow.graphs import GraphError, KontsevichGraph
-from tetraflow.poisson import PolyMultivector, PolyOperator, Polynomial
+from tetraflow.poisson import PolyMultivector, PolyOperator, Polynomial, _signed_pairs
 
 
 class TuplePolynomial:
@@ -217,3 +219,31 @@ def packed_operator(dim: int, terms: dict) -> PolyOperator:
     for key, p in terms.items():
         out.add(key, p.packed())
     return out
+
+
+def gamma2(P: PolyMultivector) -> PolyMultivector:
+    """Second tetrahedral generator, (1/2)(M^{ij} - M^{ji}), with M summed
+    term by term in four nested loops over the nonzero index pairs."""
+    signed = _signed_pairs(P)
+    out = PolyMultivector(P.dim, 2)
+    for (i, j), pij in signed.items():
+        for (k, mm), pkm in signed.items():
+            if mm == i:  # the antisymmetrization never reads M^{ii}
+                continue
+            t1 = pij.diff(k)
+            if t1.is_zero():
+                continue
+            for kp, l in signed:
+                t2 = t1.diff(l)
+                if t2.is_zero():
+                    continue
+                s1 = pkm.diff(kp)
+                if s1.is_zero():
+                    continue
+                for mp, lp in signed:
+                    s2 = s1.diff(lp)
+                    if s2.is_zero():
+                        continue
+                    out.add_component((i, mm), t2 * s2 * signed[kp, l].diff(mp)
+                                      * signed[mp, lp].diff(j))
+    return out.scaled(Fraction(1, 2))

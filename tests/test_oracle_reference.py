@@ -14,8 +14,8 @@ from tetraflow.leibniz import expand_terms
 from tetraflow.ops import GAMMA1, tetra_flow
 from tetraflow.poisson import (MAX_EXPONENT, Polynomial, PolyMultivector, PolyOperator, _eval_terms,
                                _refined, _sink_class, eval_graph, eval_graph_sum,
-                               factorization_identity_check, jacobi_check, random_bivector,
-                               sparse_random_bivector)
+                               factorization_identity_check, gamma2, jacobi_check,
+                               random_bivector, sparse_random_bivector)
 
 
 def random_terms(rng, d, top):
@@ -57,6 +57,13 @@ def test_arithmetic_matches_tuple_reference(d):
         for i in range(d):
             assert_same(p.diff(i), rp.diff(i))
             assert_same((p * q).diff(i), (rp * rq).diff(i))
+        # the fused product, into a nonempty sum and into one it cancels
+        tr = random_terms(rng, d, 3)
+        for r, rr in ((Polynomial(d, tr), ref.TuplePolynomial(d, tr)), (-(p * q), -(rp * rq))):
+            out = dict(r.terms)
+            poisson._mul_into(out, p.terms, q.terms)
+            assert all(out.values())
+            assert_same(Polynomial._packed(d, out), rr + rp * rq)
 
 
 def criterion_6_firsts():
@@ -158,6 +165,11 @@ def test_identity_check_holds_on_sparse_monomial_bivectors(k):
 # count repeats exactly across runs and hash seeds.  This bound may only go
 # down.
 IDENTITY_CHECK_PRODUCTS = 5_287
+# Term pairs (len(a) * len(b) summed over the products) ``gamma2`` multiplies
+# on criterion_7_first(), the dense d = 3 bi-vector of degree 2, in 442
+# products; the four nested loops of ``oracle_reference.gamma2`` multiply
+# 9,525 in 1,686.  This bound may only go down.
+GAMMA2_TERM_PAIRS = 4_636
 # Contractions (``eval_graph`` calls) of one identity check on
 # SPARSE_MONOMIAL[0] and of the 39 graphs: one per class of graphs that
 # differ only by their sink labels and the order of their pairs, of the 39
@@ -180,21 +192,62 @@ def count_contractions(monkeypatch) -> list[int]:
     return calls
 
 
-def test_identity_check_product_count(monkeypatch):
-    """Work-count gate: the products the contraction forms, counted through
-    a wrapper around ``Polynomial.__mul__``."""
-    P = SPARSE_MONOMIAL[0].scaled(1)  # a copy with no nonzero index yet
-    calls = 0
-    multiply = Polynomial.__mul__
+def count_products(monkeypatch) -> list[int]:
+    """[products, term pairs] formed from now on through both entry points,
+    ``Polynomial.__mul__`` and ``poisson._mul_into``; the ``_mul_into`` call
+    inside ``__mul__`` is the same product and is not counted again."""
+    counts = [0, 0]
+    inside = [False]
+    multiply, multiply_into = Polynomial.__mul__, poisson._mul_into
+
+    def count(a: dict, b: dict) -> None:
+        counts[0] += 1
+        counts[1] += len(a) * len(b)
 
     def counted(p, q):
-        nonlocal calls
-        calls += 1
-        return multiply(p, q)
+        count(p.terms, q.terms)
+        inside[0] = True
+        try:
+            return multiply(p, q)
+        finally:
+            inside[0] = False
+
+    def counted_into(out, a, b, rows=None):
+        if not inside[0]:
+            count(a, b)
+        return multiply_into(out, a, b, rows)
 
     monkeypatch.setattr(Polynomial, "__mul__", counted)
+    monkeypatch.setattr(poisson, "_mul_into", counted_into)
+    return counts
+
+
+def test_identity_check_product_count(monkeypatch):
+    """Work-count gate: the products the contraction forms, each counted
+    once whether it is a new polynomial or added into a state's sum."""
+    P = SPARSE_MONOMIAL[0].scaled(1)  # a copy with no nonzero index yet
+    counts = count_products(monkeypatch)
     assert factorization_identity_check(P)
-    assert calls <= IDENTITY_CHECK_PRODUCTS
+    assert counts[0] <= IDENTITY_CHECK_PRODUCTS
+
+
+def test_gamma2_term_pair_count(monkeypatch):
+    """Work-count gate: the term pairs the factored ``gamma2`` multiplies
+    on a dense bi-vector."""
+    counts = count_products(monkeypatch)
+    assert not gamma2(criterion_7_first()).is_zero()
+    assert counts[1] <= GAMMA2_TERM_PAIRS
+
+
+@pytest.mark.parametrize("d, degree", [(d, k) for d in (2, 3, 4) for k in (1, 2, 3)])
+def test_gamma2_matches_four_loop_reference(d, degree):
+    """The factored ``gamma2`` against the four nested loops of its index
+    formula, line for line, on seeded dense d = 2, 3 and sparse d = 4
+    bi-vectors."""
+    rng = random.Random(7100 + 10 * d + degree)
+    for _ in range(8):
+        P = random_bivector(d, degree, rng) if d <= 3 else sparse_random_bivector(d, degree, rng)
+        assert gamma2(P).lines() == ref.gamma2(P).lines()
 
 
 def test_identity_check_contraction_count(monkeypatch):

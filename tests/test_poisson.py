@@ -9,7 +9,7 @@ import pytest
 from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph
 from tetraflow.ops import GAMMA1, WEDGE, tetra_flow, wedge_sum
 from tetraflow.poisson import (MAX_EXPONENT, W, Polynomial, PolyMultivector, PolyOperator,
-                               eval_graph, eval_graph_sum, flow, gamma1, gamma2,
+                               _mul_into, eval_graph, eval_graph_sum, flow, gamma1, gamma2,
                                jacobi_check, jacobian_bracket,
                                parse_poisson_file, parse_polynomial,
                                random_bivector, ratio_scan,
@@ -122,6 +122,34 @@ def test_product_whose_fields_would_carry_raises():
             top = (Polynomial(d, {below: -2}) * mono).exponent_terms()
             assert top == {tuple(x + y for x, y in zip(below, e)): -6}
             assert max(next(iter(top))) == MAX_EXPONENT
+
+
+@pytest.mark.parametrize("xa, xb, fallback", [((255, 1), (256, 0), False),
+                                               ((256, 1), (255, 2), True)])
+def test_fused_product_guard_at_the_bound(xa, xb, fallback):
+    """``_mul_into`` on both paths of its guard.  The field's exponents are
+    xa in one factor and xb in the other.  With 255 | 1 and 256 | 0 the ORs
+    add up to 511 and no exponent is compared; with 256 | 1 and 255 | 2 they
+    add up to 512 and the exact comparison decides.  A field that reaches
+    MAX_EXPONENT passes; one above it raises and leaves the sum as it was."""
+    assert ((xa[0] | xa[1]) + (xb[0] | xb[1]) > MAX_EXPONENT) == fallback
+    for d in (1, 3):
+        for i in range(d):
+            def poly(exps, coeffs):
+                return Polynomial(d, {tuple(k if j == i else 1 for j in range(d)): c
+                                      for k, c in zip(exps, coeffs)})
+            a, b = poly(xa, (2, 1)), poly(xb, (3, -1))
+            out = {0: 5}
+            _mul_into(out, a.terms, b.terms)
+            got = Polynomial._packed(d, dict(out))
+            assert got == Polynomial.const(d, 5) + a * b
+            assert max(e[i] for e in got.exponent_terms()) == MAX_EXPONENT
+            over = poly((xb[0] + 1, xb[1]), (3, -1))
+            with pytest.raises(GraphError, match=f"exponent above {MAX_EXPONENT}"):
+                _mul_into(out, a.terms, over.terms)
+            assert Polynomial._packed(d, out) == got
+            with pytest.raises(GraphError, match=f"exponent above {MAX_EXPONENT}"):
+                a * over
 
 
 @pytest.mark.parametrize("e", [(-1, 0, 0), (0, MAX_EXPONENT + 1, 0), (0, 0, 2 ** 64), (1, 2)])
