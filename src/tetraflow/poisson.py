@@ -21,8 +21,9 @@ adds into a new one.
 (variable elimination): it assigns the internal vertices one at a time and
 keeps, per state of the edge indices still needed, the sum of the partial
 products that reach it, so a partial product many assignments share is
-formed once.  The vertex order minimizes the states visited, by an exact
-dynamic program over the vertex subsets (``_contraction_order``).  Graphs
+formed once.  The vertex order minimizes a bound on the states visited,
+the sum over the steps of base ** (live positions), by an exact dynamic
+program over the vertex subsets (``_contraction_order``).  Graphs
 that differ only by their sink labels and the order of their pairs are one
 contraction: ``eval_graph_sum`` and ``factorization_identity_check`` add
 their terms through ``_eval_terms``, which contracts each such class once,
@@ -35,9 +36,10 @@ the identity check stay as they are, so that its two sides share none.
 
 The oracle walks the stored components of a bi-vector, both index orders
 of each (``_signed_pairs``), and never the d(d-1) index pairs of R^d: its
-cost follows the components and the variables they use, not d.  ``gamma2``
-sums its six-index formula through two partial sums, so it forms about a
-fifth of the products of one term per index assignment.
+cost follows the components and the variables they use, not d.  The two
+generators read every derivative off one table (``_derivatives``), and
+``gamma2`` sums its six-index formula through two partial sums, so it forms
+about a fifth of the products of one term per index assignment.
 """
 
 from __future__ import annotations
@@ -157,22 +159,17 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        if not a:
-            return Polynomial._packed(self.dim, {})
-        if len(b) == 1:  # monomial times monomial: one term, which cannot cancel
+        if len(a) == len(b) == 1:
+            # monomial times monomial, the common product on a sparse
+            # bi-vector: one term, which cannot cancel, so no loop
             (e1, c1), = a.items()
             (e2, c2), = b.items()
             e = e1 + e2
             if e & _guard_mask(e.bit_length()):
                 raise GraphError(f"exponent above {MAX_EXPONENT} in a polynomial product")
             return Polynomial._packed(self.dim, {e: c1 * c2})
-        # the first row cannot cancel, so it is a new dict; the others add to it
-        rows = iter(a.items())
-        e1, c1 = next(rows)
-        out = {e1 + e2: c1 * c2 for e2, c2 in b.items()}
-        _mul_into(out, a, b, rows)
+        out = {}
+        _mul_into(out, a, b)
         return Polynomial._packed(self.dim, out)
 
     def scaled(self, c) -> "Polynomial":
@@ -237,11 +234,11 @@ def _merge(terms: dict, other: dict, scale=1) -> None:
             del terms[e]
 
 
-def _mul_into(out: dict, a: dict, b: dict, rows=None) -> None:
-    """Add the product of the monomials ``a`` and ``b`` to ``out``, in place,
-    dropping the coefficients that cancel: the oracle's one product loop,
-    behind ``Polynomial.__mul__`` too, whose first row is already in ``out``
-    (``rows`` iterates over the rest of ``a``).
+def _mul_into(out: dict, a: dict, b: dict) -> None:
+    """Add the product of the polynomials with the terms ``a`` and ``b`` to
+    ``out``, in place, dropping the coefficients that cancel: the oracle's
+    one product loop, behind ``Polynomial.__mul__`` too, which adds into an
+    empty dict.
 
     The exponent guard runs before any key is written, so a product with an
     exponent above MAX_EXPONENT raises GraphError and leaves ``out`` as it
@@ -253,12 +250,10 @@ def _mul_into(out: dict, a: dict, b: dict, rows=None) -> None:
             max(e >> s & _FIELD for e in a) + max(e >> s & _FIELD for e in b) > MAX_EXPONENT
             for s in range(0, top.bit_length(), W)):
         raise GraphError(f"exponent above {MAX_EXPONENT} in a polynomial product")
-    if rows is None:
-        if len(a) > len(b):
-            a, b = b, a
-        rows = a.items()
+    if len(a) > len(b):
+        a, b = b, a
     get = out.get
-    for e1, c1 in rows:
+    for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = e1 + e2
             out[e] = get(e, 0) + c1 * c2
@@ -781,26 +776,36 @@ def eval_graph_sum(s: GraphSum, P: PolyMultivector) -> PolyOperator:
 # closed component formulas
 
 
+def _derivatives(comps: dict, idx: list[int], order: int) -> list[dict]:
+    """The nonzero derivatives of the polynomials ``comps`` by the ordered
+    tuples over ``idx``, one table per length 1..``order``: table n maps
+    (key, i1, ..., in) to d_in ... d_i1 comps[key], one ``diff`` of an entry
+    of table n - 1, so the generators take no derivative twice."""
+    tables = []
+    table = {(key,): p for key, p in comps.items()}
+    for _ in range(order):
+        table = {(*key, i): q for key, p in table.items() for i in idx if (q := p.diff(i))}
+        tables.append(table)
+    return tables
+
+
 def gamma1(P: PolyMultivector) -> PolyMultivector:
-    """First tetrahedral generator, computed from its index formula."""
-    out = PolyMultivector(P.dim, 2)
+    """First tetrahedral generator, from its index formula, over one
+    ``_derivatives`` table:
+
+        G^{ij} = sum d_k d_l d_mm P^{ij} . d_lp P^{k kp} . d_mp P^{l lp} . d_kp P^{mm mp}."""
     signed = _signed_pairs(P)
-    for (i, j), pij in sorted(P.comps.items()):
-        for k, kp in signed:
-            t1 = pij.diff(k)
-            if t1.is_zero():
-                continue
-            for l, lp in signed:
-                t2 = t1.diff(l)
-                if t2.is_zero():
-                    continue
-                for mm, mp in signed:
-                    t3 = t2.diff(mm)
-                    if t3.is_zero():
-                        continue
-                    out.add_component((i, j), t3 * signed[k, kp].diff(lp)
-                                      * signed[l, lp].diff(mp)
-                                      * signed[mm, mp].diff(kp))
+    # every index of the formula is one of a nonzero pair, so the
+    # derivatives are taken by those indices alone
+    idx = sorted({i for i, _ in signed})
+    d1, _, d3 = _derivatives(signed, idx, 3)
+    out = PolyMultivector(P.dim, 2)
+    for ((i, j), k, l, mm), t3 in d3.items():
+        if i < j:  # each stored component once
+            for kp, lp, mp in product(idx, repeat=3):
+                a, b, c = d1.get(((k, kp), lp)), d1.get(((l, lp), mp)), d1.get(((mm, mp), kp))
+                if a and b and c:
+                    out.add_component((i, j), t3 * a * b * c)
     return out
 
 
@@ -811,7 +816,7 @@ def gamma2(P: PolyMultivector) -> PolyMultivector:
         M^{i mm} = sum d_k d_l P^{ij} . d_kp d_lp P^{k mm} . d_mp P^{kp l} . d_j P^{mp lp},
 
     evaluated through two partial sums, each a ``_mul_into`` loop over the
-    memoized nonzero derivatives of the components:
+    first and second derivatives of one ``_derivatives`` table:
 
         Y[kp, l, lp, j] = sum_mp d_mp P^{kp l} . d_j P^{mp lp}
         Z[k, mm, l, j] = sum_{kp, lp} d_kp d_lp P^{k mm} . Y[kp, l, lp, j]
@@ -821,15 +826,8 @@ def gamma2(P: PolyMultivector) -> PolyMultivector:
     with the sign of that index order, and the sum is halved once at the
     end, so that the adds stay integer where P is."""
     signed = _signed_pairs(P)
-    # every index of the formula is one of a nonzero pair, so the
-    # derivatives are taken by those indices alone
-    idx = sorted({i for i, _ in signed})
-    d1 = {(pair, i): q for pair, p in signed.items() for i in idx if (q := p.diff(i))}
-    d2 = {}
-    for (pair, i), q in d1.items():
-        for j in idx:
-            if (r := q.diff(j)):
-                d2[pair, i, j] = r
+    idx = sorted({i for i, _ in signed})  # as in gamma1
+    d1, d2 = _derivatives(signed, idx, 2)
     Y: dict[tuple[int, ...], dict] = {}
     for (kl, mp), a in d1.items():
         for lp in idx:

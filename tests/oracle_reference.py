@@ -5,9 +5,10 @@ monomials were packed into ints: product, sum, negation, ``diff`` and the
 printed form, all on exponent tuples.  ``eval_graph`` is the depth-first
 walker on top of it, which sorts the index tuple of every vertex factor
 before its cache lookup and rebuilds every leaf's coefficient as a new sum.
-``gamma2`` is the second generator's index formula as four nested loops,
-one product per index assignment.  The packed oracle of
-``tetraflow.poisson`` must agree with all three exactly.
+``gamma1`` and ``gamma2`` are the generators' index formulas as four nested
+loops, one product per index assignment, each derivative taken where it is
+used.  The packed oracle of ``tetraflow.poisson`` must agree with all of
+them exactly.
 """
 
 from fractions import Fraction
@@ -218,6 +219,30 @@ def packed_operator(dim: int, terms: dict) -> PolyOperator:
     out = PolyOperator(dim)
     for key, p in terms.items():
         out.add(key, p.packed())
+    return out
+
+
+def gamma1(P: PolyMultivector) -> PolyMultivector:
+    """First tetrahedral generator, summed term by term in four nested loops
+    over the stored components and the nonzero index pairs."""
+    out = PolyMultivector(P.dim, 2)
+    signed = _signed_pairs(P)
+    for (i, j), pij in sorted(P.comps.items()):
+        for k, kp in signed:
+            t1 = pij.diff(k)
+            if t1.is_zero():
+                continue
+            for l, lp in signed:
+                t2 = t1.diff(l)
+                if t2.is_zero():
+                    continue
+                for mm, mp in signed:
+                    t3 = t2.diff(mm)
+                    if t3.is_zero():
+                        continue
+                    out.add_component((i, j), t3 * signed[k, kp].diff(lp)
+                                      * signed[l, lp].diff(mp)
+                                      * signed[mm, mp].diff(kp))
     return out
 
 

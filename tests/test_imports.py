@@ -9,7 +9,9 @@ types and text helpers: the coefficient writer and reader, the line and
 integer readers and the integer and text quotes, and so no arithmetic or
 normal form.  The algebra of graph sums, ``ops`` and ``leibniz``, takes
 nothing from the package but ``graphs``.  Every name a module imports at its top is used in it, so a
-deleted copy leaves no stale import behind.
+deleted copy leaves no stale import behind.  The same walk over the source
+pins where a few helpers are used: ``int``, the oracle's ``diff`` and its
+exponent guard.
 """
 
 import ast
@@ -114,22 +116,51 @@ def test_every_module_level_import_is_used():
     assert unused == {}
 
 
+def uses(accept, module: str = "*") -> list[tuple[str, str | None]]:
+    """(module, scope) for each node of the package source that ``accept``
+    takes, in source order; the scope is the outermost enclosing function,
+    ``Class.method`` for a method, or None at the top of the module."""
+    found = []
+    for path in sorted(PACKAGE.glob(f"{module}.py")):
+
+        def visit(node, scope, in_function):
+            for child in ast.iter_child_nodes(node):
+                if not in_function and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                          ast.ClassDef)):
+                    name = child.name if scope is None else f"{scope}.{child.name}"
+                    visit(child, name, not isinstance(child, ast.ClassDef))
+                    continue
+                if accept(child):
+                    found.append((path.stem, scope))
+                visit(child, scope, in_function)
+
+        visit(ast.parse(path.read_text(), str(path)), None, False)
+    return found
+
+
 def test_the_one_int_call_is_in_parse_ints():
     """``int`` alone would also take underscores and other scripts' digits,
     so every integer of the text formats is read by ``graphs.parse_ints``,
     and ``int`` is called nowhere else in the package."""
-    calls = []
-    for path in sorted(PACKAGE.glob("*.py")):
-
-        def visit(node, function):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    visit(child, child.name)
-                    continue
-                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                        and child.func.id == "int"):
-                    calls.append((path.stem, function))
-                visit(child, function)
-
-        visit(ast.parse(path.read_text(), str(path)), None)
+    calls = uses(lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "int")
     assert calls == [("graphs", "parse_ints")]
+
+
+def test_the_generators_differentiate_only_through_their_table():
+    """``gamma1`` and ``gamma2`` read every derivative off
+    ``poisson._derivatives``; the contraction's memo, the Schouten bracket's
+    per-index memo and the Jacobian structure take their own."""
+    calls = uses(lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "diff", "poisson")
+    assert {scope for _, scope in calls} == {"_derivatives", "eval_graph",
+                                             "_add_right_derivative_terms", "jacobian_bracket"}
+
+
+def test_the_exponent_guard_is_read_by_the_two_product_paths():
+    """``poisson._guard_mask`` is read only by the one product loop and by
+    the monomial path of ``*``, so no product escapes the exponent guard
+    through a loop of its own."""
+    reads = uses(lambda node: isinstance(node, ast.Name) and node.id == "_guard_mask"
+                 and isinstance(node.ctx, ast.Load), "poisson")
+    assert {scope for _, scope in reads} == {"_mul_into", "Polynomial.__mul__"}

@@ -14,7 +14,7 @@ from tetraflow.leibniz import expand_terms
 from tetraflow.ops import GAMMA1, tetra_flow
 from tetraflow.poisson import (MAX_EXPONENT, Polynomial, PolyMultivector, PolyOperator, _eval_terms,
                                _refined, _sink_class, eval_graph, eval_graph_sum,
-                               factorization_identity_check, gamma2, jacobi_check,
+                               factorization_identity_check, gamma1, gamma2, jacobi_check,
                                random_bivector, sparse_random_bivector)
 
 
@@ -170,6 +170,12 @@ IDENTITY_CHECK_PRODUCTS = 5_287
 # products; the four nested loops of ``oracle_reference.gamma2`` multiply
 # 9,525 in 1,686.  This bound may only go down.
 GAMMA2_TERM_PAIRS = 4_636
+# ``Polynomial.diff`` calls ``gamma1`` makes on random_bivector(3, 4,
+# Random(3)): its ``_derivatives`` table to order 3, 18 + 54 + 162 entries on
+# the six nonzero index pairs; the four nested loops of
+# ``oracle_reference.gamma1``, deriving in the innermost loop, make 2,718.
+# This bound may only go down.
+GAMMA1_DIFF_CALLS = 234
 # Contractions (``eval_graph`` calls) of one identity check on
 # SPARSE_MONOMIAL[0] and of the 39 graphs: one per class of graphs that
 # differ only by their sink labels and the order of their pairs, of the 39
@@ -212,10 +218,10 @@ def count_products(monkeypatch) -> list[int]:
         finally:
             inside[0] = False
 
-    def counted_into(out, a, b, rows=None):
+    def counted_into(out, a, b):
         if not inside[0]:
             count(a, b)
-        return multiply_into(out, a, b, rows)
+        return multiply_into(out, a, b)
 
     monkeypatch.setattr(Polynomial, "__mul__", counted)
     monkeypatch.setattr(poisson, "_mul_into", counted_into)
@@ -239,14 +245,36 @@ def test_gamma2_term_pair_count(monkeypatch):
     assert counts[1] <= GAMMA2_TERM_PAIRS
 
 
+def test_gamma1_diff_count(monkeypatch):
+    """Work-count gate: ``gamma1`` takes each derivative once, from its
+    ``_derivatives`` table, counted through a wrapper around
+    ``Polynomial.diff``."""
+    calls = [0]
+    diff = Polynomial.diff
+
+    def counted(p, i):
+        calls[0] += 1
+        return diff(p, i)
+
+    P = random_bivector(3, 4, random.Random(3))
+    monkeypatch.setattr(Polynomial, "diff", counted)
+    assert not gamma1(P).is_zero()
+    assert calls[0] <= GAMMA1_DIFF_CALLS
+
+
 @pytest.mark.parametrize("d, degree", [(d, k) for d in (2, 3, 4) for k in (1, 2, 3)])
 def test_gamma2_matches_four_loop_reference(d, degree):
-    """The factored ``gamma2`` against the four nested loops of its index
-    formula, line for line, on seeded dense d = 2, 3 and sparse d = 4
-    bi-vectors."""
+    """Both generators, ``gamma1`` from its derivative table and the
+    factored ``gamma2``, against the four nested loops of their index
+    formulas, line for line, on the same seeded dense d = 2, 3 and sparse
+    d = 4 bi-vectors.  ``gamma1`` reads third derivatives, so it is nonzero
+    exactly on the draws of degree 3."""
     rng = random.Random(7100 + 10 * d + degree)
     for _ in range(8):
         P = random_bivector(d, degree, rng) if d <= 3 else sparse_random_bivector(d, degree, rng)
+        g1 = gamma1(P)
+        assert g1.lines() == ref.gamma1(P).lines()
+        assert g1.is_zero() == (degree < 3)
         assert gamma2(P).lines() == ref.gamma2(P).lines()
 
 
