@@ -8,10 +8,9 @@ independent polynomial oracle for cross-checking everything on concrete
 structures.
 """
 
-from .graphs import (GraphError, GraphSum, KontsevichGraph, NormalForm,
-                     format_graph_line, normal_form, parse_graph_line,
-                     parse_lines, read_graph_lines, read_graph_sum,
-                     serialize_graph)
+from .graphs import (GraphError, GraphSum, KontsevichGraph, format_graph_line,
+                     normal_form, parse_graph_line, parse_lines,
+                     read_graph_lines, read_graph_sum)
 from .ops import (GAMMA1, GAMMA2_PRIME, WEDGE, insert_terms, lhs_trivector,
                   one_vector_graphs, schouten_bracket, skew_symmetrize,
                   tetra_flow, wedge_sum)

@@ -53,10 +53,9 @@ def cmd_normalize(args) -> int:
     rows = read_graph_lines(_read_text(args.infile))
     lines = []
     for g, c in rows:
-        nf = normal_form(g)
-        if nf.sign:
-            lines.append(format_graph_line(nf.sink_count, nf.internal_count,
-                                           nf.encoding, c * nf.sign))
+        key, sign = normal_form(g)
+        if sign:
+            lines.append(format_graph_line(*key, c * sign))
     _write_lines(args.outfile, lines)
     return 0
 

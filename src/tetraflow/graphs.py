@@ -96,19 +96,13 @@ def sink_images(x):
         yield sign, x.permute_sinks(sigma)
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    sink_count: int
-    internal_count: int
-    encoding: tuple[int, ...]
-    sign: int  # +1, -1, or 0 for self-antisymmetric graphs
+_NF_CACHE: dict[tuple, tuple[tuple, int]] = {}
 
 
-_NF_CACHE: dict[tuple[int, int, tuple[int, ...]], NormalForm] = {}
-
-
-def normal_form(g: KontsevichGraph) -> NormalForm:
-    """Orbit-minimal encoding of ``g`` under internal relabellings and edge swaps.
+def normal_form(g: KontsevichGraph) -> tuple[tuple, int]:
+    """(key, sign): the orbit-minimal encoding of ``g`` under internal
+    relabellings and edge swaps, as the key ``(m, n, encoding)`` a
+    ``GraphSum`` stores, and the sign of ``g`` against that graph.
 
     The encoding is the lexicographically smallest flattened target sequence
     over the n! * 2^n group; each left/right swap used contributes a factor
@@ -118,14 +112,14 @@ def normal_form(g: KontsevichGraph) -> NormalForm:
     double edge returns the empty encoding at once.
     """
     key = g.key
-    nf = _NF_CACHE.get(key)
-    if nf is None:
-        nf = _NF_CACHE[key] = _graph_labelling(g, False)
-    return nf
+    form = _NF_CACHE.get(key)
+    if form is None:
+        form = _NF_CACHE[key] = _graph_labelling(g, False)
+    return form
 
 
-def orbit_normal_form(g: KontsevichGraph) -> NormalForm:
-    """``normal_form`` minimized over the m! sink permutations as well.
+def orbit_normal_form(g: KontsevichGraph) -> tuple[tuple, int]:
+    """``normal_form``'s (key, sign), minimized over the m! sink permutations as well.
 
     The encoding is the least ``normal_form`` encoding of ``g.permute_sinks``
     over all sigma, the representative of the signed sink-permutation orbit
@@ -139,11 +133,12 @@ def orbit_normal_form(g: KontsevichGraph) -> NormalForm:
     return _graph_labelling(g, True)
 
 
-def _graph_labelling(g: KontsevichGraph, sinks: bool) -> NormalForm:
+def _graph_labelling(g: KontsevichGraph, sinks: bool) -> tuple[tuple, int]:
     m, n = g.sink_count, g.internal_count
     if any(a == b for a, b in g.targets):
-        return NormalForm(m, n, (), 0)
-    return NormalForm(m, n, *_least_labelling(m, g.targets, sinks))
+        return (m, n, ()), 0
+    enc, sign = _least_labelling(m, g.targets, sinks)
+    return (m, n, enc), sign
 
 
 def _least_labelling(m: int, targets: tuple, sinks: bool) -> tuple[tuple[int, ...], int]:
@@ -465,12 +460,12 @@ class GraphSum:
         if c:
             self.add_form(normal_form(g), c)
 
-    def add_form(self, nf: NormalForm, c: Fraction | int) -> None:
-        """Add ``c`` times the graph of the canonical form ``nf``: sign * c
-        at its key, nothing when the sign is 0."""
-        if nf.sign:
-            add_term(self.terms, (nf.sink_count, nf.internal_count, nf.encoding),
-                     Fraction(c * nf.sign))
+    def add_form(self, form: tuple[tuple, int], c: Fraction | int) -> None:
+        """Add ``c`` times the graph of the canonical form ``(key, sign)``:
+        sign * c at the key, nothing when the sign is 0."""
+        key, sign = form
+        if sign:
+            add_term(self.terms, key, Fraction(c * sign))
 
     def add_sum(self, other: "GraphSum", scale: Fraction | int = 1) -> None:
         if not scale:
@@ -509,8 +504,8 @@ class GraphSum:
         return sorted(self.terms.items())
 
     def graphs(self):
-        for (m, n, enc), c in self.items():
-            yield graph_from_encoding(m, n, enc), c
+        for key, c in self.items():
+            yield graph_from_encoding(*key), c
 
     def signatures(self) -> set[tuple[int, int]]:
         return {(m, n) for (m, n, _) in self.terms}
@@ -523,8 +518,7 @@ class GraphSum:
         return counts.pop() if counts else 0
 
     def serialize(self) -> str:
-        return "".join(format_graph_line(m, n, enc, c) + "\n"
-                       for (m, n, enc), c in self.items())
+        return "".join(format_graph_line(*key, c) + "\n" for key, c in self.items())
 
     @staticmethod
     def single(g: KontsevichGraph, c: Fraction | int = 1) -> "GraphSum":
@@ -641,10 +635,6 @@ def parse_graph_line(line: str) -> tuple[KontsevichGraph, Fraction]:
 def format_graph_line(m: int, n: int, encoding, c: Fraction) -> str:
     """The ``m n t1 ... t_{2n} coeff`` line of one graph term."""
     return " ".join([str(m), str(n), *map(str, encoding), format_coeff(c)])
-
-
-def serialize_graph(g: KontsevichGraph, c: Fraction) -> str:
-    return format_graph_line(*g.key, c)
 
 
 def parse_lines(text: str, parse) -> list:

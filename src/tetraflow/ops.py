@@ -76,8 +76,8 @@ def alternation(s: GraphSum) -> GraphSum:
     """Plain signed sum of each term of ``s`` over the permutations of its
     sinks (no 1/m!)."""
     out = GraphSum()
-    for (mm, nn, enc), c in s.terms.items():
-        for sign, g in sink_images(graph_from_encoding(mm, nn, enc)):
+    for key, c in s.terms.items():
+        for sign, g in sink_images(graph_from_encoding(*key)):
             out.add_graph(g, c * sign)
     return out
 
@@ -90,7 +90,7 @@ def skew_symmetrize(s: GraphSum) -> GraphSum:
 
 def orbit_sum(terms) -> GraphSum:
     """The sum of c * sign * representative over labelled terms ``(g, c)``,
-    (representative, sign) being ``orbit_normal_form(g)``.
+    (key of the representative, sign) being ``orbit_normal_form(g)``.
 
     Its keys are orbit representatives and its ``alternation`` equals the
     alternation of the sum of the terms: these are the orbit coordinates of
@@ -186,8 +186,8 @@ def one_vector_graphs(internal: int = 3, tadpoles: bool = True) -> list[Kontsevi
         g = KontsevichGraph(m, internal, pairs)
         if not g.is_multivector_term():
             continue
-        nf = normal_form(g)
-        if nf.sign != 0 and nf.encoding not in seen:
-            seen[nf.encoding] = graph_from_encoding(m, internal, nf.encoding)
+        key, sign = normal_form(g)
+        if sign and key not in seen:
+            seen[key] = graph_from_encoding(*key)
     return [seen[k] for k in sorted(seen)]
 

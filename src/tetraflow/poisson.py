@@ -790,22 +790,23 @@ def _derivatives(comps: dict, idx: list[int], order: int) -> list[dict]:
 
 
 def gamma1(P: PolyMultivector) -> PolyMultivector:
-    """First tetrahedral generator, from its index formula, over one
-    ``_derivatives`` table:
+    """First tetrahedral generator, from its index formula, over
+    ``_derivatives`` tables: first derivatives on both index orders of every
+    component, third ones on the stored components alone, whose G^{ij} it adds:
 
         G^{ij} = sum d_k d_l d_mm P^{ij} . d_lp P^{k kp} . d_mp P^{l lp} . d_kp P^{mm mp}."""
     signed = _signed_pairs(P)
     # every index of the formula is one of a nonzero pair, so the
     # derivatives are taken by those indices alone
     idx = sorted({i for i, _ in signed})
-    d1, _, d3 = _derivatives(signed, idx, 3)
+    (d1,) = _derivatives(signed, idx, 1)
+    d3 = _derivatives(P.comps, idx, 3)[2]
     out = PolyMultivector(P.dim, 2)
     for ((i, j), k, l, mm), t3 in d3.items():
-        if i < j:  # each stored component once
-            for kp, lp, mp in product(idx, repeat=3):
-                a, b, c = d1.get(((k, kp), lp)), d1.get(((l, lp), mp)), d1.get(((mm, mp), kp))
-                if a and b and c:
-                    out.add_component((i, j), t3 * a * b * c)
+        for kp, lp, mp in product(idx, repeat=3):
+            a, b, c = d1.get(((k, kp), lp)), d1.get(((l, lp), mp)), d1.get(((mm, mp), kp))
+            if a and b and c:
+                out.add_component((i, j), t3 * a * b * c)
     return out
 
 

@@ -76,7 +76,7 @@ def collect_skew_orbits(s: GraphSum) -> list[tuple[tuple[int, int, tuple[int, ..
     validate_multivector(s)
     lam = skew_coordinates(s)
     if lam is None:
-        if any(orbit_normal_form(g).sign == 0 for g, _ in s.graphs()):
+        if any(orbit_normal_form(g)[1] == 0 for g, _ in s.graphs()):
             raise GraphError("sum is not totally antisymmetric: orphan orbit")
         raise GraphError("sum is not totally antisymmetric: orbit mismatch")
     return [(key, c * PRESENTATION_SCALE) for key, c in lam.items()]

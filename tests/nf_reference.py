@@ -7,21 +7,21 @@ permutations are implied by sorting each tuple) and keeps the
 lexicographically smallest sequence, with the sign-0 rule for a minimum
 reached with both parities.  The library's pruned search must agree with it
 exactly, and its orbit form with the minimum of this one over the sink
-permutations.
+permutations.  Each returns (key, sign), the shape of the library's forms.
 """
 
 from itertools import permutations
 
-from tetraflow.graphs import KontsevichGraph, NormalForm, perm_sign, sink_images
+from tetraflow.graphs import KontsevichGraph, perm_sign, sink_images
 from tetraflow.leibniz import LeibnizGraph
 
 
-def brute_normal_form(g: KontsevichGraph) -> NormalForm:
+def brute_normal_form(g: KontsevichGraph) -> tuple[tuple, int]:
     m, n = g.sink_count, g.internal_count
     targets = g.targets
     for a, b in targets:
         if a == b:
-            return NormalForm(m, n, (), 0)
+            return (m, n, ()), 0
     best = None
     best_parity = 0
     zero = False
@@ -43,26 +43,17 @@ def brute_normal_form(g: KontsevichGraph) -> NormalForm:
             best, best_parity, zero = seq, parity, False
         elif seq == best and parity != best_parity:
             zero = True
-    return NormalForm(m, n, best, 0 if zero else (1 if best_parity == 0 else -1))
+    return (m, n, best), 0 if zero else (1 if best_parity == 0 else -1)
 
 
-def brute_orbit_normal_form(g: KontsevichGraph) -> NormalForm:
+def brute_orbit_normal_form(g: KontsevichGraph) -> tuple[tuple, int]:
     """``brute_normal_form`` minimized over all m! sink permutations.
 
     Each permutation attaining the minimum has the orbit sign sign(sigma)
     times its normal-form sign; the result's sign is 0 when the normal form
     is self-antisymmetric or when the minimum is attained with both signs.
     """
-    m = g.sink_count
-    best = None
-    signs = set()
-    for sigma in permutations(range(m)):
-        nf = brute_normal_form(g.permute_sinks(sigma))
-        if best is None or nf.encoding < best:
-            best, signs = nf.encoding, set()
-        if nf.encoding == best:
-            signs.add(nf.sign * perm_sign(sigma))
-    return NormalForm(m, g.internal_count, best, signs.pop() if signs in ({1}, {-1}) else 0)
+    return _least_over_sinks(brute_normal_form, g)
 
 
 def brute_leibniz_normal_form(L: LeibnizGraph) -> tuple[tuple, int]:
@@ -105,19 +96,25 @@ def brute_leibniz_normal_form(L: LeibnizGraph) -> tuple[tuple, int]:
 def brute_leibniz_orbit_normal_form(L: LeibnizGraph) -> tuple[tuple, int]:
     """``brute_leibniz_normal_form`` minimized over every sink image of
     ``L``, with the sign rule of ``brute_orbit_normal_form``."""
+    return _least_over_sinks(brute_leibniz_normal_form, L)
+
+
+def _least_over_sinks(form, x) -> tuple[tuple, int]:
+    """The least (key, sign) of ``form`` over the sink images of ``x``, the
+    sign 0 unless every image reaching the key gives one sign."""
     best = None
     signs = set()
-    for sigma_sign, image in sink_images(L):
-        enc, sign = brute_leibniz_normal_form(image)
-        if best is None or enc < best:
-            best, signs = enc, set()
-        if enc == best:
+    for sigma_sign, image in sink_images(x):
+        key, sign = form(image)
+        if best is None or key < best:
+            best, signs = key, set()
+        if key == best:
             signs.add(sign * sigma_sign)
     return best, signs.pop() if signs in ({1}, {-1}) else 0
 
 
 def brute_minimizer_parities(g: KontsevichGraph, sinks: bool) -> tuple[tuple, list[int]]:
-    """(least encoding, the parity of every labelling that reaches it) over
+    """(least key, the parity of every labelling that reaches it) over
     every relabelling of the internal vertices of ``g`` and, with ``sinks``,
     every sink permutation, whose sign joins the parity; ``g`` has no double
     edge.  The labellings that reach the minimum are one of them composed
@@ -142,7 +139,7 @@ def brute_minimizer_parities(g: KontsevichGraph, sinks: bool) -> tuple[tuple, li
                 best, parities = seq, []
             if seq == best:
                 parities.append(int(parity))
-    return best, parities
+    return (m, n, best), parities
 
 
 def brute_leibniz_minimizer_parities(L: LeibnizGraph, sinks: bool) -> tuple[tuple, list[int]]:

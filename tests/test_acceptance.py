@@ -53,11 +53,7 @@ def test_criterion_1_lhs_reproduction(tmp_path, lhs39):
 
     mine = dict(collect_skew_orbits(lhs39))
 
-    def orbit_min(g):
-        nf = brute_orbit_normal_form(g)
-        return (nf.sink_count, nf.internal_count, nf.encoding)
-
-    table2_orbits = {orbit_min(g): c for g, c in skew_rows}
+    table2_orbits = {brute_orbit_normal_form(g)[0]: c for g, c in skew_rows}
     ok = ok and set(table2_orbits) == set(mine)
     ok = ok and all(abs(mine[k]) == abs(c) for k, c in table2_orbits.items())
     finish(1, ok, "39-graph tri-vector and 9-orbit collection", t0, 10)
@@ -70,10 +66,10 @@ def test_criterion_2_factorization_verification(tmp_path, lhs39):
     ok = len(terms) == 201
 
     def keyed(g, c):
-        nf = normal_form(g)
-        if nf.sign == 0:
-            return ("zero", nf.encoding, abs(c))
-        return (nf.encoding, c * nf.sign)
+        key, sign = normal_form(g)
+        if sign == 0:
+            return ("zero", key, abs(c))
+        return (key, c * sign)
 
     mine = Counter(keyed(g, c) for _, c, g in terms)
     theirs = Counter(keyed(g, c) for g, c in reference.expansion_rows())
@@ -226,12 +222,12 @@ def test_criterion_10_property_suites(ansatz, reference_P):
                 pair = (pair[1], pair[0])
             pairs[perm[k]] = pair
         h = KontsevichGraph(m, n, tuple(pairs))
-        nf_g, nf_h = normal_form(g), normal_form(h)
-        if nf_g.sign == 0:
-            ok = ok and nf_h.sign == 0
+        (key_g, sign_g), (key_h, sign_h) = normal_form(g), normal_form(h)
+        if sign_g == 0:
+            ok = ok and sign_h == 0
         else:
-            ok = ok and nf_h.encoding == nf_g.encoding
-            ok = ok and nf_h.sign == nf_g.sign * (-1) ** sum(flips)
+            ok = ok and key_h == key_g
+            ok = ok and sign_h == sign_g * (-1) ** sum(flips)
 
     # Leibniz expansion counts over the whole linear family (1132 cases)
     for L in ansatz:
@@ -284,6 +280,6 @@ def _bivector_graphs():
         pair_sets = list(combinations(range(m + n), 2))
         for pairs in product(pair_sets, repeat=n):
             g = KontsevichGraph(m, n, tuple(pairs))
-            if g.is_multivector_term() and normal_form(g).sign != 0:
+            if g.is_multivector_term() and normal_form(g)[1] != 0:
                 out.append(g)
     return out

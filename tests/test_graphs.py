@@ -9,15 +9,14 @@ from hypothesis import given, settings, strategies as st
 from tetraflow import reference
 from tetraflow.graphs import (MAX_INTERNAL, MAX_SINKS, GraphError,
                               GraphSum, KontsevichGraph, _prefix_exceeds,
-                              graph_from_encoding, normal_form,
+                              format_graph_line, graph_from_encoding, normal_form,
                               orbit_normal_form, parse_graph_line, parse_lines,
-                              read_graph_lines, read_graph_sum, serialize_graph,
-                              sink_images)
+                              read_graph_lines, read_graph_sum, sink_images)
 from tetraflow.leibniz import (LeibnizGraph, expand, expand_terms, generate_ansatz_linear,
                                generate_ansatz_quadratic, generate_bivector_leibniz,
                                jacobiator_sum, leibniz_normal_form, leibniz_orbit_normal_form,
                                parse_leibniz_line)
-from tetraflow.ops import alternation, wedge_sum
+from tetraflow.ops import alternation, orbit_sum, wedge_sum
 
 from conftest import under_hash_seeds
 from nf_reference import (brute_leibniz_minimizer_parities, brute_leibniz_normal_form,
@@ -65,30 +64,37 @@ def test_graph_line_size_limits():
 
 def test_normal_form_swap_sign():
     swapped = KontsevichGraph(2, 1, ((1, 0),))
-    nf = normal_form(swapped)
-    assert nf.encoding == (0, 1) and nf.sign == -1
+    assert normal_form(swapped) == ((2, 1, (0, 1)), -1)
 
 
 def test_double_edge_is_zero():
     g = KontsevichGraph(2, 1, ((0, 0),))
-    assert normal_form(g).sign == 0
+    assert normal_form(g) == ((2, 1, ()), 0)
 
 
 def test_wedge_on_two_wedges_is_zero():
     # top wedge onto two wedges that share the same two sinks
     g = KontsevichGraph(2, 3, ((3, 4), (0, 1), (0, 1)))
-    assert normal_form(g).sign == 0
+    assert normal_form(g)[1] == 0
 
 
 def test_normal_form_idempotent_on_reference_rows():
+    """Every canonical form is (key, sign), the key being what a sum stores:
+    the graph a key of the 39 rows encodes is its own form with sign 1, a
+    one-term graph sum and orbit sum store the key at the sign, and so do
+    the Leibniz forms of the 27 solution rows."""
     for g, _ in read_graph_lines(reference.table_text("lhs39")):
-        nf = normal_form(g)
-        canon = KontsevichGraph(
-            nf.sink_count, nf.internal_count,
-            tuple((nf.encoding[2 * k], nf.encoding[2 * k + 1])
-                  for k in range(nf.internal_count)))
-        nf2 = normal_form(canon)
-        assert nf2.encoding == nf.encoding and nf2.sign == 1
+        key, sign = normal_form(g)
+        assert sign
+        assert normal_form(graph_from_encoding(*key)) == (key, 1)
+        assert GraphSum.single(g).terms == {key: sign}
+        key, sign = orbit_normal_form(g)
+        assert sign
+        assert orbit_sum([(g, 1)]).terms == {key: sign}
+    for L, _ in reference.solution_rows():
+        key, sign = leibniz_normal_form(L)
+        assert sign
+        assert leibniz_normal_form(LeibnizGraph(*key)) == (key, 1)
 
 
 @pytest.mark.slow
@@ -98,17 +104,17 @@ def test_normal_form_matches_brute_force_on_ansatz_graphs(monkeypatch):
     computed = {}
 
     def record(g):
-        nf = computed[g.key] = normal_form(g)
-        return nf
+        form = computed[g.key] = normal_form(g)
+        return form
 
     monkeypatch.setattr("tetraflow.graphs.normal_form", record)
     for L in generate_ansatz_linear():
         alternation(expand(L))
     monkeypatch.undo()
     assert len(computed) > 28000
-    for key, nf in computed.items():
-        assert nf == brute_normal_form(graph_from_encoding(*key)), key
-    assert any(nf.sign == 0 and nf.encoding for nf in computed.values())
+    for key, form in computed.items():
+        assert form == brute_normal_form(graph_from_encoding(*key)), key
+    assert any(sign == 0 and key[2] for key, sign in computed.values())
 
 
 @pytest.mark.slow
@@ -119,9 +125,9 @@ def test_normal_form_matches_brute_force_on_random_graphs():
         m, n = rng.randint(0, 3), rng.randint(0, 5)
         g = KontsevichGraph(m, n, tuple((rng.randrange(m + n), rng.randrange(m + n))
                                         for _ in range(n)))
-        nf = normal_form(g)
-        assert nf == brute_normal_form(g), g
-        self_antisymmetric += nf.sign == 0 and nf.encoding != ()
+        key, sign = normal_form(g)
+        assert (key, sign) == brute_normal_form(g), g
+        self_antisymmetric += sign == 0 and key[2] != ()
     assert self_antisymmetric > 0
 
 
@@ -138,9 +144,9 @@ def test_orbit_normal_form_matches_brute_force_on_ansatz_terms():
     assert len(terms) > 9000
     vanishing = 0
     for key, g in terms.items():
-        nf = orbit_normal_form(g)
-        assert nf == brute_orbit_normal_form(g), key
-        if nf.sign == 0:
+        form = orbit_normal_form(g)
+        assert form == brute_orbit_normal_form(g), key
+        if form[1] == 0:
             vanishing += 1
             assert not alternation(GraphSum.single(g)), key
     assert vanishing > 0
@@ -155,13 +161,13 @@ def test_orbit_normal_form_matches_brute_force_on_random_graphs():
         m, n = rng.randint(0, 4), rng.randint(0, 5)
         g = KontsevichGraph(m, n, tuple((rng.randrange(m + n), rng.randrange(m + n))
                                         for _ in range(n)))
-        nf = orbit_normal_form(g)
-        assert nf == brute_orbit_normal_form(g), g
+        key, sign = orbit_normal_form(g)
+        assert (key, sign) == brute_orbit_normal_form(g), g
         degrees = g.sink_in_degrees()
         seen["untargeted sink"] += degrees.count(0) == 1
         seen["two untargeted sinks"] += degrees.count(0) >= 2
         seen["sink of in-degree 2"] += 2 in degrees
-        if nf.sign == 0 and nf.encoding:
+        if sign == 0 and key[2]:
             seen["sign 0"] += 1
             assert not alternation(GraphSum.single(g)), g
     assert min(seen.values()) >= 100, seen
@@ -174,12 +180,11 @@ def test_orbit_normal_form_sign_carries_the_alternation():
     g = KontsevichGraph(3, 5, ((4, 2), (0, 1), (4, 6), (4, 7), (4, 5)))
     cases = [g, g.permute_sinks((1, 0, 2)), KontsevichGraph(3, 2, ((0, 4), (3, 0)))]
     forms = [orbit_normal_form(h) for h in cases]
-    for h, nf in zip(cases, forms):
-        rep = graph_from_encoding(nf.sink_count, nf.internal_count, nf.encoding)
+    for h, (key, sign) in zip(cases, forms):
         assert (alternation(GraphSum.single(h))
-                == alternation(GraphSum.single(rep)).scaled(nf.sign))
-    assert forms[0].encoding == forms[1].encoding
-    assert forms[0].sign == -forms[1].sign != 0 and forms[2].sign == 0
+                == alternation(GraphSum.single(graph_from_encoding(*key))).scaled(sign))
+    assert forms[0][0] == forms[1][0]
+    assert forms[0][1] == -forms[1][1] != 0 and forms[2][1] == 0
 
 
 def encoding_digest(encoding) -> str:
@@ -245,9 +250,9 @@ def test_orbit_search_prunes_the_six_sink_line(monkeypatch):
     forms = {orbit_normal_form(g) for g in terms}
     assert time.perf_counter() - start < 1.5
     assert len(prefixes) <= 13_824
-    (nf,) = forms
-    assert nf.sign == 0
-    assert encoding_digest(nf.encoding) == (
+    ((key, sign),) = forms
+    assert sign == 0
+    assert encoding_digest(key[2]) == (
         "38f4ee77d52d390ad1dab2fd651248631665bd1e3ab55a9ba92f959e5d10d569")
 
 
@@ -262,11 +267,11 @@ def test_orbit_search_prunes_eight_vertices_on_one_pair(monkeypatch, form, sign)
     monkeypatch.setattr("tetraflow.graphs._NF_CACHE", {})
     prefixes = count_prefix_checks(monkeypatch)
     start = time.perf_counter()
-    nf = form(g)
+    key, found = form(g)
     assert time.perf_counter() - start < 1.5
     assert len(prefixes) <= (168 if form is normal_form else 175)
-    assert nf.sign == sign
-    assert encoding_digest(nf.encoding) == (
+    assert found == sign
+    assert encoding_digest(key[2]) == (
         "f84655788703a1a6382e32f41213a9bd0664d1cbff697e5ceffacbb75b03d1dd")
 
 
@@ -375,25 +380,23 @@ def test_forms_match_brute_force_on_symmetric_graphs():
         seen["sign +-1, tied"] += len(parities) >= 2 and sign != 0
         assert sign == (0 if len(set(parities)) == 2 else (-1) ** parities[0])
 
+    def check(x, forms, minimizer):
+        for form, brute, sinks in forms:
+            key, sign = form(x)
+            assert (key, sign) == brute(x), x
+            best, parities = minimizer(x, sinks)
+            assert best == key
+            tally(parities, sign)
+
     families = set()
     for family, g in symmetric_graphs(rng):
         families.add(family)
-        for form, brute, sinks in ((normal_form, brute_normal_form, False),
-                                   (orbit_normal_form, brute_orbit_normal_form, True)):
-            nf = form(g)
-            assert nf == brute(g), (family, g)
-            encoding, parities = brute_minimizer_parities(g, sinks)
-            assert encoding == nf.encoding
-            tally(parities, nf.sign)
+        check(g, ((normal_form, brute_normal_form, False),
+                  (orbit_normal_form, brute_orbit_normal_form, True)), brute_minimizer_parities)
     for L in symmetric_leibniz_graphs(rng):
-        for form, brute, sinks in ((leibniz_normal_form, brute_leibniz_normal_form, False),
-                                   (leibniz_orbit_normal_form, brute_leibniz_orbit_normal_form,
-                                    True)):
-            encoding, sign = form(L)
-            assert (encoding, sign) == brute(L), L
-            best, parities = brute_leibniz_minimizer_parities(L, sinks)
-            assert best == encoding
-            tally(parities, sign)
+        check(L, ((leibniz_normal_form, brute_leibniz_normal_form, False),
+                  (leibniz_orbit_normal_form, brute_leibniz_orbit_normal_form, True)),
+              brute_leibniz_minimizer_parities)
     assert families == {"one pair", "wedge on wedge", "cycle", "sink-symmetric",
                         "triangle and cycle", "permutation orbits"}
     assert min(seen.values()) >= 20, seen
@@ -443,12 +446,12 @@ def test_orbit_soundness(g, rnd):
             pair = (pair[1], pair[0])
         pairs[perm[k]] = pair
     h = KontsevichGraph(m, n, tuple(pairs))
-    nf_g, nf_h = normal_form(g), normal_form(h)
-    if nf_g.sign == 0:
-        assert nf_h.sign == 0
+    (key_g, sign_g), (key_h, sign_h) = normal_form(g), normal_form(h)
+    if sign_g == 0:
+        assert sign_h == 0
     else:
-        assert nf_h.encoding == nf_g.encoding
-        assert nf_h.sign == nf_g.sign * (-1) ** sum(flips)
+        assert key_h == key_g
+        assert sign_h == sign_g * (-1) ** sum(flips)
 
 
 def test_add_zero_graph():
@@ -481,7 +484,7 @@ def test_round_trip_reference_tables():
     for name in ("lhs39", "skew9", "expansion201"):
         for line in parse_lines(reference.table_text(name), str):
             g, c = parse_graph_line(line)
-            assert serialize_graph(g, c) == line
+            assert format_graph_line(*g.key, c) == line
 
 
 def test_parse_lines_skips_comments_and_numbers_lines():

@@ -11,7 +11,7 @@ normal form.  The algebra of graph sums, ``ops`` and ``leibniz``, takes
 nothing from the package but ``graphs``.  Every name a module imports at its top is used in it, so a
 deleted copy leaves no stale import behind.  The same walk over the source
 pins where a few helpers are used: ``int``, the oracle's ``diff`` and its
-exponent guard.
+exponent guard, the normal-form cache and the canonical search.
 """
 
 import ast
@@ -164,3 +164,24 @@ def test_the_exponent_guard_is_read_by_the_two_product_paths():
     reads = uses(lambda node: isinstance(node, ast.Name) and node.id == "_guard_mask"
                  and isinstance(node.ctx, ast.Load), "poisson")
     assert {scope for _, scope in reads} == {"_mul_into", "Polynomial.__mul__"}
+
+
+def test_the_normal_form_cache_is_named_only_by_normal_form():
+    """``graphs._NF_CACHE`` is defined at the top of ``graphs`` and named
+    nowhere in the package but ``graphs.normal_form``, so no other path
+    reads a form that ``normal_form`` did not store or stores one of its
+    own."""
+    names = uses(lambda node: isinstance(node, ast.Name) and node.id == "_NF_CACHE"
+                 or isinstance(node, ast.Attribute) and node.attr == "_NF_CACHE")
+    assert names[0] == ("graphs", None)
+    assert set(names[1:]) == {("graphs", "normal_form")}
+
+
+def test_the_canonical_search_has_one_caller_per_graph_kind():
+    """``graphs._least_labelling`` is called by ``graphs._graph_labelling``
+    and ``leibniz._leibniz_labelling`` alone, so every canonical form of
+    either graph kind is built from its result in one place."""
+    calls = uses(lambda node: isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "_least_labelling"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "_least_labelling"))
+    assert calls == [("graphs", "_graph_labelling"), ("leibniz", "_leibniz_labelling")]

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from tetraflow import graphs, reference
-from tetraflow.graphs import (MAX_INTERNAL, MAX_SINKS, GraphError, GraphSum, normal_form,
-                              parse_graph_line, parse_lines, serialize_graph, sink_images)
+from tetraflow.graphs import (MAX_INTERNAL, MAX_SINKS, GraphError, GraphSum, format_graph_line,
+                              normal_form, parse_graph_line, parse_lines, sink_images)
 from tetraflow.leibniz import (LeibnizGraph, expand,
                                expand_combination, expand_terms, flatten_alternated,
                                generate_ansatz_linear,
@@ -75,7 +75,7 @@ def test_one_jacobiator_term_vanishes_in_cycle_entries():
             and any(a < 3 and b < 3 for a, b in L.wedge_targets)]
     assert len(trio) == 3
     for L, _ in trio:
-        signs = [normal_form(g).sign for g in expand_terms(L)]
+        signs = [normal_form(g)[1] for g in expand_terms(L)]
         assert signs.count(0) == 1 and len(signs) == 3
 
 
@@ -249,7 +249,7 @@ def test_placeholder_encoding_round_trip():
         hole = L.sink_count + L.wedge_count
         g, c2 = parse_graph_line(line)
         assert g.targets == L.wedge_targets + ((t1, t2), (hole, t3)) and c2 == c
-        assert serialize_graph(g, c) == " ".join(line.split())
+        assert format_graph_line(*g.key, c) == " ".join(line.split())
 
 
 def test_placeholder_line_is_a_graph_line_with_a_jacobiator():
@@ -308,10 +308,10 @@ def test_expansion_matches_reference_tables(lhs39):
     assert sum(len(expand_terms(L)) for L, _ in rows) == 201
 
     def keyed(g, c):
-        nf = normal_form(g)
-        if nf.sign == 0:
-            return ("zero", nf.encoding, abs(c))
-        return (nf.encoding, c * nf.sign)
+        key, sign = normal_form(g)
+        if sign == 0:
+            return ("zero", key, abs(c))
+        return (key, c * sign)
 
     mine = Counter()
     for L, c in rows:

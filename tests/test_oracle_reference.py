@@ -171,11 +171,12 @@ IDENTITY_CHECK_PRODUCTS = 5_287
 # 9,525 in 1,686.  This bound may only go down.
 GAMMA2_TERM_PAIRS = 4_636
 # ``Polynomial.diff`` calls ``gamma1`` makes on random_bivector(3, 4,
-# Random(3)): its ``_derivatives`` table to order 3, 18 + 54 + 162 entries on
-# the six nonzero index pairs; the four nested loops of
+# Random(3)): its first-order ``_derivatives`` table on the six nonzero index
+# pairs, 18 entries, and its table to order 3 on the three stored
+# components, 9 + 27 + 81; the four nested loops of
 # ``oracle_reference.gamma1``, deriving in the innermost loop, make 2,718.
 # This bound may only go down.
-GAMMA1_DIFF_CALLS = 234
+GAMMA1_DIFF_CALLS = 135
 # Contractions (``eval_graph`` calls) of one identity check on
 # SPARSE_MONOMIAL[0] and of the 39 graphs: one per class of graphs that
 # differ only by their sink labels and the order of their pairs, of the 39
