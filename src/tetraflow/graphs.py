@@ -11,7 +11,6 @@ holds the two targets of vertex ``m+k``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
@@ -21,14 +20,19 @@ class GraphError(ValueError):
     """Malformed graph data or text encoding."""
 
 
-@dataclass(frozen=True)
 class KontsevichGraph:
-    sink_count: int
-    internal_count: int
-    targets: tuple[tuple[int, int], ...]
+    """A graph as its three fields, checked on construction; equal graphs
+    have equal fields and hash as the tuple of them, so no field changes
+    after construction."""
 
-    def __post_init__(self):
-        m, n = self.sink_count, self.internal_count
+    __slots__ = ("sink_count", "internal_count", "targets")
+
+    def __init__(self, sink_count: int, internal_count: int,
+                 targets: tuple[tuple[int, int], ...]):
+        self.sink_count = sink_count
+        self.internal_count = internal_count
+        self.targets = targets
+        m, n = sink_count, internal_count
         if m < 0 or n < 0:
             raise GraphError("negative vertex counts")
         if len(self.targets) != n:
@@ -37,6 +41,15 @@ class KontsevichGraph:
             for t in pair:
                 if not 0 <= t < m + n:
                     raise GraphError(f"target {brief(t)} out of range [0, {brief(m + n)})")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not KontsevichGraph:
+            return NotImplemented
+        return (self.sink_count == other.sink_count and self.internal_count == other.internal_count
+                and self.targets == other.targets)
+
+    def __hash__(self) -> int:
+        return hash((self.sink_count, self.internal_count, self.targets))
 
     @property
     def key(self) -> tuple[int, int, tuple[int, ...]]:

@@ -12,7 +12,6 @@ pattern with r_i edges onto Jacobiator i expands into
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -22,14 +21,19 @@ from .graphs import (GraphError, GraphSum, KontsevichGraph, _least_labelling, ad
                      sink_relabelling)
 
 
-@dataclass(frozen=True)
 class LeibnizGraph:
-    sink_count: int
-    wedge_targets: tuple[tuple[int, int], ...]
-    jac_targets: tuple[tuple[int, int, int], ...]
+    """A Leibniz graph as its three fields, checked on construction; equal
+    graphs have equal fields and hash as the tuple of them, so no field
+    changes after construction."""
 
-    def __post_init__(self):
-        m, w, j = self.sink_count, self.wedge_count, self.jac_count
+    __slots__ = ("sink_count", "wedge_targets", "jac_targets")
+
+    def __init__(self, sink_count: int, wedge_targets: tuple[tuple[int, int], ...],
+                 jac_targets: tuple[tuple[int, int, int], ...]):
+        self.sink_count = sink_count
+        self.wedge_targets = wedge_targets
+        self.jac_targets = jac_targets
+        m, w, j = sink_count, len(wedge_targets), len(jac_targets)
         if j not in (1, 2):
             raise GraphError("expected one or two Jacobiator vertices")
         hi = m + w + j
@@ -46,6 +50,15 @@ class LeibnizGraph:
                     raise GraphError(f"Jacobiator target {brief(t)} out of range [0, {brief(hi)})")
                 if t == m + w + i:
                     raise GraphError("Jacobiator may not target itself")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not LeibnizGraph:
+            return NotImplemented
+        return (self.sink_count == other.sink_count and self.wedge_targets == other.wedge_targets
+                and self.jac_targets == other.jac_targets)
+
+    def __hash__(self) -> int:
+        return hash((self.sink_count, self.wedge_targets, self.jac_targets))
 
     @property
     def wedge_count(self) -> int:

@@ -26,7 +26,6 @@ them.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
@@ -40,25 +39,44 @@ from .ops import (alternation, one_vector_graphs, orbit_sum, schouten_bracket,
 from .reference import lhs_table
 
 
-@dataclass
 class LinearSystem:
-    row_keys: list
-    columns: list[dict[int, Fraction]]
-    rhs: dict[int, Fraction]
+    __slots__ = ("row_keys", "columns", "rhs")
+
+    def __init__(self, row_keys: list, columns: list[dict[int, Fraction]],
+                 rhs: dict[int, Fraction]):
+        self.row_keys = row_keys
+        self.columns = columns
+        self.rhs = rhs
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_keys), len(self.columns))
 
 
-@dataclass
 class SolutionSpace:
-    feasible: bool
-    particular: dict[int, Fraction] | None
-    nullspace: list[dict[int, Fraction]]
-    witness_row: object | None = None
-    pivot_cols: list[int] = field(default_factory=list)
-    free_cols: list[int] = field(default_factory=list)
+    """Two spaces are equal when all six fields are."""
+
+    __slots__ = ("feasible", "particular", "nullspace", "witness_row", "pivot_cols", "free_cols")
+
+    def __init__(self, feasible: bool, particular: dict[int, Fraction] | None,
+                 nullspace: list[dict[int, Fraction]], witness_row: object | None = None,
+                 pivot_cols: list[int] | None = None, free_cols: list[int] | None = None):
+        self.feasible = feasible
+        self.particular = particular
+        self.nullspace = nullspace
+        self.witness_row = witness_row
+        self.pivot_cols = [] if pivot_cols is None else pivot_cols
+        self.free_cols = [] if free_cols is None else free_cols
+
+    def fields(self) -> tuple:
+        """The six fields in constructor order, which ``==`` compares."""
+        return (self.feasible, self.particular, self.nullspace, self.witness_row,
+                self.pivot_cols, self.free_cols)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SolutionSpace:
+            return NotImplemented
+        return self.fields() == other.fields()
 
 
 def check_signatures(sums: list[GraphSum]) -> None:
@@ -294,12 +312,15 @@ def build_columns(patterns: list[LeibnizGraph]) -> list[tuple[GraphSum, LeibnizG
     return out
 
 
-@dataclass
 class FactorizationResult:
-    feasible: bool
-    space: SolutionSpace | None
-    support: int
-    flattened: list[tuple[LeibnizGraph, Fraction]]  # sink-permutation expanded
+    __slots__ = ("feasible", "space", "support", "flattened")
+
+    def __init__(self, feasible: bool, space: SolutionSpace | None, support: int,
+                 flattened: list[tuple[LeibnizGraph, Fraction]]):
+        self.feasible = feasible
+        self.space = space
+        self.support = support
+        self.flattened = flattened  # sink-permutation expanded
 
 
 def solve_factorization(target: GraphSum, patterns: list[LeibnizGraph],
@@ -324,15 +345,20 @@ def solve_factorization(target: GraphSum, patterns: list[LeibnizGraph],
     return FactorizationResult(True, space, len(chosen), flatten_alternated(chosen))
 
 
-@dataclass
 class AnsatzCounts:
-    class_sizes: dict[str, int]  # linear patterns per class, in generation order
-    total: int                   # linear patterns
-    distinct: int                # distinct linear pattern keys
-    quadratic: int               # bilinear patterns
-    sink_labelled: int           # ``sink_labelled_patterns`` of the linear ansatz
-    orbit_rows: int | None = None  # rows of the default system, one per orbit
-    graph_rows: int | None = None  # graph normal forms those orbits hold
+    __slots__ = ("class_sizes", "total", "distinct", "quadratic", "sink_labelled",
+                 "orbit_rows", "graph_rows")
+
+    def __init__(self, class_sizes: dict[str, int], total: int, distinct: int, quadratic: int,
+                 sink_labelled: int, orbit_rows: int | None = None,
+                 graph_rows: int | None = None):
+        self.class_sizes = class_sizes      # linear patterns per class, in generation order
+        self.total = total                  # linear patterns
+        self.distinct = distinct            # distinct linear pattern keys
+        self.quadratic = quadratic          # bilinear patterns
+        self.sink_labelled = sink_labelled  # ``sink_labelled_patterns`` of the linear ansatz
+        self.orbit_rows = orbit_rows        # rows of the default system, one per orbit
+        self.graph_rows = graph_rows        # graph normal forms those orbits hold
 
 
 def ansatz_counts(tadpoles: bool = True, rows: bool = False) -> AnsatzCounts:
@@ -361,13 +387,17 @@ def ansatz_counts(tadpoles: bool = True, rows: bool = False) -> AnsatzCounts:
 # run-through checks
 
 
-@dataclass
 class NontrivialityReport:
-    vector_graphs: int
-    leibniz_graphs: int
-    combined_feasible: bool
-    vector_only_feasible: bool
-    witness: object | None
+    __slots__ = ("vector_graphs", "leibniz_graphs", "combined_feasible", "vector_only_feasible",
+                 "witness")
+
+    def __init__(self, vector_graphs: int, leibniz_graphs: int, combined_feasible: bool,
+                 vector_only_feasible: bool, witness: object | None):
+        self.vector_graphs = vector_graphs
+        self.leibniz_graphs = leibniz_graphs
+        self.combined_feasible = combined_feasible
+        self.vector_only_feasible = vector_only_feasible
+        self.witness = witness
 
 
 def nontriviality_check(tadpoles: bool = True) -> NontrivialityReport:
@@ -389,14 +419,19 @@ def nontriviality_check(tadpoles: bool = True) -> NontrivialityReport:
                                combined.witness_row)
 
 
-@dataclass
 class QuadraticReport:
-    linear_count: int
-    quadratic_count: int
-    feasible: bool
-    minimized_quadratic_zero: bool
-    quadratic_only_feasible: bool
-    quadratic_all_linearly_realizable: bool
+    __slots__ = ("linear_count", "quadratic_count", "feasible", "minimized_quadratic_zero",
+                 "quadratic_only_feasible", "quadratic_all_linearly_realizable")
+
+    def __init__(self, linear_count: int, quadratic_count: int, feasible: bool,
+                 minimized_quadratic_zero: bool, quadratic_only_feasible: bool,
+                 quadratic_all_linearly_realizable: bool):
+        self.linear_count = linear_count
+        self.quadratic_count = quadratic_count
+        self.feasible = feasible
+        self.minimized_quadratic_zero = minimized_quadratic_zero
+        self.quadratic_only_feasible = quadratic_only_feasible
+        self.quadratic_all_linearly_realizable = quadratic_all_linearly_realizable
 
     @property
     def quadratic_forced_zero(self) -> bool:

@@ -294,10 +294,13 @@ class PolyMultivector:
     permuted tuple picks up the permutation sign, repeated indices give 0.
     Every component enters through ``add_component`` and so through the
     store ``_add_poly``: a multivector never holds a zero component, and it
-    owns the polynomials it stores and changes them in place.
+    owns the polynomials it stores and changes them in place.  A bi-vector
+    also holds the tables ``eval_graph`` builds on it, which every graph
+    evaluated on it shares and ``add_component`` resets: the derivatives of
+    its components, their nonzero index and the factor-row table.
     """
 
-    __slots__ = ("dim", "arity", "comps", "_dcache", "_nonzero")
+    __slots__ = ("dim", "arity", "comps", "_dcache", "_nonzero", "_rows")
 
     def __init__(self, dim: int, arity: int):
         self.dim = dim
@@ -305,6 +308,7 @@ class PolyMultivector:
         self.comps: dict[tuple[int, ...], Polynomial] = {}
         self._dcache: dict | None = None
         self._nonzero: dict | None = None
+        self._rows: dict | None = None
 
     def component(self, idx: tuple[int, ...]) -> Polynomial:
         """A copy of the component ``idx``, which later adds leave alone."""
@@ -320,8 +324,9 @@ class PolyMultivector:
         order, sign = _sort_sign(idx)
         if sign == 0:
             raise GraphError("repeated index in multivector component")
-        # derivatives of the old components, and their nonzero index, are stale
-        self._dcache = self._nonzero = None
+        # derivatives of the old components, their nonzero index and the
+        # factor rows built from it are stale
+        self._dcache = self._nonzero = self._rows = None
         _add_poly(self.comps, order, p, scale * sign)
 
     def set_component(self, idx: tuple[int, ...], p: Polynomial) -> None:
@@ -480,12 +485,22 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
     (``add_component`` resets it), the list is the intersection of the
     completing factors' entries, walked from the smallest, and a pair's
     product is formed only when every factor is nonzero, which is exact,
-    since Q[x] has no zero divisors.  A step also looks one step ahead: a
-    next state whose list at the following step is empty is dropped before
-    its product is formed.  On a sparse bi-vector most products multiply
-    one monomial by another, which ``*`` forms on its single-term path.
-    The final states are keyed by the sink positions alone, and each enters
-    the operator through one ``PolyOperator.add``.
+    since Q[x] has no zero divisors.  Besides those open keys the list
+    depends only on P, so it is kept in the bi-vector's factor-row table,
+    reset with the index, under the completing factors' open keys in a
+    row, each ended by -3, which no key holds: every step of every
+    contraction on P that completes factors with the same open keys reads
+    one list, and the per-step memo in front of the table looks it up
+    once per projection.  The lists and their products are shared, so
+    they are only read: a state's sums are new polynomials, and
+    ``_mul_into`` adds only into a product this call made.  A step also
+    looks one step ahead: a next state whose list at the following step is
+    empty is dropped before its product is formed, and a kept one takes its
+    list along, so each state's list is looked up once.  On a sparse
+    bi-vector most products multiply one monomial by another, which ``*``
+    forms on its single-term path.  The final states are keyed by the sink
+    positions alone, and each enters the operator through one
+    ``PolyOperator.add``.
 
     The one early return is for a vanishing operator: some internal vertex
     receives more edges than the degree of P, so its factor, differentiated
@@ -529,8 +544,8 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
         return [pos for pos in range(2 * n) if S >> (pos >> 1) & 1 and dies[pos] & ~S]
 
     if P._dcache is None:
-        P._dcache, P._nonzero = {}, {}
-    dcache, nonzero = P._dcache, P._nonzero
+        P._dcache, P._nonzero, P._rows = {}, {}, {}
+    dcache, nonzero, table = P._dcache, P._nonzero, P._rows
 
     def deriv(key: tuple[int, ...]) -> Polynomial:
         """P^{key[0] key[1]} differentiated by the indices key[2:], taken in
@@ -561,29 +576,40 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
 
     def survivors(width: int, completing: list[list[int]]):
         """The lookup taking a state to its surviving rows: the (pair,
-        nonzero product of the completing factors) in pair order, formed
+        nonzero product of the completing factors) in pair order, looked up
         once per projection of the states onto the positions the factors
-        read, as the intersection of the factors' ``nonzero`` entries."""
+        read, and formed once per bi-vector and open factor keys, as the
+        intersection of the factors' ``nonzero`` entries."""
         read = sorted({i for idx in completing for i in idx if i < width})
         project = _getter(read)
         # a factor's key with the new vertex's pair (row positions width and
-        # width + 1) left open, read from a projection followed by (-1, -2)
+        # width + 1) left open, read from a projection followed by
+        # (-1, -2, -3); the table's key is the factors' keys in a row, each
+        # ended by -3, which no key holds.  A list is a tuple, so the many
+        # empty ones are all the one empty tuple
         slot = {i: j for j, i in enumerate(read + [width, width + 1])}
         open_keys = [_getter([slot[i] for i in idx]) for idx in completing]
-        memo: dict[tuple[int, ...], list[tuple[tuple[int, int], Polynomial]]] = {}
+        end = len(read) + 2
+        flat_key = _getter([j for idx in completing for j in [slot[i] for i in idx] + [end]])
+        memo: dict[tuple[int, ...], tuple[tuple[tuple[int, int], Polynomial], ...]] = {}
 
-        def rows(state: tuple[int, ...]) -> list[tuple[tuple[int, int], Polynomial]]:
+        def rows(state: tuple[int, ...]) -> tuple[tuple[tuple[int, int], Polynomial], ...]:
             proj = project(state)
             out = memo.get(proj)
             if out is None:
-                maps = []
-                for key in open_keys:
-                    k = key(proj + (-1, -2))
-                    entry = nonzero.get(k)
-                    maps.append(nonzero_pairs(k) if entry is None else entry)
-                out = memo[proj] = [(pair, reduce(mul, [m[pair] for m in maps]))
-                                    for pair in min(maps, key=len)
-                                    if all(pair in m for m in maps)]
+                filled = proj + (-1, -2, -3)
+                flat = flat_key(filled)
+                out = table.get(flat)
+                if out is None:
+                    maps = []
+                    for key in open_keys:
+                        k = key(filled)
+                        entry = nonzero.get(k)
+                        maps.append(nonzero_pairs(k) if entry is None else entry)
+                    out = table[flat] = tuple(
+                        (pair, reduce(mul, [m[pair] for m in maps]))
+                        for pair in min(maps, key=len) if all(pair in m for m in maps))
+                memo[proj] = out
             return out
         return rows
 
@@ -605,24 +631,29 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
         steps.append((_getter([at[pos] for pos in positions]),
                       survivors(width, completing) if completing else None))
 
-    states = {(): Polynomial.const(d, 1)}
+    # a state maps to its polynomial and its rows at the coming step (None
+    # on a step that completes no factor)
+    first = steps[0][1] if steps else None
+    states = {(): (Polynomial.const(d, 1), first and first(()))}
     for t, (next_state, rows) in enumerate(steps):
         # the look-ahead: a next state without surviving rows at the next
-        # step is dropped before its product is formed
+        # step is dropped before its product is formed, and a kept one
+        # carries those rows, so that no state is looked up twice
         ahead = steps[t + 1][1] if t + 1 < len(steps) else None
-        nxt: dict[tuple[int, ...], Polynomial] = {}
-        for state, partial in states.items():
+        nxt: dict[tuple[int, ...], tuple[Polynomial, tuple | None]] = {}
+        for state, (partial, found) in states.items():
             if not partial.terms:
                 continue
             if rows is None:
                 # nothing dies, so no two rows share a next state
                 for pair in pairs:
                     key = next_state(state + pair)
-                    if ahead is None or ahead(key):
-                        nxt[key] = partial
+                    r = ahead and ahead(key)
+                    if r or ahead is None:
+                        nxt[key] = (partial, r)
                 continue
             sums: dict[tuple[int, ...], Polynomial] = {}
-            for pair, prod in rows(state):
+            for pair, prod in found:
                 key = next_state(state + pair)
                 acc = sums.get(key)
                 sums[key] = prod if acc is None else acc + prod
@@ -630,15 +661,16 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
                 if p.terms:
                     old = nxt.get(key)
                     if old is None:
-                        if ahead is None or ahead(key):
-                            nxt[key] = partial * p
+                        r = ahead and ahead(key)
+                        if r or ahead is None:
+                            nxt[key] = (partial * p, r)
                     else:
-                        _mul_into(old.terms, partial.terms, p.terms)
+                        _mul_into(old[0].terms, partial.terms, p.terms)
         states = nxt
 
     at = {pos: i for i, pos in enumerate(positions)}
     sink_at = [[at[pos] for pos in incoming[s]] for s in range(m)]
-    for state, partial in states.items():
+    for state, (partial, _) in states.items():
         if partial.terms:
             op.add(tuple(tuple(sorted(state[i] for i in idx)) for idx in sink_at), partial)
     return op

@@ -11,7 +11,8 @@ normal form.  The algebra of graph sums, ``ops`` and ``leibniz``, takes
 nothing from the package but ``graphs``.  Every name a module imports at its top is used in it, so a
 deleted copy leaves no stale import behind.  The same walk over the source
 pins where a few helpers are used: ``int``, the oracle's ``diff`` and its
-exponent guard, the normal-form cache and the canonical search.
+exponent guard, the bi-vector's tables, the normal-form cache and the
+canonical search.
 """
 
 import ast
@@ -164,6 +165,18 @@ def test_the_exponent_guard_is_read_by_the_two_product_paths():
     reads = uses(lambda node: isinstance(node, ast.Name) and node.id == "_guard_mask"
                  and isinstance(node.ctx, ast.Load), "poisson")
     assert {scope for _, scope in reads} == {"_mul_into", "Polynomial.__mul__"}
+
+
+def test_the_bivector_tables_are_set_only_where_they_are_made_or_reset():
+    """``PolyMultivector``'s derivative memo, nonzero index and factor-row
+    table are assigned only in its ``__init__`` and ``add_component``, which
+    reset them, and in ``eval_graph``, which makes them, so no other path
+    can keep a table that a new component left stale."""
+    tables = {"_dcache", "_nonzero", "_rows"}
+    stores = uses(lambda node: isinstance(node, ast.Attribute) and node.attr in tables
+                  and isinstance(node.ctx, ast.Store))
+    assert set(stores) == {("poisson", "PolyMultivector.__init__"),
+                           ("poisson", "PolyMultivector.add_component"), ("poisson", "eval_graph")}
 
 
 def test_the_normal_form_cache_is_named_only_by_normal_form():

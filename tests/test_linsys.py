@@ -304,10 +304,10 @@ def test_support_index_matches_the_scan_on_random_systems():
         space = solve(random_sparse_system(rng))
         if not space.feasible:
             continue
-        before = repr(space)
+        before = repr(space.fields())
         x = minimize_support(space)
         assert x == scan_minimize_support(space), space
-        assert repr(space) == before
+        assert repr(space.fields()) == before
         seen["unique"] += not space.nullspace
         seen["null vectors"] += bool(space.nullspace)
         seen["moved"] += x != space.particular
