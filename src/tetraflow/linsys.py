@@ -25,7 +25,7 @@ them.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
@@ -39,44 +39,20 @@ from .ops import (alternation, one_vector_graphs, orbit_sum, schouten_bracket,
 from .reference import lhs_table
 
 
-class LinearSystem:
-    __slots__ = ("row_keys", "columns", "rhs")
-
-    def __init__(self, row_keys: list, columns: list[dict[int, Fraction]],
-                 rhs: dict[int, Fraction]):
-        self.row_keys = row_keys
-        self.columns = columns
-        self.rhs = rhs
+# the row keys, and the columns and right-hand side as {row index: value}
+class LinearSystem(namedtuple("LinearSystem", "row_keys columns rhs")):
+    __slots__ = ()
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_keys), len(self.columns))
 
 
-class SolutionSpace:
-    """Two spaces are equal when all six fields are."""
-
-    __slots__ = ("feasible", "particular", "nullspace", "witness_row", "pivot_cols", "free_cols")
-
-    def __init__(self, feasible: bool, particular: dict[int, Fraction] | None,
-                 nullspace: list[dict[int, Fraction]], witness_row: object | None = None,
-                 pivot_cols: list[int] | None = None, free_cols: list[int] | None = None):
-        self.feasible = feasible
-        self.particular = particular
-        self.nullspace = nullspace
-        self.witness_row = witness_row
-        self.pivot_cols = [] if pivot_cols is None else pivot_cols
-        self.free_cols = [] if free_cols is None else free_cols
-
-    def fields(self) -> tuple:
-        """The six fields in constructor order, which ``==`` compares."""
-        return (self.feasible, self.particular, self.nullspace, self.witness_row,
-                self.pivot_cols, self.free_cols)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not SolutionSpace:
-            return NotImplemented
-        return self.fields() == other.fields()
+# the particular solution and null vectors as {column: value}; when infeasible
+# the particular is None and the witness row the key of a row left empty with a
+# nonzero right-hand side; the pivot columns in elimination order, the free ones
+SolutionSpace = namedtuple("SolutionSpace", "feasible particular nullspace witness_row"
+                                            " pivot_cols free_cols")
 
 
 def check_signatures(sums: list[GraphSum]) -> None:
@@ -140,7 +116,7 @@ def solve(sys: LinearSystem) -> SolutionSpace:
 
     while True:
         if witnesses:
-            return SolutionSpace(False, None, [], witness_row=sys.row_keys[min(witnesses)])
+            return SolutionSpace(False, None, [], sys.row_keys[min(witnesses)], [], [])
         while heap and heap[0][0] != len(col_rows[heap[0][1]]):
             heappop(heap)
         if not heap:
@@ -206,8 +182,8 @@ def solve(sys: LinearSystem) -> SolutionSpace:
         for f, w in e.pop(c).items():
             vecs[f][c] = w
     particular = {c: w for c, w in vecs.pop(-1).items() if c != -1}
-    return SolutionSpace(True, particular, list(vecs.values()),
-                         pivot_cols=[c for _, c in pivots], free_cols=free_cols)
+    return SolutionSpace(True, particular, list(vecs.values()), None,
+                         [c for _, c in pivots], free_cols)
 
 
 def restrict(space: SolutionSpace, cols) -> SolutionSpace:
@@ -312,15 +288,10 @@ def build_columns(patterns: list[LeibnizGraph]) -> list[tuple[GraphSum, LeibnizG
     return out
 
 
-class FactorizationResult:
-    __slots__ = ("feasible", "space", "support", "flattened")
-
-    def __init__(self, feasible: bool, space: SolutionSpace | None, support: int,
-                 flattened: list[tuple[LeibnizGraph, Fraction]]):
-        self.feasible = feasible
-        self.space = space
-        self.support = support
-        self.flattened = flattened  # sink-permutation expanded
+# the space None when the target is not skew; the support counts the chosen
+# patterns, and flattened is their (Leibniz graph, coefficient) list,
+# sink-permutation expanded
+FactorizationResult = namedtuple("FactorizationResult", "feasible space support flattened")
 
 
 def solve_factorization(target: GraphSum, patterns: list[LeibnizGraph],
@@ -345,20 +316,12 @@ def solve_factorization(target: GraphSum, patterns: list[LeibnizGraph],
     return FactorizationResult(True, space, len(chosen), flatten_alternated(chosen))
 
 
-class AnsatzCounts:
-    __slots__ = ("class_sizes", "total", "distinct", "quadratic", "sink_labelled",
-                 "orbit_rows", "graph_rows")
-
-    def __init__(self, class_sizes: dict[str, int], total: int, distinct: int, quadratic: int,
-                 sink_labelled: int, orbit_rows: int | None = None,
-                 graph_rows: int | None = None):
-        self.class_sizes = class_sizes      # linear patterns per class, in generation order
-        self.total = total                  # linear patterns
-        self.distinct = distinct            # distinct linear pattern keys
-        self.quadratic = quadratic          # bilinear patterns
-        self.sink_labelled = sink_labelled  # ``sink_labelled_patterns`` of the linear ansatz
-        self.orbit_rows = orbit_rows        # rows of the default system, one per orbit
-        self.graph_rows = graph_rows        # graph normal forms those orbits hold
+# linear patterns per class in generation order, linear patterns, distinct
+# linear pattern keys, bilinear patterns, ``sink_labelled_patterns`` of the
+# linear ansatz; then, or None, the rows of the default system, one per
+# orbit, and the graph normal forms those orbits hold
+AnsatzCounts = namedtuple("AnsatzCounts", "class_sizes total distinct quadratic sink_labelled"
+                                          " orbit_rows graph_rows", defaults=(None, None))
 
 
 def ansatz_counts(tadpoles: bool = True, rows: bool = False) -> AnsatzCounts:
@@ -374,30 +337,23 @@ def ansatz_counts(tadpoles: bool = True, rows: bool = False) -> AnsatzCounts:
                           len(patterns), len({L.key for L in patterns}),
                           len(generate_ansatz_quadratic(tadpoles)),
                           len(sink_labelled_patterns(patterns)))
-    if rows:
-        cols = [col for col, _ in build_columns(patterns)]
-        keys = assemble(skew_coordinates(lhs_table()), cols).row_keys
-        counts.orbit_rows = len(keys)
-        # alternations of distinct orbits have disjoint supports
-        counts.graph_rows = len(alternation(GraphSum(dict.fromkeys(keys, Fraction(1)))))
-    return counts
+    if not rows:
+        return counts
+    cols = [col for col, _ in build_columns(patterns)]
+    keys = assemble(skew_coordinates(lhs_table()), cols).row_keys
+    # alternations of distinct orbits have disjoint supports
+    graphs = alternation(GraphSum(dict.fromkeys(keys, Fraction(1))))
+    return counts._replace(orbit_rows=len(keys), graph_rows=len(graphs))
 
 
 # ---------------------------------------------------------------------------
 # run-through checks
 
 
-class NontrivialityReport:
-    __slots__ = ("vector_graphs", "leibniz_graphs", "combined_feasible", "vector_only_feasible",
-                 "witness")
-
-    def __init__(self, vector_graphs: int, leibniz_graphs: int, combined_feasible: bool,
-                 vector_only_feasible: bool, witness: object | None):
-        self.vector_graphs = vector_graphs
-        self.leibniz_graphs = leibniz_graphs
-        self.combined_feasible = combined_feasible
-        self.vector_only_feasible = vector_only_feasible
-        self.witness = witness
+# the column counts of the two families, the two verdicts, and the combined
+# system's witness row (None when it is feasible)
+NontrivialityReport = namedtuple("NontrivialityReport", "vector_graphs leibniz_graphs"
+                                 " combined_feasible vector_only_feasible witness")
 
 
 def nontriviality_check(tadpoles: bool = True) -> NontrivialityReport:
@@ -419,19 +375,10 @@ def nontriviality_check(tadpoles: bool = True) -> NontrivialityReport:
                                combined.witness_row)
 
 
-class QuadraticReport:
-    __slots__ = ("linear_count", "quadratic_count", "feasible", "minimized_quadratic_zero",
-                 "quadratic_only_feasible", "quadratic_all_linearly_realizable")
-
-    def __init__(self, linear_count: int, quadratic_count: int, feasible: bool,
-                 minimized_quadratic_zero: bool, quadratic_only_feasible: bool,
-                 quadratic_all_linearly_realizable: bool):
-        self.linear_count = linear_count
-        self.quadratic_count = quadratic_count
-        self.feasible = feasible
-        self.minimized_quadratic_zero = minimized_quadratic_zero
-        self.quadratic_only_feasible = quadratic_only_feasible
-        self.quadratic_all_linearly_realizable = quadratic_all_linearly_realizable
+class QuadraticReport(namedtuple("QuadraticReport", "linear_count quadratic_count feasible"
+                                 " minimized_quadratic_zero quadratic_only_feasible"
+                                 " quadratic_all_linearly_realizable")):
+    __slots__ = ()
 
     @property
     def quadratic_forced_zero(self) -> bool:

@@ -46,7 +46,7 @@ def solve(sys: LinearSystem) -> SolutionSpace:
 
     while True:
         if witnesses:
-            return SolutionSpace(False, None, [], witness_row=sys.row_keys[min(witnesses)])
+            return SolutionSpace(False, None, [], sys.row_keys[min(witnesses)], [], [])
         live_cols = [j for j, s in col_rows.items() if s]
         if not live_cols:
             break
@@ -107,8 +107,8 @@ def solve(sys: LinearSystem) -> SolutionSpace:
         for f, w in e.pop(c).items():
             vecs[f][c] = w
     particular = {c: w for c, w in vecs.pop(-1).items() if c != -1}
-    return SolutionSpace(True, particular, list(vecs.values()),
-                         pivot_cols=[c for _, c in pivots], free_cols=free_cols)
+    return SolutionSpace(True, particular, list(vecs.values()), None,
+                         [c for _, c in pivots], free_cols)
 
 
 def minimize_support(space: SolutionSpace) -> dict[int, Fraction]:

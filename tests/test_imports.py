@@ -8,11 +8,12 @@ them, the oracle takes from ``graphs`` only the error type, the graph
 types and text helpers: the coefficient writer and reader, the line and
 integer readers and the integer and text quotes, and so no arithmetic or
 normal form.  The algebra of graph sums, ``ops`` and ``leibniz``, takes
-nothing from the package but ``graphs``.  Every name a module imports at its top is used in it, so a
-deleted copy leaves no stale import behind.  The same walk over the source
-pins where a few helpers are used: ``int``, the oracle's ``diff`` and its
-exponent guard, the bi-vector's tables, the normal-form cache and the
-canonical search.
+nothing from the package but ``graphs``.  Every name a module imports at
+its top is used in it, so a deleted copy leaves no stale import behind.
+No module imports ``dataclasses`` or ``typing``, which cost start-up time.
+The same walk over the source pins where a few helpers are used: ``int``,
+the oracle's ``diff`` and its exponent guard, the bi-vector's tables, the
+normal-form cache and the canonical search.
 """
 
 import ast
@@ -137,6 +138,22 @@ def uses(accept, module: str = "*") -> list[tuple[str, str | None]]:
 
         visit(ast.parse(path.read_text(), str(path)), None, False)
     return found
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    """Every process compiles and imports the package, so its records are
+    ``collections.namedtuple`` types and its classes plain ones: ``typing``
+    and ``dataclasses`` are imported nowhere, at the top or in a function."""
+    def imports_them(node):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            return False
+        return any(name.split(".")[0] in ("dataclasses", "typing") for name in names)
+
+    assert uses(imports_them) == []
 
 
 def test_the_one_int_call_is_in_parse_ints():

@@ -304,10 +304,10 @@ def test_support_index_matches_the_scan_on_random_systems():
         space = solve(random_sparse_system(rng))
         if not space.feasible:
             continue
-        before = repr(space.fields())
+        before = repr(space)
         x = minimize_support(space)
         assert x == scan_minimize_support(space), space
-        assert repr(space.fields()) == before
+        assert repr(space) == before
         seen["unique"] += not space.nullspace
         seen["null vectors"] += bool(space.nullspace)
         seen["moved"] += x != space.particular
@@ -544,3 +544,16 @@ def test_ansatz_counts_without_tadpoles():
     plain = ansatz_counts(tadpoles=False)
     assert plain.orbit_rows is plain.graph_rows is None
     assert plain.sink_labelled == 1026
+
+
+def test_results_cannot_be_changed_after_they_are_built():
+    """A solution space and the ansatz counts are read-only records, and the
+    counts with rows add their two fields to the same five."""
+    space = solve(toy_system([{0: 1}], {0: 2}))
+    with pytest.raises(AttributeError):
+        space.particular = {}
+    plain = ansatz_counts(tadpoles=False)
+    with pytest.raises(AttributeError):
+        plain.orbit_rows = 0
+    counts = ansatz_counts(tadpoles=False, rows=True)
+    assert counts._replace(orbit_rows=None, graph_rows=None) == plain
