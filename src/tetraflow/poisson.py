@@ -21,18 +21,19 @@ adds into a new one.
 (variable elimination): it assigns the internal vertices one at a time and
 keeps, per state of the edge indices still needed, the sum of the partial
 products that reach it, so a partial product many assignments share is
-formed once.  The vertex order minimizes a bound on the states visited,
-the sum over the steps of base ** (live positions), by an exact dynamic
-program over the vertex subsets (``_contraction_order``).  Graphs
-that differ only by their sink labels and the order of their pairs are one
-contraction: ``eval_graph_sum`` and ``factorization_identity_check`` add
-their terms through ``_eval_terms``, which contracts each such class once,
-reads its operator through each term's sink names and sign, and merges
-with integer weights, dividing once at the end.
-``eval_graph_sum`` first renumbers each graph's internal vertices by colour
-refinement (``_refined``), so that isomorphic graphs mostly share a class
-too: the 39 graphs of the tri-vector make 9 contractions.  The raw terms of
-the identity check stay as they are, so that its two sides share none.
+formed once.  ``_plan`` makes every decision that depends on the graph
+alone, as plain int tuples: the vertex order, which minimizes a bound on
+the states visited by an exact dynamic program over the vertex subsets,
+and the positions each step keeps and reads.  Graphs that differ only
+by their sink labels and the order of their pairs are one contraction:
+``eval_graph_sum`` and ``factorization_identity_check`` add their terms
+through ``_eval_terms``, which contracts each such class once, reads its
+operator through each term's sink names and sign, and merges with integer
+weights, dividing once at the end.  ``eval_graph_sum`` first renumbers
+each graph's internal vertices by colour refinement (``_refined``), so
+that isomorphic graphs mostly share a class too: the 39 graphs of the
+tri-vector make 9 contractions.  The raw terms of the identity check stay
+as they are, so that its two sides share none.
 
 The oracle walks the stored components of a bi-vector, both index orders
 of each (``_signed_pairs``), and never the d(d-1) index pairs of R^d: its
@@ -320,7 +321,10 @@ class PolyMultivector:
 
     def add_component(self, idx: tuple[int, ...], p: Polynomial, scale=1) -> None:
         """Add ``scale * p`` to the component ``idx``, in place, with the sign
-        of the permutation that sorts ``idx``."""
+        of the permutation that sorts ``idx``, which holds ``arity`` indices
+        in [0, dim)."""
+        if len(idx) != self.arity or not all(0 <= i < self.dim for i in idx):
+            raise GraphError(f"component index is not {self.arity} indices in [0, {self.dim})")
         order, sign = _sort_sign(idx)
         if sign == 0:
             raise GraphError("repeated index in multivector component")
@@ -463,50 +467,39 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
     edge indices, differentiated by the indices of its incoming edges; sink
     multi-indices collect the indices of edges into each sink.
 
-    The sum is contracted one internal vertex at a time, in the order of
-    ``_contraction_order``.  A state is the tuple of index values on the
-    live edge positions: assigned ones that a sink or a factor not yet
-    multiplied in still reads.  After each step a dict maps every state to
-    the sum of the partial products of all assignments that reach it.  A
-    step takes each state through the index pairs of the new vertex, sums
-    the product of the factors the pair completes over all pairs that lead
-    to the same next state, and multiplies that sum by the state's
-    polynomial once: the product is a new polynomial for a new next state
-    and is added in place (``_mul_into``) into one that other states have
-    reached already.  The factors' product depends on the state only
-    through the positions the completing factors read, so a step computes,
-    once per projection of the states onto those positions, the list of the
-    pairs whose product is nonzero, with the products; every state with
-    that projection walks only its list.
+    This runs the steps of ``_plan`` over P.  After each step a dict maps
+    every state to the sum of the partial products of all assignments that
+    reach it.  A step takes each state through the index pairs of the new
+    vertex, sums the product of the factors the pair completes over all
+    pairs that lead to the same next state, and multiplies that sum by the
+    state's polynomial once, into a new polynomial for a new next state or
+    in place (``_mul_into``) into one that other states reached before.
+    The factors' product depends on the state only through its projection
+    onto the step's ``cols``, so each projection walks one list: the pairs
+    whose product is nonzero, with the products.
 
     The list comes from the bi-vector's nonzero index: a factor's key with
     the new vertex's two slots left open maps to the pairs that make the
-    factor nonzero, with the factor.  The index is built once per bi-vector
-    (``add_component`` resets it), the list is the intersection of the
-    completing factors' entries, walked from the smallest, and a pair's
-    product is formed only when every factor is nonzero, which is exact,
-    since Q[x] has no zero divisors.  Besides those open keys the list
-    depends only on P, so it is kept in the bi-vector's factor-row table,
-    reset with the index, under the completing factors' open keys in a
-    row, each ended by -3, which no key holds: every step of every
-    contraction on P that completes factors with the same open keys reads
-    one list, and the per-step memo in front of the table looks it up
-    once per projection.  The lists and their products are shared, so
-    they are only read: a state's sums are new polynomials, and
-    ``_mul_into`` adds only into a product this call made.  A step also
-    looks one step ahead: a next state whose list at the following step is
-    empty is dropped before its product is formed, and a kept one takes its
-    list along, so each state's list is looked up once.  On a sparse
-    bi-vector most products multiply one monomial by another, which ``*``
-    forms on its single-term path.  The final states are keyed by the sink
-    positions alone, and each enters the operator through one
-    ``PolyOperator.add``.
+    factor nonzero, with the factor.  The list intersects the completing
+    factors' entries, walked from the smallest, and forms a pair's product
+    only when every factor is nonzero, which is exact, since Q[x] has no
+    zero divisors.  It depends only on P and those open keys, so the
+    bi-vector's factor-row table keeps it under the keys in a row, each
+    ended by -3, which no key holds, for every contraction on P, and a
+    per-step memo looks it up once per projection; ``add_component``
+    resets the index and the table.  The lists are only read: a state's
+    sums are new polynomials, and ``_mul_into`` adds only into a product
+    this call made.  A step also looks one step ahead: a next state whose
+    list at the following step is empty is dropped before its product is
+    formed, and a kept one takes its list along.  Each final state enters
+    the operator through one ``PolyOperator.add``.
 
-    The one early return is for a vanishing operator: some internal vertex
-    receives more edges than the degree of P, so its factor, differentiated
-    that many times, is 0.  On the zero bi-vector (degree -1) that is every
-    graph with an internal vertex.  A graph without internal vertices is
-    the product operator, 1 on the empty multi-indices, on every P.
+    The one early return, before any planning, is for a vanishing operator:
+    some internal vertex receives more edges than the degree of P, so its
+    factor, differentiated that many times, is 0.  On the zero bi-vector
+    (degree -1) that is every graph with an internal vertex.  A graph
+    without internal vertices is the product operator, 1 on the empty
+    multi-indices, on every P.
     """
     if P.arity != 2:
         raise GraphError("eval_graph expects a bi-vector")
@@ -523,26 +516,8 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
         return op
 
     signed = _signed_pairs(P)
-
-    # the edges of internal vertex k sit at positions 2k (left) and 2k + 1
-    # (right); incoming[v] lists the positions of v's incoming edges
-    target = [t for pair in g.targets for t in pair]
-    incoming: list[list[int]] = [[] for _ in range(m + n)]
-    for pos, t in enumerate(target):
-        incoming[t].append(pos)
-    # vertex k's factor reads the positions reads[k]: k's own pair, then
-    # its incoming edges; it is multiplied in once the vertices in the bit
-    # set ready[k] (k and the sources of those edges) are assigned
-    reads = [(2 * k, 2 * k + 1, *incoming[m + k]) for k in range(n)]
-    ready = [reduce(or_, (1 << (pos >> 1) for pos in r)) for r in reads]
-    # a position dies once both factors reading it are in; one into a sink
-    # never does (bit n lies outside every vertex set)
-    dies = [ready[pos >> 1] | ready[t - m] if t >= m else 1 << n
-            for pos, t in enumerate(target)]
-
-    def live(S: int) -> list[int]:
-        return [pos for pos in range(2 * n) if S >> (pos >> 1) & 1 and dies[pos] & ~S]
-
+    pairs = list(signed)
+    plan, sink_at = _plan(g, len({i for i, _ in pairs}))
     if P._dcache is None:
         P._dcache, P._nonzero, P._rows = {}, {}, {}
     dcache, nonzero, table = P._dcache, P._nonzero, P._rows
@@ -561,36 +536,16 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
             dcache[key] = p
         return p
 
-    pairs = list(signed)
-
-    def nonzero_pairs(open_key: tuple[int, ...]) -> dict[tuple[int, int], Polynomial]:
-        """The index pairs, in pair order, that make the factor key
-        ``open_key`` nonzero when they fill its open slots (-1 the new
-        vertex's left index, -2 its right one), each with that factor."""
-        entry = nonzero[open_key] = {}
-        for pair in pairs:
-            p = deriv(tuple(pair[~i] if i < 0 else i for i in open_key))
-            if p.terms:
-                entry[pair] = p
-        return entry
-
-    def survivors(width: int, completing: list[list[int]]):
-        """The lookup taking a state to its surviving rows: the (pair,
-        nonzero product of the completing factors) in pair order, looked up
-        once per projection of the states onto the positions the factors
-        read, and formed once per bi-vector and open factor keys, as the
-        intersection of the factors' ``nonzero`` entries."""
-        read = sorted({i for idx in completing for i in idx if i < width})
-        project = _getter(read)
-        # a factor's key with the new vertex's pair (row positions width and
-        # width + 1) left open, read from a projection followed by
-        # (-1, -2, -3); the table's key is the factors' keys in a row, each
-        # ended by -3, which no key holds.  A list is a tuple, so the many
-        # empty ones are all the one empty tuple
-        slot = {i: j for j, i in enumerate(read + [width, width + 1])}
-        open_keys = [_getter([slot[i] for i in idx]) for idx in completing]
-        end = len(read) + 2
-        flat_key = _getter([j for idx in completing for j in [slot[i] for i in idx] + [end]])
+    def row_lookup(cols: tuple[int, ...], factors: tuple[tuple[int, ...], ...]):
+        """The lookup taking a state to its surviving rows, the (pair,
+        nonzero product of the completing factors) in pair order, once per
+        projection onto ``cols``; a factor's open key is read off the
+        projection followed by (-1, -2, -3), -1 and -2 standing for the new
+        vertex's left and right index.  A list is a tuple, so the many empty
+        ones are all the one empty tuple."""
+        project = _getter(cols)
+        open_keys = [_getter(f) for f in factors]
+        flat_key = _getter([j for f in factors for j in (*f, len(cols) + 2)])
         memo: dict[tuple[int, ...], tuple[tuple[tuple[int, int], Polynomial], ...]] = {}
 
         def rows(state: tuple[int, ...]) -> tuple[tuple[tuple[int, int], Polynomial], ...]:
@@ -605,7 +560,13 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
                     for key in open_keys:
                         k = key(filled)
                         entry = nonzero.get(k)
-                        maps.append(nonzero_pairs(k) if entry is None else entry)
+                        if entry is None:
+                            # the pairs, in pair order, that make the factor
+                            # nonzero when they fill its open slots
+                            entry = nonzero[k] = {
+                                pair: p for pair in pairs
+                                if (p := deriv(tuple(pair[~i] if i < 0 else i for i in k))).terms}
+                        maps.append(entry)
                     out = table[flat] = tuple(
                         (pair, reduce(mul, [m[pair] for m in maps]))
                         for pair in min(maps, key=len) if all(pair in m for m in maps))
@@ -615,21 +576,8 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
 
     # one (next_state, rows) per step; rows is None on a step that
     # completes no factor
-    base = len({i for i, _ in pairs})
-    steps = []
-    positions: list[int] = []
-    S = 0
-    for v in _contraction_order(n, live, base):
-        S |= 1 << v
-        # a row is a state (its first ``width`` entries) followed by the new
-        # vertex's pair
-        width = len(positions)
-        at = {pos: i for i, pos in enumerate(positions + [2 * v, 2 * v + 1])}
-        positions = live(S)
-        completing = [[at[pos] for pos in reads[k]]
-                      for k in range(n) if ready[k] >> v & 1 and not ready[k] & ~S]
-        steps.append((_getter([at[pos] for pos in positions]),
-                      survivors(width, completing) if completing else None))
+    steps = [(_getter(keep), row_lookup(cols, factors) if factors else None)
+             for keep, cols, factors in plan]
 
     # a state maps to its polynomial and its rows at the coming step (None
     # on a step that completes no factor)
@@ -668,31 +616,63 @@ def eval_graph(g: KontsevichGraph, P: PolyMultivector) -> PolyOperator:
                         _mul_into(old[0].terms, partial.terms, p.terms)
         states = nxt
 
-    at = {pos: i for i, pos in enumerate(positions)}
-    sink_at = [[at[pos] for pos in incoming[s]] for s in range(m)]
     for state, (partial, _) in states.items():
         if partial.terms:
             op.add(tuple(tuple(sorted(state[i] for i in idx)) for idx in sink_at), partial)
     return op
 
 
-def _contraction_order(n: int, live, base: int) -> list[int]:
-    """The order of the n internal vertices that minimizes the sum, over
-    the steps, of base ** (number of live positions before the step), the
-    bound on the states a step visits; ties go to the lexicographically
-    first order.  The live set after assigning a vertex set depends only on
-    that set, so a dynamic program over the 2^n subsets is exact."""
+def _plan(g: KontsevichGraph, base: int):
+    """The steps of ``eval_graph`` on ``g``, as plain int tuples: all that
+    depends on the graph alone and on ``base``, the number of distinct
+    indices in the bi-vector's stored pairs.
+
+    Vertex k's edges sit at positions 2k (left) and 2k + 1 (right), and its
+    factor reads that pair, then its incoming edges.  A state holds the
+    index values on the live positions: assigned ones that a sink or a
+    factor not yet multiplied in still reads.  The live set depends only on
+    the vertex set assigned, so a dynamic program over the 2^n subsets finds
+    the order with the least sum, over the steps, of base ** (live
+    positions before the step), ties going to the lexicographically first.
+
+    A step's row is its state and then the new vertex's pair, and a step is
+    (keep, cols, factors): the row entries the next state keeps, the state
+    entries the completing factors read, and each such factor's slots in
+    ``cols`` followed by the new vertex's two open slots, if any.
+    ``sink_at[s]`` lists the final state's entries on the edges into sink s.
+    """
+    m, n = g.sink_count, g.internal_count
+    target = [t for pair in g.targets for t in pair]
+    incoming: list[list[int]] = [[] for _ in range(m + n)]
+    for pos, t in enumerate(target):
+        incoming[t].append(pos)
+    reads = [(2 * k, 2 * k + 1, *incoming[m + k]) for k in range(n)]
+    # factor k is multiplied in once the vertices in the bit set ready[k]
+    # are assigned; a position dies once both factors reading it are in,
+    # and one into a sink never does (bit n lies outside every vertex set)
+    ready = [reduce(or_, (1 << (pos >> 1) for pos in r)) for r in reads]
+    dies = [ready[pos >> 1] | ready[t - m] if t >= m else 1 << n
+            for pos, t in enumerate(target)]
     full = (1 << n) - 1
-    cost = [0] * (full + 1)
+    live = [[pos for pos in range(2 * n) if S >> (pos >> 1) & 1 and dies[pos] & ~S]
+            for S in range(full + 1)]
+    cost, best = [0] * (full + 1), [0] * full
     for S in range(full - 1, -1, -1):
-        cost[S] = base ** len(live(S)) + min(
-            cost[S | 1 << v] for v in range(n) if not S >> v & 1)
-    order, S = [], 0
+        cost[S], best[S] = min((cost[S | 1 << v], v) for v in range(n) if not S >> v & 1)
+        cost[S] += base ** len(live[S])
+
+    steps, S = [], 0
     while S != full:
-        v = min((v for v in range(n) if not S >> v & 1), key=lambda v: cost[S | 1 << v])
-        order.append(v)
+        v = best[S]
+        row = live[S] + [2 * v, 2 * v + 1]
         S |= 1 << v
-    return order
+        completing = [reads[k] for k in range(n) if ready[k] >> v & 1 and not ready[k] & ~S]
+        reading = {pos for r in completing for pos in r}
+        cols = [i for i, pos in enumerate(row[:-2]) if pos in reading]
+        slots = [row[i] for i in cols] + row[-2:]
+        steps.append((tuple(map(row.index, live[S])), tuple(cols),
+                      tuple(tuple(map(slots.index, r)) for r in completing)))
+    return tuple(steps), tuple(tuple(map(live[full].index, incoming[s])) for s in range(m))
 
 
 def _getter(idx: list[int]):

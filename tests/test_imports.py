@@ -13,7 +13,7 @@ its top is used in it, so a deleted copy leaves no stale import behind.
 No module imports ``dataclasses`` or ``typing``, which cost start-up time.
 The same walk over the source pins where a few helpers are used: ``int``,
 the oracle's ``diff`` and its exponent guard, the bi-vector's tables, the
-normal-form cache and the canonical search.
+contraction plan, the normal-form cache and the canonical search.
 """
 
 import ast
@@ -194,6 +194,21 @@ def test_the_bivector_tables_are_set_only_where_they_are_made_or_reset():
                   and isinstance(node.ctx, ast.Store))
     assert set(stores) == {("poisson", "PolyMultivector.__init__"),
                            ("poisson", "PolyMultivector.add_component"), ("poisson", "eval_graph")}
+
+
+def test_the_contraction_plan_reads_the_graph_alone():
+    """``poisson._plan`` is called by ``eval_graph`` alone and names no
+    attribute of a bi-vector, so every decision it makes depends on the
+    graph and the index count it is given, and the executor keeps every
+    table on P."""
+    calls = uses(lambda node: isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "_plan"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "_plan"))
+    assert calls == [("poisson", "eval_graph")]
+    bivector = {"comps", "dim", "_dcache", "_nonzero", "_rows"}
+    names = uses(lambda node: isinstance(node, ast.Attribute) and node.attr in bivector, "poisson")
+    assert ("poisson", "eval_graph") in names
+    assert ("poisson", "_plan") not in names
 
 
 def test_the_normal_form_cache_is_named_only_by_normal_form():

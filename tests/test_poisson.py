@@ -2,14 +2,14 @@ import hashlib
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
 from tetraflow.graphs import GraphError, GraphSum, KontsevichGraph
 from tetraflow.ops import GAMMA1, WEDGE, tetra_flow, wedge_sum
 from tetraflow.poisson import (MAX_EXPONENT, W, Polynomial, PolyMultivector, PolyOperator,
-                               _mul_into, eval_graph, eval_graph_sum, flow, gamma1, gamma2,
+                               _mul_into, _plan, eval_graph, eval_graph_sum, flow, gamma1, gamma2,
                                jacobi_check, jacobian_bracket,
                                parse_poisson_file, parse_polynomial,
                                random_bivector, ratio_scan,
@@ -288,6 +288,116 @@ def test_eval_after_component_changes_sees_new_derivatives():
     assert not first.is_zero()
     assert again == eval_graph(GAMMA1, fresh) != first
     assert again.to_multivector(2) == gamma1(fresh)
+
+
+def test_add_component_rejects_a_wrong_index_tuple():
+    """An index past the dimension, a negative one or a tuple of the wrong
+    length raises before anything is stored, through ``set_component``
+    too, so the oracle never reads a component of a variable that does not
+    exist or a bi-vector with a three-index component."""
+    P = PolyMultivector(3, 2)
+    P.set_component((0, 1), P3("x1"))
+    for idx in [(0, 3), (0, 5), (-1, 0), (0, 1, 2), (0,), ()]:
+        for store in (P.add_component, P.set_component):
+            with pytest.raises(GraphError, match=r"component index is not 2 indices in \[0, 3\)"):
+                store(idx, P3("x2"))
+    assert P.lines() == ["1 2 x1"]
+    assert jacobi_check(P)
+
+
+def plan_graphs(seed: int, count: int) -> list[KontsevichGraph]:
+    """Seeded graphs with up to 3 sinks and 6 internal vertices, each target
+    drawn from every vertex, so tadpoles, double edges, sink-sink pairs and
+    graphs without internal vertices all occur."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m, n = rng.randint(0, 3), rng.randint(0, 6)
+        out.append(KontsevichGraph(m, n, tuple((rng.randrange(m + n), rng.randrange(m + n))
+                                               for _ in range(n))))
+    return out
+
+
+def live_edges(g: KontsevichGraph, assigned: frozenset) -> set[tuple[int, int]]:
+    """The edges (vertex, side) a state must hold once the internal vertices
+    ``assigned`` are assigned: an assigned vertex's edge into a sink, or into
+    a vertex when the factor at one of its two ends is incomplete.  A factor
+    is complete once its vertex and the sources of the edges into it are
+    assigned."""
+    m = g.sink_count
+
+    def complete(w: int) -> bool:
+        return w in assigned and all(u in assigned for u, pair in enumerate(g.targets)
+                                     if m + w in pair)
+
+    return {(u, side) for u in assigned for side, t in enumerate(g.targets[u])
+            if t < m or not (complete(u) and complete(t - m))}
+
+
+def walk_plan(steps, sink_at):
+    """A plan run on labels instead of indices, as ``eval_graph`` runs it:
+    the new vertex's pair at step t is (t, 0), (t, 1).  Returns the state
+    before each step and the final one, the key of each completed factor
+    and the edges into each sink, all in labels."""
+    states, factors = [()], []
+    for t, (keep, cols, fs) in enumerate(steps):
+        state, pair = states[-1], ((t, 0), (t, 1))
+        slots = tuple(state[i] for i in cols) + pair
+        factors += [tuple(slots[j] for j in f) for f in fs]
+        states.append(tuple((state + pair)[i] for i in keep))
+    return states, factors, [[states[-1][i] for i in idx] for idx in sink_at]
+
+
+def test_plan_follows_a_cheapest_order_and_completes_each_factor_once():
+    """``_plan`` against an independent live-edge rule, on graphs with up to
+    6 internal vertices: run on labels, every vertex's factor completes in
+    exactly one step and reads its own pair, then its incoming edges; each
+    state holds exactly the live edges of the vertices assigned so far in
+    some order of them that rebuilds the graph; the sum of base ** (width
+    of each step) is the least over all n! orders; and ``sink_at`` reads
+    every entry of the final state once."""
+    graphs = plan_graphs(3607, 60)
+    pairs = [(g.sink_count, pair) for g in graphs for pair in g.targets]
+    assert any(a == b for _, (a, b) in pairs)  # double edges
+    assert any(a < m and b < m for m, (a, b) in pairs)  # sink-sink pairs
+    assert any(m + u in pair for g in graphs for u, pair in enumerate(g.targets)
+               for m in [g.sink_count])  # tadpoles
+    assert {g.internal_count for g in graphs} == set(range(7))
+    for g in graphs:
+        m, n = g.sink_count, g.internal_count
+        width = {}
+
+        def width_after(assigned):
+            if assigned not in width:
+                width[assigned] = len(live_edges(g, assigned))
+            return width[assigned]
+
+        for base in (2, 3):
+            steps, sink_at = _plan(g, base)
+            hash((steps, sink_at))  # plain tuples
+            states, factors, sinks = walk_plan(steps, sink_at)
+            assert len(steps) == n
+            assert sorted(f[0][0] for f in factors) == list(range(n))
+            assert all(f[:2] == ((f[0][0], 0), (f[0][0], 1)) for f in factors)
+            assert sorted(i for idx in sink_at for i in idx) == list(range(len(states[-1])))
+            # the end of every edge, read off the plan
+            ends = [(label, m + f[0][0]) for f in factors for label in f[2:]]
+            ends += [(label, s) for s, labels in enumerate(sinks) for label in labels]
+            end = dict(ends)
+            assert len(ends) == len(end) == 2 * n and all(len(set(s)) == len(s) for s in states)
+
+            def rebuilds(order):
+                rename = {m + v: m + t for t, v in enumerate(order)}
+                return (all(rename.get(x, x) == end[t, side] for t, v in enumerate(order)
+                            for side, x in enumerate(g.targets[v]))
+                        and all({(order[s], side) for s, side in state}
+                                == live_edges(g, frozenset(order[:t]))
+                                for t, state in enumerate(states)))
+
+            cost = {order: sum(base ** width_after(frozenset(order[:t])) for t in range(n))
+                    for order in permutations(range(n))}
+            assert any(rebuilds(order) for order in cost)
+            assert sum(base ** len(s) for s in states[:-1]) == min(cost.values())
 
 
 def test_eval_gamma_encodings_match_formulas(reference_P):
